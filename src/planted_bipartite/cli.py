@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import itertools
 import json
-import math
 import sys
 
 from . import lower_bound
@@ -23,7 +22,6 @@ from .detectors import (
     ThresholdMode,
     ThresholdSpec,
     calibrate_threshold,
-    resolve_threshold,
     statistic,
 )
 from .errors import (
@@ -272,21 +270,15 @@ def _sweep_config(args, grid) -> ExperimentConfig:
 
 
 def _run_sweep(cfg: ExperimentConfig, out_path, experiment_id: str) -> int:
-    kind, h = resolve_threshold(
-        cfg.detector, cfg.shape, cfg.p0, cfg.threshold, cfg.consts, cfg.budget
-    )
     sweep = power_sweep(cfg)
-    rows = result_rows(
-        dataclasses.replace(cfg, detector=kind), sweep, experiment_id, h
-    )
     if out_path:
-        emit_results(rows, out_path, "CSV")
+        emit_results(result_rows(cfg, sweep, experiment_id), out_path, "CSV")
         sidecar = {
             "experiment_id": experiment_id,
-            "detector": kind.tag.value,
-            "tau": kind.tau,
-            "k_scan": kind.k_scan,
-            "threshold": _f(h),
+            "detector": sweep.kind.tag.value,
+            "tau": sweep.kind.tau,
+            "k_scan": sweep.kind.k_scan,
+            "threshold": _f(sweep.threshold),
             "threshold_mode": cfg.threshold.mode.value,
             "alpha": cfg.threshold.alpha,
             "consts": dataclasses.asdict(cfg.consts),
@@ -363,7 +355,7 @@ def _cmd_phase(args) -> int:
         )
         if k1 <= n1 and k2 <= n2
     ]
-    rows = phase_diagram(grid, 0.25, _consts_from(args))
+    rows = phase_diagram(grid, _consts_from(args))
     lines = ["n1,n2,k1,k2,R,R_tilde,branch"]
     for shape, rb in rows:
         lines.append(

@@ -30,10 +30,9 @@ from . import binomial_kernel as bk
 from .errors import BudgetError, ConfigError, ParameterError
 from .graph_model import AdjacencyMatrix, ProblemShape
 from .rates import Branch, RateConstants, log_binom, rate_bundle
-from .rng import TAG_CAL, batch_cell_uniforms, derive_seed
+from .rng import _TRIAL_CHUNK, TAG_CAL, trial_uniforms
 
 DEFAULT_SUBSET_BUDGET = 10**6
-_TRIAL_CHUNK = 512
 
 
 class DetectorTag(Enum):
@@ -195,7 +194,7 @@ def _batch_max_truncated(
     M = _subset_matrix(n1, k_scan, budget)
     out = np.empty(bits.shape[0])
     # Chunk trials: the (chunk, S, n2) count tensor is the memory hot spot.
-    chunk = max(1, _TRIAL_CHUNK * 512 // max(1, M.shape[0])) or 1
+    chunk = max(1, _TRIAL_CHUNK * 512 // M.shape[0])
     for lo in range(0, bits.shape[0], chunk):
         blk = bits[lo : lo + chunk].astype(np.float64)
         counts = np.einsum("sn,tnj->tsj", M, blk).round().astype(np.int64)
@@ -330,15 +329,11 @@ def null_statistics(
 ) -> np.ndarray:
     """Statistic values over `trials` independent null draws, computed in
     fixed-size batches with per-trial derived seeds; order-deterministic."""
-    base = derive_seed(seed, TAG_CAL)
-    out = np.empty(trials)
-    for lo in range(0, trials, _TRIAL_CHUNK):
-        hi = min(lo + _TRIAL_CHUNK, trials)
-        seeds = (np.uint64(base) + np.arange(lo + 1, hi + 1, dtype=np.uint64))
-        u = batch_cell_uniforms(seeds, shape.n1, shape.n2)
-        bits = (u < p0).astype(np.uint8)
-        out[lo:hi] = _batch_statistic(bits, p0, kind, budget)
-    return out
+    chunks = [
+        _batch_statistic((u < p0).astype(np.uint8), p0, kind, budget)
+        for _, u in trial_uniforms(seed, TAG_CAL, shape.n1, shape.n2, trials)
+    ]
+    return np.concatenate(chunks) if chunks else np.empty(0)
 
 
 def empirical_quantile(values: np.ndarray, alpha: float) -> float:

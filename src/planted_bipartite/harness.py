@@ -6,7 +6,9 @@ level, evaluates rate bundles over shape grids, and runs the empty-subgraph
 diagnostics.  Everything is a pure function of (config, seed): per-trial
 seeds are derived from the experiment seed and trial index, so results are
 identical for any worker count, and the same uniforms drive every point of
-a delta grid (common random numbers).
+a delta grid (common random numbers).  The threshold and the Type I error
+are computed once per sweep and once per bisection, and `SweepResult`
+carries the resolved detector and threshold.
 """
 
 from __future__ import annotations
@@ -21,25 +23,15 @@ import numpy as np
 from .detectors import (
     DEFAULT_SUBSET_BUDGET,
     DetectorKind,
-    DetectorTag,
     ThresholdSpec,
     _batch_statistic,
+    _subset_matrix,
     resolve_threshold,
 )
 from .errors import BracketError, BudgetError, ConfigError, ParameterError
 from .graph_model import ProblemShape
 from .rates import RateBundle, RateConstants, log_binom, rate_bundle
-from .rng import (
-    TAG_ALT,
-    TAG_COLS,
-    TAG_NULL,
-    TAG_ROWS,
-    batch_cell_uniforms,
-    derive_seed,
-    sample_subset,
-)
-
-_TRIAL_CHUNK = 512
+from .rng import TAG_ALT, TAG_COLS, TAG_NULL, TAG_ROWS, sample_subset, trial_uniforms
 
 
 @dataclass(frozen=True)
@@ -90,57 +82,63 @@ def _null_reject_count(
     kind: DetectorKind, shape: ProblemShape, p0: float, threshold: float,
     trials: int, seed: int, budget: int,
 ) -> int:
-    base = derive_seed(seed, TAG_NULL)
     count = 0
-    for lo in range(0, trials, _TRIAL_CHUNK):
-        hi = min(lo + _TRIAL_CHUNK, trials)
-        seeds = np.uint64(base) + np.arange(lo + 1, hi + 1, dtype=np.uint64)
-        bits = (batch_cell_uniforms(seeds, shape.n1, shape.n2) < p0).astype(np.uint8)
-        stats = _batch_statistic(bits, p0, kind, budget)
+    for _, u in trial_uniforms(seed, TAG_NULL, shape.n1, shape.n2, trials):
+        stats = _batch_statistic((u < p0).astype(np.uint8), p0, kind, budget)
         count += int((stats > threshold).sum())
     return count
 
 
 def _planted_accept_count(
-    kind: DetectorKind, shape: ProblemShape, p0: float, delta: float, threshold: float,
+    kind: DetectorKind, shape: ProblemShape, p0: float, deltas: list[float], threshold: float,
     trials: int, seed: int, budget: int,
-) -> int:
-    base = derive_seed(seed, TAG_ALT)
-    count = 0
-    for lo in range(0, trials, _TRIAL_CHUNK):
-        hi = min(lo + _TRIAL_CHUNK, trials)
-        idx = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-        seeds = np.uint64(base) + idx
-        u = batch_cell_uniforms(seeds, shape.n1, shape.n2)
+) -> list[int]:
+    """Planted trials accepted at each of `deltas`.  Each chunk's uniforms
+    and supports are drawn once; only the block probability changes."""
+    counts = [0] * len(deltas)
+    for seeds, u in trial_uniforms(seed, TAG_ALT, shape.n1, shape.n2, trials):
+        blocks = [np.ix_(sample_subset(s, TAG_ROWS, shape.n1, shape.k1),
+                         sample_subset(s, TAG_COLS, shape.n2, shape.k2)) for s in seeds.tolist()]
         p = np.full_like(u, p0)
-        for t, trial_seed in enumerate(seeds.tolist()):
-            K1 = sample_subset(trial_seed, TAG_ROWS, shape.n1, shape.k1)
-            K2 = sample_subset(trial_seed, TAG_COLS, shape.n2, shape.k2)
-            p[t][np.ix_(K1, K2)] = p0 + delta
-        bits = (u < p).astype(np.uint8)
-        stats = _batch_statistic(bits, p0, kind, budget)
-        count += int((stats <= threshold).sum())
-    return count
+        for i, delta in enumerate(deltas):
+            for t, block in enumerate(blocks):
+                p[t][block] = p0 + delta
+            stats = _batch_statistic((u < p).astype(np.uint8), p0, kind, budget)
+            counts[i] += int((stats <= threshold).sum())
+    return counts
+
+
+def _resolve(cfg: ExperimentConfig) -> tuple[DetectorKind, float, int]:
+    """(concrete kind, threshold, null rejections over cfg.trials): the
+    delta-independent part of a risk estimate."""
+    kind, threshold = resolve_threshold(
+        cfg.detector, cfg.shape, cfg.p0, cfg.threshold, cfg.consts, cfg.budget
+    )
+    if math.isinf(threshold):  # degenerate detectors never / always reject
+        return kind, threshold, 0 if threshold > 0 else cfg.trials
+    return kind, threshold, _null_reject_count(
+        kind, cfg.shape, cfg.p0, threshold, cfg.trials, cfg.seed, cfg.budget
+    )
+
+
+def _evaluate(cfg: ExperimentConfig, resolved: tuple, deltas: list[float]) -> list[RiskEstimate]:
+    """Risk estimates at each of `deltas` for a config resolved by _resolve."""
+    kind, threshold, r1 = resolved
+    n = cfg.trials
+    if math.isinf(threshold):
+        accepts = [n - r1] * len(deltas)
+    else:
+        accepts = _planted_accept_count(
+            kind, cfg.shape, cfg.p0, deltas, threshold, n, cfg.seed, cfg.budget
+        )
+    se1 = _proportion_se(r1 / n, n)
+    return [RiskEstimate(r1 / n, r2 / n, se1, _proportion_se(r2 / n, n), n) for r2 in accepts]
 
 
 def estimate_risk(cfg: ExperimentConfig, delta: float) -> RiskEstimate:
     """Type I over null trials plus Type II over planted trials with uniform
     random support at signal level delta, both at the resolved threshold."""
-    kind, threshold = resolve_threshold(
-        cfg.detector, cfg.shape, cfg.p0, cfg.threshold, cfg.consts, cfg.budget
-    )
-    n = cfg.trials
-    if math.isinf(threshold):
-        r1 = 0 if threshold > 0 else n
-        r2 = n - r1
-        # Degenerate detectors short-circuit: never / always reject.
-    else:
-        r1 = _null_reject_count(kind, cfg.shape, cfg.p0, threshold, n, cfg.seed, cfg.budget)
-        r2 = _planted_accept_count(
-            kind, cfg.shape, cfg.p0, delta, threshold, n, cfg.seed, cfg.budget
-        )
-    t1, t2 = r1 / n, r2 / n
-    return RiskEstimate(t1, t2, _proportion_se(t1, n), _proportion_se(t2, n), n)
+    return _evaluate(cfg, _resolve(cfg), [delta])[0]
 
 
 @dataclass(frozen=True)
@@ -153,18 +151,22 @@ class SweepRow:
 class SweepResult:
     rows: tuple[SweepRow, ...]
     type2_monotone: bool
+    kind: DetectorKind
+    threshold: float
 
 
 def power_sweep(cfg: ExperimentConfig) -> SweepResult:
     """One risk estimate per grid delta, sharing random numbers across the
     grid, plus a flag for whether Type II decreases in delta up to noise."""
-    rows = tuple(SweepRow(d, estimate_risk(cfg, d)) for d in sorted(cfg.delta_grid))
+    resolved = _resolve(cfg)
+    deltas = sorted(cfg.delta_grid)
+    rows = tuple(SweepRow(d, e) for d, e in zip(deltas, _evaluate(cfg, resolved, deltas)))
     monotone = True
     for a, b in zip(rows, rows[1:]):
         slack = 4.0 * (a.estimate.se2 + b.estimate.se2)
         if b.estimate.type2 > a.estimate.type2 + slack:
             monotone = False
-    return SweepResult(rows, monotone)
+    return SweepResult(rows, monotone, kind=resolved[0], threshold=resolved[1])
 
 
 def bisect_delta_star(cfg: ExperimentConfig, tolerance: float) -> float:
@@ -175,16 +177,16 @@ def bisect_delta_star(cfg: ExperimentConfig, tolerance: float) -> float:
     """
     if tolerance <= 0:
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    resolved = _resolve(cfg)
     lo, hi = 0.0, 1.0 - cfg.p0
-    risk_lo = estimate_risk(cfg, lo).risk
-    risk_hi = estimate_risk(cfg, hi).risk
+    risk_lo, risk_hi = (e.risk for e in _evaluate(cfg, resolved, [lo, hi]))
     if not (risk_lo > cfg.eta and risk_hi < cfg.eta):
         raise BracketError(
             f"no crossing: risk({lo})={risk_lo:.4f}, risk({hi})={risk_hi:.4f}, eta={cfg.eta}"
         )
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        if estimate_risk(cfg, mid).risk > cfg.eta:
+        if _evaluate(cfg, resolved, [mid])[0].risk > cfg.eta:
             lo = mid
         else:
             hi = mid
@@ -192,7 +194,7 @@ def bisect_delta_star(cfg: ExperimentConfig, tolerance: float) -> float:
 
 
 def phase_diagram(
-    shape_grid, p0: float, consts: RateConstants = RateConstants()
+    shape_grid, consts: RateConstants = RateConstants()
 ) -> list[tuple[ProblemShape, RateBundle]]:
     """Rate bundle (components, R, R_tilde, branch) for every grid shape."""
     grid = list(shape_grid)
@@ -231,18 +233,10 @@ def empty_subgraph_diagnostic(
     if scan_cost > scan_budget:
         raise BudgetError(f"{scan_cost} subgraph scans per trial exceed budget {scan_budget}")
 
-    from itertools import combinations
-
-    M = np.zeros((math.comb(n1, k1), n1))
-    for s, J in enumerate(combinations(range(n1), k1)):
-        M[s, list(J)] = 1.0
-    base = derive_seed(seed, TAG_NULL)
+    M = _subset_matrix(n1, k1, scan_budget)
     hits = 0
-    for lo in range(0, trials, _TRIAL_CHUNK):
-        hi = min(lo + _TRIAL_CHUNK, trials)
-        seeds = np.uint64(base) + np.arange(lo + 1, hi + 1, dtype=np.uint64)
-        bits = (batch_cell_uniforms(seeds, n1, n2) < p0).astype(np.float64)
-        counts = np.einsum("sn,tnj->tsj", M, bits)
+    for _, u in trial_uniforms(seed, TAG_NULL, n1, n2, trials):
+        counts = np.einsum("sn,tnj->tsj", M, (u < p0).astype(np.float64))
         if row_variant:
             # All k1 chosen rows empty across every column.
             found = (counts.sum(axis=2) == 0).any(axis=1)
@@ -287,18 +281,15 @@ class ResultRow:
     risk: float
 
 
-def result_rows(
-    cfg: ExperimentConfig, sweep: SweepResult, experiment_id: str, threshold_value: float
-) -> list[ResultRow]:
-    kind = cfg.detector
+def result_rows(cfg: ExperimentConfig, sweep: SweepResult, experiment_id: str) -> list[ResultRow]:
     return [
         ResultRow(
             experiment_id=experiment_id,
             n1=cfg.shape.n1, n2=cfg.shape.n2, k1=cfg.shape.k1, k2=cfg.shape.k2,
             p0=cfg.p0, delta=row.delta,
-            detector=kind.tag.value,
+            detector=sweep.kind.tag.value,
             threshold_mode=cfg.threshold.mode.value,
-            threshold=threshold_value,
+            threshold=sweep.threshold,
             trials=cfg.trials, seed=cfg.seed,
             type1=row.estimate.type1, se1=row.estimate.se1,
             type2=row.estimate.type2, se2=row.estimate.se2,

@@ -59,6 +59,14 @@ def _overlap_log_pmf(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return us, logp
 
 
+def _exp_or_inf(x: float) -> float:
+    """math.exp(x), or inf where math.exp would overflow."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def second_moment_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     """E[(1 + mu^2)^(U V)] by the exact double sum over overlaps."""
     mu2 = _check_signal(p0, delta)
@@ -68,7 +76,7 @@ def second_moment_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     vs, logpv = _overlap_log_pmf(shape.n2, shape.k2)
     log_base = math.log1p(mu2)
     terms = logpu[:, None] + logpv[None, :] + np.outer(us, vs) * log_base
-    return float(math.exp(logsumexp(terms)))
+    return _exp_or_inf(logsumexp(terms))
 
 
 def second_moment_bruteforce(shape: ProblemShape, p0: float, delta: float) -> float:
@@ -112,7 +120,7 @@ def second_moment_exp_bounds(
     us, logpu = _overlap_log_pmf(shape.n1, shape.k1)
     vs, logpv = _overlap_log_pmf(shape.n2, shape.k2)
     terms = logpu[:, None] + logpv[None, :] + mu2 * np.outer(us, vs)
-    exp_hyper = float(math.exp(logsumexp(terms)))
+    exp_hyper = _exp_or_inf(logsumexp(terms))
 
     exp_binom = math.inf
     n1, n2, k1, k2 = shape.n1, shape.n2, shape.k1, shape.k2

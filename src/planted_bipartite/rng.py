@@ -26,6 +26,8 @@ TAG_NULL = 0x27D4EB2F165667C5
 TAG_ALT = 0x85EBCA77C2B2AE63
 TAG_CAL = 0xD6E8FEB86659FD93
 
+_TRIAL_CHUNK = 512
+
 
 def mix64(x: int) -> int:
     """murmur3 fmix64 of a 64-bit integer (scalar, Python ints)."""
@@ -59,23 +61,33 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
 def cell_uniforms(seed: int, n1: int, n2: int) -> np.ndarray:
     """(n1, n2) array of uniforms in [0, 1); entry (r, c) depends only on
     (seed, r, c)."""
-    base = np.uint64(derive_seed(seed, TAG_EDGE))
-    rows = _mix64_array(np.uint64(base) ^ np.arange(1, n1 + 1, dtype=np.uint64))
-    grid = _mix64_array(rows[:, None] ^ np.arange(1, n2 + 1, dtype=np.uint64)[None, :])
-    return _to_unit(grid)
+    return _uniform_grid(np.array(derive_seed(seed, TAG_EDGE), dtype=np.uint64), n1, n2)
 
 
 def batch_cell_uniforms(seeds: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """(T, n1, n2) uniforms for a batch of per-trial seeds (uint64)."""
     bases = _mix64_array(_mix64_array(seeds.astype(np.uint64)) ^ np.uint64(TAG_EDGE & _MASK))
-    rows = _mix64_array(bases[:, None] ^ np.arange(1, n1 + 1, dtype=np.uint64)[None, :])
-    grid = _mix64_array(rows[:, :, None] ^ np.arange(1, n2 + 1, dtype=np.uint64)[None, None, :])
-    return _to_unit(grid)
+    return _uniform_grid(bases, n1, n2)
 
 
-def _to_unit(u64: np.ndarray) -> np.ndarray:
+def _uniform_grid(bases: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Uniforms of shape bases.shape + (n1, n2): cell (r, c) of the matrix
+    with edge-stream base b hashes b with r + 1, then with c + 1."""
+    rows = _mix64_array(bases[..., None] ^ np.arange(1, n1 + 1, dtype=np.uint64))
+    grid = _mix64_array(rows[..., None] ^ np.arange(1, n2 + 1, dtype=np.uint64))
     # Top 53 bits -> float64 in [0, 1).
-    return (u64 >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    return (grid >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+
+
+def trial_uniforms(seed: int, tag: int, n1: int, n2: int, trials: int):
+    """Yield (trial_seeds, uniforms) for trials 1..trials of the (seed, tag)
+    stream, _TRIAL_CHUNK trials at a time.  Trial i has seed derive_seed(seed,
+    tag) + i (mod 2^64), so its uniforms do not depend on the chunking."""
+    base = np.uint64(derive_seed(seed, tag))
+    for lo in range(0, trials, _TRIAL_CHUNK):
+        hi = min(lo + _TRIAL_CHUNK, trials)
+        seeds = base + np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        yield seeds, batch_cell_uniforms(seeds, n1, n2)
 
 
 def stream_uint(seed: int, tag: int, index: int) -> int:

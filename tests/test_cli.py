@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from planted_bipartite import detectors
 from planted_bipartite.cli import dispatch
 from planted_bipartite.graph_model import read_matrix
 
@@ -88,6 +89,14 @@ class TestLb:
         assert float(fields["exact"]) == pytest.approx(13 / 12, rel=1e-12)
         assert float(fields["risk_lb"]) == pytest.approx(0.855662, abs=1e-6)
 
+    def test_overflow_reads_inf(self, capsys):
+        code, out, _ = run(capsys, "lb", "--n1", "1000", "--n2", "1000", "--k1", "100",
+                           "--k2", "100", "--p0", "0.25", "--delta", "0.5")
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert "exact inf" in lines
+        assert "risk_lb 0" in lines
+
 
 class TestCalibrate:
     def test_prints_threshold(self, capsys):
@@ -121,6 +130,18 @@ class TestSweep:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_calibrates_once(self, monkeypatch, capsys):
+        calls = []
+        original = detectors.calibrate_threshold
+        monkeypatch.setattr(detectors, "calibrate_threshold",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        code, out, _ = run(capsys, "sweep", "--n1", "16", "--n2", "16", "--k1", "4",
+                           "--k2", "4", "--p0", "0.25", "--delta", "0.4,0,0.2",
+                           "--trials", "200", "--seed", "4")
+        assert code == 0
+        assert len(out.strip().split("\n")) == 4
+        assert len(calls) == 1
 
     def test_config_file(self, tmp_path, capsys):
         cfg = {

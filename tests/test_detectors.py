@@ -196,6 +196,13 @@ class TestCalibration:
         b = calibrate_threshold(kind, shape, 0.25, 0.1, 2000, 9)
         assert a == b
 
+    def test_chunking_leaves_trials_unchanged(self):
+        # 700 trials span two chunks; the first 512 match a one-chunk run.
+        shape = ProblemShape(8, 8, 2, 2)
+        kind = DetectorKind(DetectorTag.TOTAL_DEGREE)
+        long = null_statistics(kind, shape, 0.25, 700, 13)
+        assert np.array_equal(long[:512], null_statistics(kind, shape, 0.25, 512, 13))
+
 
 class TestDeltaStar:
     def test_dispatch_total_degree(self):

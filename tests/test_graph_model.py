@@ -17,6 +17,7 @@ from planted_bipartite import (
     sample_planted_uniform_support,
     write_matrix,
 )
+from planted_bipartite.rng import batch_cell_uniforms, cell_uniforms
 
 
 class TestTypes:
@@ -49,6 +50,15 @@ class TestTypes:
     def test_matrix_entries_checked(self):
         with pytest.raises(ParameterError):
             AdjacencyMatrix(np.array([[0, 2]]))
+
+
+class TestCellUniforms:
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1])
+    def test_single_equals_batch(self, seed):
+        one = cell_uniforms(seed, 5, 7)
+        batch = batch_cell_uniforms(np.array([seed], dtype=np.uint64), 5, 7)
+        assert one.shape == (5, 7)
+        assert np.array_equal(one, batch[0])
 
 
 class TestSampling:

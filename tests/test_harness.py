@@ -20,6 +20,8 @@ from planted_bipartite import (
     power_sweep,
     rate_bundle,
 )
+from planted_bipartite import detectors
+from planted_bipartite.detectors import resolve_threshold
 from planted_bipartite.harness import ResultRow, SweepResult, result_rows
 
 
@@ -96,6 +98,18 @@ class TestPowerSweep:
         assert sw.rows[1].estimate.risk < sw.rows[0].estimate.risk
         assert sw.type2_monotone
 
+    @pytest.mark.parametrize("value", [None, math.inf, -math.inf])
+    def test_equals_estimate_per_delta(self, value):
+        cfg = _cfg(delta_grid=(0.3, 0.0, 0.15), trials=300,
+                   threshold=ThresholdSpec(ThresholdMode.CALIBRATED, alpha=0.1,
+                                           trials=500, seed=5, value=value))
+        sw = power_sweep(cfg)
+        assert [row.delta for row in sw.rows] == [0.0, 0.15, 0.3]
+        for row in sw.rows:
+            assert row.estimate == estimate_risk(cfg, row.delta)
+        kind, threshold = resolve_threshold(cfg.detector, cfg.shape, cfg.p0, cfg.threshold)
+        assert (sw.kind, sw.threshold) == (kind, threshold)
+
     def test_se_scaling(self):
         cfg1 = _cfg(trials=1000)
         cfg2 = _cfg(trials=4000)
@@ -113,6 +127,19 @@ class TestBisect:
         with pytest.raises(BracketError):
             bisect_delta_star(cfg, 0.05)
 
+    def test_calibrates_once(self, monkeypatch):
+        calls = []
+        original = detectors.calibrate_threshold
+        monkeypatch.setattr(detectors, "calibrate_threshold",
+                            lambda *a, **k: calls.append(a) or original(*a, **k))
+        cfg = _cfg(
+            shape=ProblemShape(32, 32, 16, 16),
+            threshold=ThresholdSpec(ThresholdMode.CALIBRATED, alpha=0.1, trials=200, seed=5),
+            trials=200,
+        )
+        bisect_delta_star(cfg, 0.1)
+        assert len(calls) == 1
+
     def test_crossing_in_range(self):
         cfg = _cfg(
             shape=ProblemShape(32, 32, 16, 16),
@@ -126,12 +153,12 @@ class TestBisect:
 class TestPhaseDiagram:
     def test_swap_symmetry(self):
         grid = [ProblemShape(64, 32, 8, 4), ProblemShape(32, 64, 4, 8)]
-        rows = phase_diagram(grid, 0.25)
+        rows = phase_diagram(grid)
         assert rows[0][1].R == rows[1][1].R
 
     def test_branch_is_argmin(self):
         grid = [ProblemShape(n, 64, k, 8) for n in (32, 64, 128) for k in (4, 8, 16)]
-        for shape, rb in phase_diagram(grid, 0.25):
+        for shape, rb in phase_diagram(grid):
             arms = {
                 "MAX_TRUNC_1": rb.psi12 + rb.beta21,
                 "MAX_TRUNC_2": rb.psi21 + rb.beta12,
@@ -175,7 +202,7 @@ class TestEmitResults:
                    threshold=ThresholdSpec(ThresholdMode.CALIBRATED, alpha=0.1,
                                            trials=200, seed=5, value=1.5))
         sweep = power_sweep(cfg)
-        return result_rows(cfg, sweep, "exp-1", 1.5)
+        return result_rows(cfg, sweep, "exp-1")
 
     def test_empty_table_header_only(self, tmp_path):
         p = tmp_path / "out.csv"
