@@ -72,22 +72,21 @@ def _add_shape_flags(p, required=True):
     p.add_argument("--k2", type=int)
 
 
+# The CLI flag of every RateConstants field.
+_CONST_FLAGS = {
+    "C_phi": "--c-phi", "c1": "--c1", "c_delta": "--c-delta", "C_delta": "--C-delta",
+    "C_eta": "--C-eta", "C_star": "--C-star", "c_prime": "--c-prime", "C_tau": "--C-tau",
+}
+
+
 def _add_const_flags(p):
     d = RateConstants()
-    p.add_argument("--c-phi", dest="c_phi", type=float, default=d.C_phi)
-    p.add_argument("--c1", dest="c1", type=float, default=d.c1)
-    p.add_argument("--c-delta", dest="c_delta", type=float, default=d.c_delta)
-    p.add_argument("--C-delta", dest="C_delta", type=float, default=d.C_delta)
-    p.add_argument("--C-eta", dest="C_eta", type=float, default=d.C_eta)
-    p.add_argument("--C-star", dest="C_star", type=float, default=d.C_star)
-    p.add_argument("--c-prime", dest="c_prime", type=float, default=d.c_prime)
+    for name, flag in _CONST_FLAGS.items():
+        p.add_argument(flag, dest=name, type=float, default=getattr(d, name))
 
 
 def _consts_from(args) -> RateConstants:
-    return RateConstants(
-        C_phi=args.c_phi, c1=args.c1, c_delta=args.c_delta, C_delta=args.C_delta,
-        C_eta=args.C_eta, C_star=args.C_star, c_prime=args.c_prime,
-    )
+    return RateConstants(**{name: getattr(args, name) for name in _CONST_FLAGS})
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -25,6 +25,7 @@ from .detectors import (
     DetectorKind,
     ThresholdSpec,
     _batch_statistic,
+    _subset_counts,
     _subset_matrix,
     resolve_threshold,
 )
@@ -236,13 +237,13 @@ def empty_subgraph_diagnostic(
     M = _subset_matrix(n1, k1, scan_budget)
     hits = 0
     for _, u in trial_uniforms(seed, TAG_NULL, n1, n2, trials):
-        counts = np.einsum("sn,tnj->tsj", M, (u < p0).astype(np.float64))
-        if row_variant:
-            # All k1 chosen rows empty across every column.
-            found = (counts.sum(axis=2) == 0).any(axis=1)
-        else:
-            zero_cols = (counts == 0).sum(axis=2)
-            found = (zero_cols >= k2).any(axis=1)
+        found = np.zeros(u.shape[0], dtype=bool)
+        for block, counts in _subset_counts(u < p0, M):
+            if row_variant:
+                # All k1 chosen rows empty across every column.
+                found[block] |= (counts.sum(axis=2) == 0).any(axis=1)
+            else:
+                found[block] |= ((counts == 0).sum(axis=2) >= k2).any(axis=1)
         hits += int(found.sum())
     mc = hits / trials
     return {

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from planted_bipartite import detectors
+from planted_bipartite import RateConstants, detectors
 from planted_bipartite.cli import dispatch
 from planted_bipartite.graph_model import read_matrix
 
@@ -169,6 +170,43 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--config", str(cfg_path))
         assert code == 1
         assert "delta_grid" in json.loads(err)["message"]
+
+
+# The CLI flag of each RateConstants field.
+CONST_FLAGS = {
+    "C_phi": "--c-phi", "c1": "--c1", "c_delta": "--c-delta", "C_delta": "--C-delta",
+    "C_eta": "--C-eta", "C_star": "--C-star", "c_prime": "--c-prime", "C_tau": "--C-tau",
+}
+
+
+class TestConstsParity:
+    """Every RateConstants field is settable from CLI flags and from a JSON
+    `consts` block, and reaches the config the sweep runs (its sidecar)."""
+
+    SHAPE = {"n1": 8, "n2": 8, "k1": 2, "k2": 2}
+
+    def _sidecar_consts(self, tmp_path, capsys, name, *argv):
+        out = tmp_path / f"{name}.csv"
+        code, _, err = run(capsys, "sweep", *argv, "--out", str(out))
+        assert code == 0, err
+        return json.loads((tmp_path / f"{name}.csv.meta.json").read_text())["consts"]
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RateConstants)])
+    def test_field_settable(self, tmp_path, capsys, field):
+        value = getattr(RateConstants(), field) * 1.5
+        want = dataclasses.asdict(dataclasses.replace(RateConstants(), **{field: value}))
+        flag_argv = [f"--{k}={v}" for k, v in self.SHAPE.items()] + [
+            "--p0", "0.25", "--delta", "0.3", "--trials", "100", "--seed", "2",
+            "--threshold-mode", "ANALYTIC", CONST_FLAGS[field], repr(value),
+        ]
+        assert self._sidecar_consts(tmp_path, capsys, "flags", *flag_argv) == want
+        cfg = {
+            "shape": self.SHAPE, "p0": 0.25, "delta_grid": [0.3], "trials": 100, "seed": 2,
+            "threshold": {"mode": "ANALYTIC", "alpha": 0.1}, "consts": {field: value},
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert self._sidecar_consts(tmp_path, capsys, "config", "--config", str(cfg_path)) == want
 
 
 class TestPhase:

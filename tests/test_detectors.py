@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from planted_bipartite import (
     AdjacencyMatrix,
@@ -31,7 +33,9 @@ from planted_bipartite import (
     w_stat,
     z_threshold_to_count,
 )
+from planted_bipartite import detectors
 from planted_bipartite.detectors import (
+    _batch_statistic,
     delta_star_subtest,
     empirical_quantile,
     null_statistics,
@@ -140,6 +144,92 @@ class TestMaxTruncatedDegree:
         A = sample_null(ProblemShape(30, 4, 2, 2), 0.25, 1)
         with pytest.raises(BudgetError):
             max_truncated_degree(A, 0.25, 1.0, k_scan=15, budget=1000)
+
+
+def _reference_truncated(bits, p0, tau, k_scan=None):
+    """Reference scan: float64 einsum counts over every k_scan-row subset
+    (all rows when k_scan is None), np.where contributions, sum over
+    columns, max over subsets, all in one unblocked pass."""
+    n1 = bits.shape[1]
+    k = n1 if k_scan is None else k_scan
+    kern = BennettKernel(k, p0)
+    k_min = z_threshold_to_count(tau, kern)
+    nu_tau = nu(tau, kern)
+    w_table = w_stat(np.arange(k + 1), kern)
+    M = np.zeros((math.comb(n1, k), n1))
+    for s, J in enumerate(combinations(range(n1), k)):
+        M[s, list(J)] = 1.0
+    counts = np.einsum("sn,tnj->tsj", M, bits.astype(np.float64)).round().astype(np.int64)
+    contrib = np.where(counts >= k_min, w_table[counts] - nu_tau, 0.0)
+    return contrib.sum(axis=2).max(axis=1)
+
+
+def _bit_equal(a, b):
+    return np.array_equal(np.asarray(a, np.float64).view(np.uint64), b.view(np.uint64))
+
+
+class TestScanExactness:
+    """The blocked BLAS scan and the table-lookup truncated statistic give
+    the same doubles as the reference formula, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 8),
+        cols=st.integers(1, 40),
+        trials=st.integers(1, 4),
+        k_frac=st.floats(0.0, 1.0),
+        p0=st.sampled_from([0.1, 0.25, 0.5]),
+        tau=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        axis=st.sampled_from([1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_reference(self, rows, cols, trials, k_frac, p0, tau, axis, seed):
+        k_scan = 1 + round(k_frac * (rows - 1))
+        # nu_tau needs a count at or above tau (EmptyConditionError otherwise).
+        for k in (k_scan, rows):
+            assume(z_threshold_to_count(tau, BennettKernel(k, p0)) <= k)
+        oriented = (np.random.default_rng(seed).random((trials, rows, cols)) < p0).astype(np.uint8)
+        # axis 2 scans the second matrix axis: store the transpose.
+        bits = oriented if axis == 1 else np.ascontiguousarray(oriented.transpose(0, 2, 1))
+        trunc, scan = (
+            (DetectorTag.TRUNC_DEGREE_AXIS1, DetectorTag.MAX_TRUNC_AXIS1) if axis == 1
+            else (DetectorTag.TRUNC_DEGREE_AXIS2, DetectorTag.MAX_TRUNC_AXIS2)
+        )
+        got = _batch_statistic(bits, p0, DetectorKind(scan, tau=tau, k_scan=k_scan), 10**6)
+        assert _bit_equal(_reference_truncated(oriented, p0, tau, k_scan), got)
+        got = _batch_statistic(bits, p0, DetectorKind(trunc, tau=tau), 10**6)
+        assert _bit_equal(_reference_truncated(oriented, p0, tau), got)
+
+    def test_multi_block_matches_reference(self):
+        # 15,504 subsets of 64 columns span several byte-bounded blocks; the
+        # last trial's best subset, rows 15-19, is the last one enumerated.
+        assert math.comb(20, 5) > detectors._BLOCK_BYTES // (8 * 64)
+        shape = ProblemShape(20, 64, 5, 4)
+        bits = np.stack([sample_null(shape, 0.25, s).bits for s in range(4)])
+        bits[3, 15:, ::2] = 1
+        got = detectors._batch_max_truncated(bits, 0.25, 1.3, 5, 10**6)
+        assert _bit_equal(_reference_truncated(bits, 0.25, 1.3, 5), got)
+
+    @pytest.mark.parametrize("n1,k_scan,trials", [(20, 5, 3), (12, 3, 9)])
+    def test_batch_equals_single_trials(self, n1, k_scan, trials):
+        # (12, 3) puts four trials in one block; (20, 5) splits subsets.
+        shape = ProblemShape(n1, 64, k_scan, 4)
+        mats = [sample_null(shape, 0.25, 100 + s) for s in range(trials)]
+        batch = detectors._batch_max_truncated(
+            np.stack([A.bits for A in mats]), 0.25, 1.0, k_scan, 10**6
+        )
+        single = [max_truncated_degree(A, 0.25, 1.0, k_scan) for A in mats]
+        assert _bit_equal(single, batch)
+
+    def test_scan_memory_is_bounded(self):
+        A = sample_null(ProblemShape(20, 64, 5, 4), 0.25, 2)
+        tracemalloc.start()
+        try:
+            max_truncated_degree(A, 0.25, 1.0, k_scan=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestAnalyticThresholds:
