@@ -89,6 +89,34 @@ def _consts_from(args) -> RateConstants:
     return RateConstants(**{name: getattr(args, name) for name in _CONST_FLAGS})
 
 
+def _add_trial_flags(p, trials, p0_required=True, risk=True):
+    """Flags of the Monte Carlo subcommands; `risk` adds those of risk
+    estimation (eta and the threshold mode)."""
+    p.add_argument("--p0", type=float, required=p0_required)
+    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--trials", type=int, default=trials)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--detector", default="DELTA_STAR")
+    p.add_argument("--tau", type=float)
+    p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
+    p.add_argument("--out")
+    _add_const_flags(p)
+    if risk:
+        p.add_argument("--eta", type=float, default=0.5)
+        p.add_argument("--threshold-mode", dest="threshold_mode", default="CALIBRATED",
+                       choices=["CALIBRATED", "ANALYTIC"])
+
+
+def _number_list(kind):
+    """argparse type for comma-separated values of `kind`; a malformed
+    value is a usage error."""
+    def parse(text):
+        return [kind(tok) for tok in text.split(",") if tok]
+
+    parse.__name__ = f"comma-separated {kind.__name__}"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="planted-bipartite", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -112,33 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("calibrate", help="empirical null quantile threshold")
     _add_shape_flags(c)
-    c.add_argument("--p0", type=float, required=True)
-    c.add_argument("--alpha", type=float, default=0.1)
-    c.add_argument("--trials", type=int, default=10_000)
-    c.add_argument("--seed", type=int)
-    c.add_argument("--detector", default="DELTA_STAR")
-    c.add_argument("--tau", type=float)
-    c.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
-    c.add_argument("--threads", type=int, default=1)
-    c.add_argument("--out")
-    _add_const_flags(c)
+    _add_trial_flags(c, trials=10_000, risk=False)
 
     r = sub.add_parser("risk", help="Monte Carlo risk at one signal level")
     _add_shape_flags(r)
-    r.add_argument("--p0", type=float, required=True)
-    r.add_argument("--delta", required=True, help="signal level (single value)")
-    r.add_argument("--alpha", type=float, default=0.1)
-    r.add_argument("--eta", type=float, default=0.5)
-    r.add_argument("--trials", type=int, default=1000)
-    r.add_argument("--seed", type=int)
-    r.add_argument("--detector", default="DELTA_STAR")
-    r.add_argument("--tau", type=float)
-    r.add_argument("--threshold-mode", dest="threshold_mode", default="CALIBRATED",
-                   choices=["CALIBRATED", "ANALYTIC"])
-    r.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
-    r.add_argument("--threads", type=int, default=1)
-    r.add_argument("--out")
-    _add_const_flags(r)
+    r.add_argument("--delta", type=float, required=True, help="signal level (single value)")
+    _add_trial_flags(r, trials=1000)
 
     ra = sub.add_parser("rates", help="rate components, R, R_tilde, branch")
     _add_shape_flags(ra)
@@ -154,26 +161,13 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="risk over a delta grid (flags or --config)")
     _add_shape_flags(sw, required=False)
     sw.add_argument("--config", help="JSON experiment config")
-    sw.add_argument("--p0", type=float)
-    sw.add_argument("--delta", help="comma-separated grid of signal levels")
-    sw.add_argument("--alpha", type=float, default=0.1)
-    sw.add_argument("--eta", type=float, default=0.5)
-    sw.add_argument("--trials", type=int, default=1000)
-    sw.add_argument("--seed", type=int)
-    sw.add_argument("--detector", default="DELTA_STAR")
-    sw.add_argument("--tau", type=float)
-    sw.add_argument("--threshold-mode", dest="threshold_mode", default="CALIBRATED",
-                    choices=["CALIBRATED", "ANALYTIC"])
-    sw.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
-    sw.add_argument("--threads", type=int, default=1)
-    sw.add_argument("--out")
-    _add_const_flags(sw)
+    sw.add_argument("--delta", type=_number_list(float),
+                    help="comma-separated grid of signal levels")
+    _add_trial_flags(sw, trials=1000, p0_required=False)
 
     ph = sub.add_parser("phase", help="rate bundles over a shape grid")
-    ph.add_argument("--n1", required=True, help="comma-separated values")
-    ph.add_argument("--n2", required=True, help="comma-separated values")
-    ph.add_argument("--k1", required=True, help="comma-separated values")
-    ph.add_argument("--k2", required=True, help="comma-separated values")
+    for flag in ("--n1", "--n2", "--k1", "--k2"):
+        ph.add_argument(flag, type=_number_list(int), required=True, help="comma-separated values")
     ph.add_argument("--out")
     _add_const_flags(ph)
     return parser
@@ -248,7 +242,6 @@ def _cmd_calibrate(args) -> int:
 
 def _sweep_config(args, grid) -> ExperimentConfig:
     shape = _shape_from(args)
-    consts = _consts_from(args)
     return ExperimentConfig(
         shape=shape,
         p0=args.p0,
@@ -263,7 +256,7 @@ def _sweep_config(args, grid) -> ExperimentConfig:
         trials=args.trials,
         seed=args.seed,
         eta=args.eta,
-        consts=consts,
+        consts=_consts_from(args),
         budget=args.budget,
     )
 
@@ -286,72 +279,53 @@ def _run_sweep(cfg: ExperimentConfig, out_path, experiment_id: str) -> int:
             json.dump(sidecar, fh, indent=2)
             fh.write("\n")
     else:
-        lines = [",".join(map(str, ("delta", "type1", "type2", "risk")))]
+        lines = ["delta,type1,type2,risk"]
         for row in sweep.rows:
             e = row.estimate
-            lines.append(
-                ",".join((_f(row.delta), _f(e.type1), _f(e.type2), _f(e.risk)))
-            )
+            lines.append(",".join(map(_f, (row.delta, e.type1, e.type2, e.risk))))
         _emit_text("\n".join(lines) + "\n", None)
     return EXIT_OK
 
 
 def _cmd_risk(args) -> int:
-    grid = [float(args.delta)]
-    cfg = _sweep_config(args, grid)
+    cfg = _sweep_config(args, [args.delta])
     return _run_sweep(cfg, args.out, "risk")
 
 
 def _cmd_sweep(args) -> int:
     if args.config:
         return run_config(args.config, args.out, args.seed)
-    for flag in ("n1", "n2", "p0", "delta"):
+    for flag in ("n1", "n2", "p0", "delta", "seed"):
         if getattr(args, flag) is None:
             raise ParameterError(f"sweep without --config requires --{flag}")
-    if args.seed is None:
-        raise ParameterError("randomized subcommand requires --seed")
-    grid = [float(tok) for tok in str(args.delta).split(",") if tok]
-    cfg = _sweep_config(args, grid)
+    cfg = _sweep_config(args, args.delta)
     return _run_sweep(cfg, args.out, "sweep")
 
 
+def _emit_fields(record, out_path) -> None:
+    """One "name value" line per dataclass field: floats to 17 digits,
+    enums by value."""
+    values = [(f.name, getattr(record, f.name)) for f in dataclasses.fields(record)]
+    _emit_text("".join(
+        f"{name} {_f(v) if isinstance(v, float) else v.value}\n" for name, v in values
+    ), out_path)
+
+
 def _cmd_rates(args) -> int:
-    shape = _shape_from(args)
-    rb = rate_bundle(shape, _consts_from(args))
-    lines = [
-        f"psi12 {_f(rb.psi12)}", f"psi21 {_f(rb.psi21)}",
-        f"beta12 {_f(rb.beta12)}", f"beta21 {_f(rb.beta21)}",
-        f"phi12 {_f(rb.phi12)}", f"phi21 {_f(rb.phi21)}",
-        f"R {_f(rb.R)}", f"R_tilde {_f(rb.R_tilde)}",
-        f"branch {rb.branch.value}",
-    ]
-    _emit_text("\n".join(lines) + "\n", args.out)
+    _emit_fields(rate_bundle(_shape_from(args), _consts_from(args)), args.out)
     return EXIT_OK
 
 
 def _cmd_lb(args) -> int:
-    shape = _shape_from(args)
-    res = lower_bound.second_moment_summary(shape, args.p0, args.delta)
-    lines = [
-        f"mu2 {_f(res.mu2)}",
-        f"exact {_f(res.exact)}",
-        f"exp_hypergeom {_f(res.exp_hypergeom)}",
-        f"exp_binomial {_f(res.exp_binomial)}",
-        f"risk_lb {_f(res.risk_lb)}",
-    ]
-    _emit_text("\n".join(lines) + "\n", args.out)
+    res = lower_bound.second_moment_summary(_shape_from(args), args.p0, args.delta)
+    _emit_fields(res, args.out)
     return EXIT_OK
 
 
 def _cmd_phase(args) -> int:
-    def ints(s):
-        return [int(tok) for tok in s.split(",") if tok]
-
     grid = [
         ProblemShape(n1, n2, k1, k2)
-        for n1, n2, k1, k2 in itertools.product(
-            ints(args.n1), ints(args.n2), ints(args.k1), ints(args.k2)
-        )
+        for n1, n2, k1, k2 in itertools.product(args.n1, args.n2, args.k1, args.k2)
         if k1 <= n1 and k2 <= n2
     ]
     rows = phase_diagram(grid, _consts_from(args))
@@ -365,12 +339,27 @@ def _cmd_phase(args) -> int:
     return EXIT_OK
 
 
-def _config_field(doc: dict, field: str, required=True, default=None):
-    if field not in doc:
+_JSON_TYPES = {"number": (int, float), "integer": int, "string": str, "object": dict, "list": list}
+
+
+def _config_field(doc: dict, field: str, required=True, default=None, kind=None):
+    """The entry at dotted path `field` (its parents already checked to be
+    objects), or `default` when it is absent or null and not required.  A
+    present entry must have JSON type `kind`."""
+    value = doc
+    for key in field.split("."):
+        value = None if value is None else value.get(key)
+    if value is None:
         if required:
             raise ConfigError(field, "missing required field")
         return default
-    return doc[field]
+    if kind is not None and not _is_json(value, kind):
+        raise ConfigError(field, f"expected a JSON {kind}, got {value!r}")
+    return value
+
+
+def _is_json(value, kind: str) -> bool:
+    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind])
 
 
 def load_config(path) -> ExperimentConfig:
@@ -380,50 +369,56 @@ def load_config(path) -> ExperimentConfig:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON in {path}: {exc}") from exc
-    shape_doc = _config_field(doc, "shape")
+    if not isinstance(doc, dict):
+        raise ConfigError(str(path), "must be a JSON object")
+    _config_field(doc, "shape", kind="object")
     try:
-        shape = ProblemShape(**{k: shape_doc[k] for k in ("n1", "n2", "k1", "k2")})
-    except (KeyError, TypeError) as exc:
-        raise ConfigError("shape", f"expected n1,n2,k1,k2: {exc}") from exc
+        shape = ProblemShape(
+            *(_config_field(doc, f"shape.{k}", kind="integer") for k in ("n1", "n2", "k1", "k2"))
+        )
     except ParameterError as exc:
         raise ConfigError("shape", str(exc)) from exc
-    det_doc = _config_field(doc, "detector", required=False, default="DELTA_STAR")
-    if isinstance(det_doc, str):
-        detector = _detector_kind(det_doc, None, None)
-    else:
-        detector = _detector_kind(
-            det_doc.get("tag", "DELTA_STAR"), det_doc.get("tau"), det_doc.get("k_scan")
-        )
-    thr_doc = _config_field(doc, "threshold", required=False, default={})
+    if isinstance(doc.get("detector"), str):
+        doc["detector"] = {"tag": doc["detector"]}
+    _config_field(doc, "detector", False, kind="object")
+    detector = _detector_kind(
+        _config_field(doc, "detector.tag", False, "DELTA_STAR", "string"),
+        _config_field(doc, "detector.tau", False, None, "number"),
+        _config_field(doc, "detector.k_scan", False, None, "integer"),
+    )
+    seed = _config_field(doc, "seed", kind="integer")
+    _config_field(doc, "threshold", False, kind="object")
     try:
         threshold = ThresholdSpec(
-            mode=ThresholdMode[thr_doc.get("mode", "CALIBRATED")],
-            alpha=thr_doc.get("alpha", 0.1),
-            trials=thr_doc.get("trials", 10_000),
-            seed=thr_doc.get("seed", _config_field(doc, "seed")),
-            value=thr_doc.get("value"),
+            mode=ThresholdMode[_config_field(doc, "threshold.mode", False, "CALIBRATED", "string")],
+            alpha=_config_field(doc, "threshold.alpha", False, 0.1, "number"),
+            trials=_config_field(doc, "threshold.trials", False, 10_000, "integer"),
+            seed=_config_field(doc, "threshold.seed", False, seed, "integer"),
+            value=_config_field(doc, "threshold.value", False, None, "number"),
         )
     except (KeyError, ParameterError) as exc:
         raise ConfigError("threshold", str(exc)) from exc
-    consts_doc = _config_field(doc, "consts", required=False, default={})
+    consts_doc = _config_field(doc, "consts", False, {}, "object")
     try:
-        consts = RateConstants(**consts_doc)
+        consts = RateConstants(
+            **{k: _config_field(doc, f"consts.{k}", kind="number") for k in consts_doc}
+        )
     except (TypeError, ParameterError) as exc:
         raise ConfigError("consts", str(exc)) from exc
-    delta_grid = _config_field(doc, "delta_grid")
-    if not isinstance(delta_grid, list) or not delta_grid:
+    delta_grid = _config_field(doc, "delta_grid", kind="list")
+    if not delta_grid or not all(_is_json(d, "number") for d in delta_grid):
         raise ConfigError("delta_grid", "must be a nonempty list of numbers")
     return ExperimentConfig(
         shape=shape,
-        p0=_config_field(doc, "p0"),
+        p0=_config_field(doc, "p0", kind="number"),
         delta_grid=tuple(float(d) for d in delta_grid),
         detector=detector,
         threshold=threshold,
-        trials=_config_field(doc, "trials"),
-        seed=_config_field(doc, "seed"),
-        eta=_config_field(doc, "eta", required=False, default=0.5),
+        trials=_config_field(doc, "trials", kind="integer"),
+        seed=seed,
+        eta=_config_field(doc, "eta", False, 0.5, "number"),
         consts=consts,
-        budget=_config_field(doc, "budget", required=False, default=DEFAULT_SUBSET_BUDGET),
+        budget=_config_field(doc, "budget", False, DEFAULT_SUBSET_BUDGET, "integer"),
     )
 
 

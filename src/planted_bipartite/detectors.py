@@ -9,8 +9,9 @@ Three statistics are implemented:
 - max truncated degree: the same column statistic computed from row subsets
   of size k_scan (kernel Bin(k_scan, p0)), maximized by exact enumeration
   over all subsets.  Subset column counts come from BLAS matrix products,
-  in blocks of (trials, subsets, columns) bounded by a fixed byte size, and
-  each count is scored by one lookup in a contribution table.
+  in blocks of (trials, subsets, columns) bounded by rng.BATCH_BYTES, and
+  each count is scored by one lookup in a contribution table.  The table
+  and the subset enumeration are built once per run and cached read-only.
 
 Thresholds come either from closed-form expressions with configurable
 constants (ANALYTIC) or from the empirical (1 - alpha)-quantile of the
@@ -21,6 +22,7 @@ rate R_tilde.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,16 +30,12 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from . import binomial_kernel as bk
+from . import binomial_kernel as bk, rng
 from .errors import BudgetError, ConfigError, ParameterError
 from .graph_model import AdjacencyMatrix, ProblemShape
 from .rates import Branch, RateConstants, log_binom, rate_bundle
-from .rng import TAG_CAL, trial_uniforms
 
 DEFAULT_SUBSET_BUDGET = 10**6
-# Bytes of (trials, subsets, n2) float64 per block of the subset scan: below
-# a 2 MiB L2 cache, and independent of the trial count.
-_BLOCK_BYTES = 512 * 1024
 
 
 class DetectorTag(Enum):
@@ -156,9 +154,11 @@ def _batch_total(bits: np.ndarray, p0: float) -> np.ndarray:
     return (sums - n1 * n2 * p0) / math.sqrt(n1 * n2 * p0 * (1.0 - p0))
 
 
+@functools.lru_cache(maxsize=32)
 def _contribution_table(n: int, p0: float, tau: float) -> np.ndarray:
     """f[c] = w(c) - nu_tau for counts c >= k_min and 0 below, c = 0..n:
-    the column contribution of a count under kernel Bin(n, p0)."""
+    the column contribution of a count under kernel Bin(n, p0).  Cached, so
+    the array is read-only."""
     _check_p0(p0)
     if tau < 0:
         raise ParameterError(f"tau must be nonnegative, got {tau}")
@@ -166,7 +166,9 @@ def _contribution_table(n: int, p0: float, tau: float) -> np.ndarray:
     k_min = bk.z_threshold_to_count(tau, kern)
     nu_tau = bk.nu(tau, kern)
     w_table = bk.w_stat(np.arange(n + 1), kern)
-    return np.where(np.arange(n + 1) >= k_min, w_table - nu_tau, 0.0)
+    f = np.where(np.arange(n + 1) >= k_min, w_table - nu_tau, 0.0)
+    f.setflags(write=False)
+    return f
 
 
 def _batch_truncated(bits: np.ndarray, p0: float, tau: float) -> np.ndarray:
@@ -175,50 +177,53 @@ def _batch_truncated(bits: np.ndarray, p0: float, tau: float) -> np.ndarray:
     return np.take(f, bits.sum(axis=1, dtype=np.intp)).sum(axis=1)
 
 
-def _subset_matrix(n: int, k: int, budget: int) -> np.ndarray:
-    """(S, n) float32 indicator rows for all k-subsets of [n], lexicographic."""
+@functools.lru_cache(maxsize=32)
+def _subset_indices(n: int, k: int, budget: int) -> np.ndarray:
+    """(S, k) read-only row indices of all k-subsets of [n], lexicographic."""
     count = math.comb(n, k)
     if count > budget:
         raise BudgetError(f"{count} subsets of size {k} from {n} exceed budget {budget}")
-    cols = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.intp, count=count * k)
-    M = np.zeros((count, n), dtype=np.float32)
-    M[np.arange(count).repeat(k), cols] = 1.0
-    return M
+    idx = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.intp, count=count * k)
+    idx = idx.reshape(count, k)
+    idx.setflags(write=False)
+    return idx
 
 
-def _subset_counts(bits: np.ndarray, M: np.ndarray):
-    """Yield (block, counts) pairs covering bits (T, n, n2) x subsets M (S, n):
+def _subset_counts(bits: np.ndarray, subsets: np.ndarray):
+    """Yield (block, counts) pairs covering bits (T, n, n2) x subsets (S, k):
     counts[t, s, j] is the number of ones in column j of trial block[t] over
-    the rows of subset s, for one run of consecutive subsets.
+    the rows subsets[s], for one run of consecutive subsets.
 
-    A block holds at most _BLOCK_BYTES of (trials, subsets, n2) float64, so
-    many subsets split the subset axis and few subsets batch many trials
-    into one BLAS matmul.  float32 products are exact: counts are at most n.
+    Each run's float32 indicator rows (subsets, n) and each block of
+    (trials, subsets, n2) counts fit rng.BATCH_BYTES, so many subsets split
+    the subset axis and few subsets batch many trials into one BLAS matmul.
+    float32 products are exact: counts are at most n.
     """
-    T, n2 = bits.shape[0], bits.shape[2]
-    S = M.shape[0]
-    cells = max(1, _BLOCK_BYTES // (8 * n2))
-    block_subsets = min(S, cells)
-    block_trials = max(1, cells // S)
-    for lo in range(0, T, block_trials):
-        block = slice(lo, min(lo + block_trials, T))
-        b = bits[block].astype(np.float32)
-        for s in range(0, S, block_subsets):
-            yield block, np.matmul(M[s : s + block_subsets], b).astype(np.intp)
+    T, n, n2 = bits.shape
+    cells = max(1, rng.BATCH_BYTES // (8 * n2))
+    block_subsets = max(1, min(len(subsets), cells, rng.BATCH_BYTES // (4 * n)))
+    block_trials = max(1, cells // block_subsets)
+    b = bits.astype(np.float32)
+    for s in range(0, len(subsets), block_subsets):
+        idx = subsets[s : s + block_subsets]
+        rows = np.zeros((len(idx), n), dtype=np.float32)
+        np.put_along_axis(rows, idx, 1.0, axis=1)
+        for lo in range(0, T, block_trials):
+            block = slice(lo, min(lo + block_trials, T))
+            yield block, np.matmul(rows, b[block]).astype(np.intp)
 
 
 def _batch_max_truncated(
     bits: np.ndarray, p0: float, tau: float, k_scan: int, budget: int
 ) -> np.ndarray:
     """bits: (T, n1, n2) with axis already oriented; returns (T,)."""
-    _check_p0(p0)
     n1 = bits.shape[1]
     if k_scan > n1:
         raise ParameterError(f"k_scan={k_scan} exceeds row count {n1}")
     f = _contribution_table(k_scan, p0, tau)
-    M = _subset_matrix(n1, k_scan, budget)
+    subsets = _subset_indices(n1, k_scan, budget)
     out = np.full(bits.shape[0], -np.inf)
-    for block, counts in _subset_counts(bits, M):
+    for block, counts in _subset_counts(bits, subsets):
         np.maximum(out[block], np.take(f, counts).sum(axis=-1).max(axis=1), out=out[block])
     return out
 
@@ -348,10 +353,10 @@ def null_statistics(
     budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> np.ndarray:
     """Statistic values over `trials` independent null draws, computed in
-    fixed-size batches with per-trial derived seeds; order-deterministic."""
+    byte-bounded batches with per-trial derived seeds; order-deterministic."""
     chunks = [
         _batch_statistic((u < p0).astype(np.uint8), p0, kind, budget)
-        for _, u in trial_uniforms(seed, TAG_CAL, shape.n1, shape.n2, trials)
+        for _, u in rng.trial_uniforms(seed, rng.TAG_CAL, shape.n1, shape.n2, trials)
     ]
     return np.concatenate(chunks) if chunks else np.empty(0)
 

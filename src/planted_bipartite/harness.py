@@ -5,10 +5,12 @@ sweeps a grid of signal strengths, bisects for the empirical separation
 level, evaluates rate bundles over shape grids, and runs the empty-subgraph
 diagnostics.  Everything is a pure function of (config, seed): per-trial
 seeds are derived from the experiment seed and trial index, so results are
-identical for any worker count, and the same uniforms drive every point of
-a delta grid (common random numbers).  The threshold and the Type I error
-are computed once per sweep and once per bisection, and `SweepResult`
-carries the resolved detector and threshold.
+identical for any batch size, and the same uniforms drive every point of
+a delta grid (common random numbers).  Trials arrive in chunks of at most
+rng.BATCH_BYTES of uniforms, so memory does not grow with the trial count.
+The threshold and the Type I error are computed once per sweep and once
+per bisection, and `SweepResult` carries the resolved detector and
+threshold.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .detectors import (
     ThresholdSpec,
     _batch_statistic,
     _subset_counts,
-    _subset_matrix,
+    _subset_indices,
     resolve_threshold,
 )
 from .errors import BracketError, BudgetError, ConfigError, ParameterError
@@ -220,25 +222,22 @@ def empty_subgraph_diagnostic(
     if not 0.0 <= p0 <= 1.0:
         raise ParameterError(f"p0 must lie in [0, 1], got {p0}")
     n1, n2, k1, k2 = shape.n1, shape.n2, shape.k1, shape.k2
+    log_q = math.log1p(-p0) if p0 < 1.0 else -math.inf
     if row_variant:
-        log_ub = log_binom(n1, k1) + k1 * n2 * (math.log1p(-p0) if p0 < 1.0 else -math.inf)
+        log_ub = log_binom(n1, k1) + k1 * n2 * log_q
     else:
-        log_ub = (
-            log_binom(n1, k1)
-            + log_binom(n2, k2)
-            + k1 * k2 * (math.log1p(-p0) if p0 < 1.0 else -math.inf)
-        )
+        log_ub = log_binom(n1, k1) + log_binom(n2, k2) + k1 * k2 * log_q
     union_bound = min(1.0, math.exp(log_ub)) if log_ub < 0 else 1.0
 
     scan_cost = math.comb(n1, k1) * (1 if row_variant else math.comb(n2, k2))
     if scan_cost > scan_budget:
         raise BudgetError(f"{scan_cost} subgraph scans per trial exceed budget {scan_budget}")
 
-    M = _subset_matrix(n1, k1, scan_budget)
+    subsets = _subset_indices(n1, k1, scan_budget)
     hits = 0
     for _, u in trial_uniforms(seed, TAG_NULL, n1, n2, trials):
         found = np.zeros(u.shape[0], dtype=bool)
-        for block, counts in _subset_counts(u < p0, M):
+        for block, counts in _subset_counts(u < p0, subsets):
             if row_variant:
                 # All k1 chosen rows empty across every column.
                 found[block] |= (counts.sum(axis=2) == 0).any(axis=1)
@@ -252,13 +251,6 @@ def empty_subgraph_diagnostic(
         "mc_se": _proportion_se(mc, trials),
         "trials": trials,
     }
-
-
-CSV_COLUMNS = [
-    "experiment_id", "n1", "n2", "k1", "k2", "p0", "delta", "detector",
-    "threshold_mode", "threshold", "trials", "seed", "type1", "se1",
-    "type2", "se2", "risk",
-]
 
 
 @dataclass(frozen=True)
@@ -280,6 +272,9 @@ class ResultRow:
     type2: float
     se2: float
     risk: float
+
+
+CSV_COLUMNS = [f.name for f in fields(ResultRow)]
 
 
 def result_rows(cfg: ExperimentConfig, sweep: SweepResult, experiment_id: str) -> list[ResultRow]:

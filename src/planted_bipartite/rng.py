@@ -4,7 +4,7 @@ Every random quantity in the package is a pure function of a 64-bit seed and
 an integer coordinate (cell index, trial index, draw index), obtained by
 hashing with the murmur3 64-bit finalizer.  This gives:
 
-- bit-identical output for any worker count or evaluation order,
+- bit-identical output for any batch size or evaluation order,
 - a common-uniform-variate coupling across signal strengths (the same cell
   always sees the same uniform), and
 - cheap vectorized generation with numpy uint64 arithmetic.
@@ -26,7 +26,10 @@ TAG_NULL = 0x27D4EB2F165667C5
 TAG_ALT = 0x85EBCA77C2B2AE63
 TAG_CAL = 0xD6E8FEB86659FD93
 
-_TRIAL_CHUNK = 512
+# Bytes of float64 per batch.  Every trial chunk and every subset block is
+# sized from this one budget (below a 2 MiB L2 cache), so memory does not
+# grow with the trial count.
+BATCH_BYTES = 512 * 1024
 
 
 def mix64(x: int) -> int:
@@ -81,12 +84,13 @@ def _uniform_grid(bases: np.ndarray, n1: int, n2: int) -> np.ndarray:
 
 def trial_uniforms(seed: int, tag: int, n1: int, n2: int, trials: int):
     """Yield (trial_seeds, uniforms) for trials 1..trials of the (seed, tag)
-    stream, _TRIAL_CHUNK trials at a time.  Trial i has seed derive_seed(seed,
-    tag) + i (mod 2^64), so its uniforms do not depend on the chunking."""
+    stream, as many trials per chunk as BATCH_BYTES of float64 uniforms hold
+    (at least one).  Trial i has seed derive_seed(seed, tag) + i (mod 2^64),
+    so its uniforms do not depend on the chunking."""
     base = np.uint64(derive_seed(seed, tag))
-    for lo in range(0, trials, _TRIAL_CHUNK):
-        hi = min(lo + _TRIAL_CHUNK, trials)
-        seeds = base + np.arange(lo + 1, hi + 1, dtype=np.uint64)
+    chunk = max(1, BATCH_BYTES // (8 * n1 * n2))
+    for lo in range(0, trials, chunk):
+        seeds = base + np.arange(lo + 1, min(lo + chunk, trials) + 1, dtype=np.uint64)
         yield seeds, batch_cell_uniforms(seeds, n1, n2)
 
 

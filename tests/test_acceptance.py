@@ -38,6 +38,7 @@ from planted_bipartite import (
     w_stat,
     z_threshold_to_count,
 )
+from planted_bipartite import rng
 from planted_bipartite.cli import dispatch
 from planted_bipartite.detectors import null_statistics
 
@@ -269,16 +270,19 @@ def test_a9_phase_structure():
         assert changes == 1
 
 
-def test_a10_thread_count_determinism(tmp_path):
+def test_a10_batch_size_determinism(tmp_path, monkeypatch):
     with criterion("A10"):
+        # 64x64 float64 uniforms take 32 KiB per trial: budgets of one trial,
+        # the default 16 trials and all 400 trials per chunk.
         outs = []
-        for threads, name in [("1", "t1.csv"), ("8", "t8.csv")]:
-            out = tmp_path / name
+        for budget in (8 * 64 * 64, rng.BATCH_BYTES, 8 * 64 * 64 * 400):
+            monkeypatch.setattr(rng, "BATCH_BYTES", budget)
+            out = tmp_path / f"b{budget}.csv"
             code = dispatch([
                 "sweep", "--n1", "64", "--n2", "64", "--k1", "16", "--k2", "16",
                 "--p0", "0.25", "--delta", "0,0.2,0.4", "--trials", "400",
-                "--seed", "7", "--threads", threads, "--out", str(out),
+                "--seed", "7", "--out", str(out),
             ])
             assert code == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]

@@ -219,6 +219,41 @@ class TestPhase:
         assert len(lines) == 5
 
 
+BASE_CONFIG = {
+    "shape": {"n1": 8, "n2": 8, "k1": 2, "k2": 2},
+    "p0": 0.25, "delta_grid": [0.1], "trials": 100, "seed": 1,
+}
+
+
+class TestMalformedNumbers:
+    """A malformed number on the command line or in a JSON config is a usage
+    error: one JSON line on stderr and exit code 1, not a traceback."""
+
+    @pytest.mark.parametrize("argv,config", [
+        (["risk", "--n1", "8", "--n2", "8", "--p0", "0.25", "--delta", "0.1,0.2",
+          "--seed", "1"], None),
+        (["sweep", "--n1", "8", "--n2", "8", "--p0", "0.25", "--delta", "0.1,abc",
+          "--seed", "1"], None),
+        (["phase", "--n1", "10,x", "--n2", "10", "--k1", "2", "--k2", "2"], None),
+        ([], {"p0": "0.25"}),
+        ([], {"trials": "100"}),
+        ([], {"seed": 1.5}),
+        ([], {"threshold": {"alpha": "0.1"}}),
+        ([], {"consts": {"C_tau": "2"}}),
+        ([], {"delta_grid": [0.1, "x"]}),
+        ([], {"detector": {"tag": "TRUNC_DEGREE_AXIS1", "tau": "1"}}),
+    ], ids=["risk-delta", "sweep-delta", "phase-n1", "p0", "trials", "seed",
+            "threshold-alpha", "consts", "delta-grid", "detector-tau"])
+    def test_usage_error(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({**BASE_CONFIG, **config}))
+            argv = ["sweep", "--config", str(path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert json.loads(err)["error"] == "usage"
+
+
 class TestUsage:
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "rates", "--n1", "4", "--n2", "4", "--bogus", "1")

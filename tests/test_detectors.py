@@ -33,7 +33,7 @@ from planted_bipartite import (
     w_stat,
     z_threshold_to_count,
 )
-from planted_bipartite import detectors
+from planted_bipartite import detectors, rng
 from planted_bipartite.detectors import (
     _batch_statistic,
     delta_star_subtest,
@@ -203,7 +203,7 @@ class TestScanExactness:
     def test_multi_block_matches_reference(self):
         # 15,504 subsets of 64 columns span several byte-bounded blocks; the
         # last trial's best subset, rows 15-19, is the last one enumerated.
-        assert math.comb(20, 5) > detectors._BLOCK_BYTES // (8 * 64)
+        assert math.comb(20, 5) > rng.BATCH_BYTES // (8 * 64)
         shape = ProblemShape(20, 64, 5, 4)
         bits = np.stack([sample_null(shape, 0.25, s).bits for s in range(4)])
         bits[3, 15:, ::2] = 1
@@ -226,6 +226,17 @@ class TestScanExactness:
         tracemalloc.start()
         try:
             max_truncated_degree(A, 0.25, 1.0, k_scan=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_subset_rows_memory_is_bounded(self):
+        # 79,800 row pairs: a full (S, n1) float32 subset matrix is 125 MB.
+        A = sample_null(ProblemShape(400, 4, 2, 2), 0.25, 3)
+        tracemalloc.start()
+        try:
+            max_truncated_degree(A, 0.25, 1.0, k_scan=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -287,11 +298,26 @@ class TestCalibration:
         assert a == b
 
     def test_chunking_leaves_trials_unchanged(self):
-        # 700 trials span two chunks; the first 512 match a one-chunk run.
+        # 8x8 float64 uniforms take 512 bytes per trial, so 3,000 trials span
+        # three chunks of 1,024; the first 1,500 match a two-chunk run.
         shape = ProblemShape(8, 8, 2, 2)
+        chunks = [len(s) for s, _ in rng.trial_uniforms(13, rng.TAG_CAL, 8, 8, 3000)]
+        assert chunks == [1024, 1024, 952]
         kind = DetectorKind(DetectorTag.TOTAL_DEGREE)
-        long = null_statistics(kind, shape, 0.25, 700, 13)
-        assert np.array_equal(long[:512], null_statistics(kind, shape, 0.25, 512, 13))
+        long = null_statistics(kind, shape, 0.25, 3000, 13)
+        assert np.array_equal(long[:1500], null_statistics(kind, shape, 0.25, 1500, 13))
+
+    def test_null_statistics_memory_is_bounded(self):
+        # 256x256 takes 512 KiB of uniforms per trial, one trial per chunk;
+        # 64 trials in one chunk would hold 32 MiB of uniforms alone.
+        kind = DetectorKind(DetectorTag.TRUNC_DEGREE_AXIS1, tau=1.5)
+        tracemalloc.start()
+        try:
+            null_statistics(kind, ProblemShape(256, 256, 16, 16), 0.25, 64, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestDeltaStar:
