@@ -54,6 +54,7 @@ EXIT_BUDGET = 2
 EXIT_IO = 3
 
 _RANDOMIZED = {"gen", "calibrate", "risk", "sweep"}
+_SEED_LIMIT = 1 << 64
 
 
 class _UsageError(Exception):
@@ -95,7 +96,7 @@ def _add_trial_flags(p, trials, p0_required=True, risk=True):
     p.add_argument("--p0", type=float, required=p0_required)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--trials", type=int, default=trials)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--detector", default="DELTA_STAR")
     p.add_argument("--tau", type=float)
     p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
@@ -105,6 +106,18 @@ def _add_trial_flags(p, trials, p0_required=True, risk=True):
         p.add_argument("--eta", type=float, default=0.5)
         p.add_argument("--threshold-mode", dest="threshold_mode", default="CALIBRATED",
                        choices=["CALIBRATED", "ANALYTIC"])
+
+
+def _seed(text: str) -> int:
+    """argparse type of --seed: an integer in [0, 2^64), the range of the
+    counter-based streams (which would otherwise reduce it mod 2^64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or not 0 <= value < _SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2^64), got {text!r}")
+    return value
 
 
 def _number_list(kind):
@@ -126,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--null", action="store_true", help="sample the null model")
     g.add_argument("--p0", type=float, required=True)
     g.add_argument("--delta", type=float, default=0.0)
-    g.add_argument("--seed", type=int)
+    g.add_argument("--seed", type=_seed)
     g.add_argument("--out", required=True)
 
     s = sub.add_parser("stat", help="evaluate a statistic on a matrix file")
@@ -339,7 +352,15 @@ def _cmd_phase(args) -> int:
     return EXIT_OK
 
 
-_JSON_TYPES = {"number": (int, float), "integer": int, "string": str, "object": dict, "list": list}
+# JSON kind -> (Python types, description in error messages).
+_JSON_KINDS = {
+    "number": ((int, float), "a JSON number"),
+    "integer": (int, "a JSON integer"),
+    "seed": (int, "an integer in [0, 2^64)"),
+    "string": (str, "a JSON string"),
+    "object": (dict, "a JSON object"),
+    "list": (list, "a JSON list"),
+}
 
 
 def _config_field(doc: dict, field: str, required=True, default=None, kind=None):
@@ -354,12 +375,16 @@ def _config_field(doc: dict, field: str, required=True, default=None, kind=None)
             raise ConfigError(field, "missing required field")
         return default
     if kind is not None and not _is_json(value, kind):
-        raise ConfigError(field, f"expected a JSON {kind}, got {value!r}")
+        raise ConfigError(field, f"expected {_JSON_KINDS[kind][1]}, got {value!r}")
     return value
 
 
 def _is_json(value, kind: str) -> bool:
-    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[kind])
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, _JSON_KINDS[kind][0])
+        and (kind != "seed" or 0 <= value < _SEED_LIMIT)
+    )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -386,14 +411,14 @@ def load_config(path) -> ExperimentConfig:
         _config_field(doc, "detector.tau", False, None, "number"),
         _config_field(doc, "detector.k_scan", False, None, "integer"),
     )
-    seed = _config_field(doc, "seed", kind="integer")
+    seed = _config_field(doc, "seed", kind="seed")
     _config_field(doc, "threshold", False, kind="object")
     try:
         threshold = ThresholdSpec(
             mode=ThresholdMode[_config_field(doc, "threshold.mode", False, "CALIBRATED", "string")],
             alpha=_config_field(doc, "threshold.alpha", False, 0.1, "number"),
             trials=_config_field(doc, "threshold.trials", False, 10_000, "integer"),
-            seed=_config_field(doc, "threshold.seed", False, seed, "integer"),
+            seed=_config_field(doc, "threshold.seed", False, seed, "seed"),
             value=_config_field(doc, "threshold.value", False, None, "number"),
         )
     except (KeyError, ParameterError) as exc:

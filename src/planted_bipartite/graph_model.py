@@ -162,14 +162,23 @@ def write_matrix(A: AdjacencyMatrix, path) -> None:
 def read_matrix(path) -> AdjacencyMatrix:
     """Inverse of write_matrix; bit-exact round trip.  Malformed input raises
     FormatError naming the offending line (1-based)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # The placeholder stands for the offending byte, so the count of
+        # lines up to it is its line number.
+        line = len((data[: exc.start].decode("ascii") + "?").splitlines())
+        raise FormatError(f"line {line}: non-ASCII byte {data[exc.start]:#04x}") from None
     if not lines:
         raise FormatError("line 1: empty file, expected dimension header")
     header = lines[0].split()
     if len(header) != 2 or not all(tok.isdigit() for tok in header):
         raise FormatError(f"line 1: expected 'n1 n2' header, got {lines[0]!r}")
     n1, n2 = int(header[0]), int(header[1])
+    if n1 < 1 or n2 < 1:
+        raise FormatError(f"line 1: dimensions must be positive, got {lines[0]!r}")
     if len(lines) - 1 != n1:
         raise FormatError(f"line {len(lines)}: expected {n1} rows, found {len(lines) - 1}")
     rows = np.empty((n1, n2), dtype=np.uint8)

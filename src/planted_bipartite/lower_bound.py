@@ -23,6 +23,7 @@ from itertools import combinations
 import numpy as np
 from scipy.special import logsumexp
 
+from . import rng
 from .errors import BudgetError, ParameterError
 from .graph_model import ProblemShape
 from .rates import log_binom
@@ -180,45 +181,75 @@ def second_moment_summary(shape: ProblemShape, p0: float, delta: float) -> Secon
 
 def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     """Total variation between the null and the uniform-support planted
-    mixture, by exhaustive enumeration of all 2^(n1 n2) matrices."""
+    mixture, by exhaustive enumeration of all 2^(n1 n2) matrices.
+
+    The matrices are walked in blocks of rows of their bit matrix: the
+    largest power of two rows (at least 64) whose float64 bits fit
+    rng.BATCH_BYTES.  Each block's bits and their complement are built once
+    and every support is evaluated on them, so only the null and mixture
+    probability vectors (2^(n1 n2) floats each) are whole.  The result does
+    not depend on the block size: each matrix's log-probability is one
+    matrix-vector product row, the supports are added in one fixed order,
+    and the final sum runs over the whole vectors.
+    """
     _check_signal(p0, delta)
     cells = shape.n1 * shape.n2
     if cells > TV_BUDGET_BITS:
         raise BudgetError(f"2^{cells} matrices exceed the 2^{TV_BUDGET_BITS} budget")
-    p1 = p0 + delta
-    codes = np.arange(1 << cells, dtype=np.int64)
-    bits = ((codes[:, None] >> np.arange(cells)) & 1).astype(np.float64)
+    # delta may exceed 1 - p0 by the rounding slack _check_signal allows.
+    p1 = min(p0 + delta, 1.0)
     # Degenerate edge probabilities need explicit masses, not log products.
     with np.errstate(divide="ignore"):
         lp0, lq0 = np.log(p0), np.log(1.0 - p0)
         lp1, lq1 = np.log(p1), np.log(1.0 - p1)
 
-    def matrix_probs(on_mask: np.ndarray) -> np.ndarray:
-        a = np.where(on_mask, lp1, lp0)
-        b = np.where(on_mask, lq1, lq0)
-        with np.errstate(invalid="ignore"):
-            logp = bits @ np.where(np.isneginf(a), 0.0, a) + (1.0 - bits) @ np.where(
-                np.isneginf(b), 0.0, b
-            )
-        # Re-impose zero mass where an impossible cell value occurs.
-        impossible = (bits @ np.isneginf(a).astype(float)) + (
-            (1.0 - bits) @ np.isneginf(b).astype(float)
-        )
-        out = np.exp(logp)
-        out[impossible > 0] = 0.0
+    def log_vectors(planted: np.ndarray):
+        """(a, b, impossible) for a support: a matrix's log-probability is
+        bits @ a + (1 - bits) @ b, and it has zero mass where
+        bits @ impossible[0] + (1 - bits) @ impossible[1] > 0 (None when no
+        cell value is impossible)."""
+        a = np.where(planted, lp1, lp0)
+        b = np.where(planted, lq1, lq0)
+        ia, ib = np.isneginf(a), np.isneginf(b)
+        impossible = (ia.astype(float), ib.astype(float)) if ia.any() or ib.any() else None
+        return np.where(ia, 0.0, a), np.where(ib, 0.0, b), impossible
+
+    def matrix_probs(on: np.ndarray, off: np.ndarray, vectors) -> np.ndarray:
+        a, b, impossible = vectors
+        out = np.exp(on @ a + off @ b)
+        if impossible is not None:
+            out[on @ impossible[0] + off @ impossible[1] > 0] = 0.0
         return out
 
-    prob0 = matrix_probs(np.zeros(cells, dtype=bool))
-    prob_mix = np.zeros_like(prob0)
-    n_sup = 0
+    null = log_vectors(np.zeros(cells, dtype=bool))
+    supports = []
     for K1 in combinations(range(shape.n1), shape.k1):
         row_mask = np.zeros(shape.n1, dtype=bool)
         row_mask[list(K1)] = True
         for K2 in combinations(range(shape.n2), shape.k2):
             col_mask = np.zeros(shape.n2, dtype=bool)
             col_mask[list(K2)] = True
-            on = np.outer(row_mask, col_mask).reshape(-1)
-            prob_mix += matrix_probs(on)
-            n_sup += 1
-    prob_mix /= n_sup
-    return 0.5 * float(np.abs(prob0 - prob_mix).sum())
+            supports.append(log_vectors(np.outer(row_mask, col_mask).reshape(-1)))
+
+    total = 1 << cells
+    # Blocks of a power of two rows, at least 64, tile the enumeration with
+    # no short tail.  BLAS matrix-vector kernels take rows in groups (of 4
+    # with x86-64 OpenBLAS) and round a row of a short group differently, and
+    # numpy computes a one-row product with a dot kernel, so shorter blocks
+    # could change the last bits.
+    rows = min(total, 1 << max(6, (rng.BATCH_BYTES // (8 * cells)).bit_length() - 1))
+    shifts = np.arange(cells)
+    prob0 = np.empty(total)
+    prob_mix = np.zeros(total)
+    for lo in range(0, total, rows):
+        codes = np.arange(lo, lo + rows, dtype=np.int64)
+        on = ((codes[:, None] >> shifts) & 1).astype(np.float64)
+        off = 1.0 - on
+        prob0[lo : lo + rows] = matrix_probs(on, off, null)
+        block = prob_mix[lo : lo + rows]
+        for vectors in supports:
+            block += matrix_probs(on, off, vectors)
+    prob_mix /= len(supports)
+    # |prob0 - prob_mix| in place; the sum runs over the whole vector.
+    np.abs(np.subtract(prob0, prob_mix, out=prob_mix), out=prob_mix)
+    return 0.5 * float(prob_mix.sum())

@@ -242,8 +242,18 @@ class TestMalformedNumbers:
         ([], {"consts": {"C_tau": "2"}}),
         ([], {"delta_grid": [0.1, "x"]}),
         ([], {"detector": {"tag": "TRUNC_DEGREE_AXIS1", "tau": "1"}}),
+        # Seeds outside [0, 2^64) would be reduced mod 2^64 by the streams.
+        (["calibrate", "--n1", "4", "--n2", "4", "--p0", "0.25", "--trials", "10",
+          "--seed", "-1"], None),
+        (["risk", "--n1", "8", "--n2", "8", "--p0", "0.25", "--delta", "0.1",
+          "--trials", "100", "--seed", str(2**64)], None),
+        ([], {"seed": -1}),
+        ([], {"seed": 2**64}),
+        ([], {"threshold": {"seed": -1}}),
     ], ids=["risk-delta", "sweep-delta", "phase-n1", "p0", "trials", "seed",
-            "threshold-alpha", "consts", "delta-grid", "detector-tau"])
+            "threshold-alpha", "consts", "delta-grid", "detector-tau",
+            "calibrate-seed-negative", "risk-seed-2^64", "seed-negative", "seed-2^64",
+            "threshold-seed-negative"])
     def test_usage_error(self, tmp_path, capsys, argv, config):
         if config is not None:
             path = tmp_path / "cfg.json"
@@ -252,6 +262,21 @@ class TestMalformedNumbers:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert json.loads(err)["error"] == "usage"
+
+
+class TestSeedRange:
+    def test_largest_seed_accepted(self, tmp_path, capsys):
+        seed = 2**64 - 1
+        out = tmp_path / "m.txt"
+        code, _, _ = run(capsys, "gen", "--null", "--n1", "4", "--n2", "4", "--p0", "0.25",
+                         "--seed", str(seed), "--out", str(out))
+        assert code == 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**BASE_CONFIG, "seed": seed,
+                                    "threshold": {"trials": 100, "seed": seed}}))
+        code, out, _ = run(capsys, "sweep", "--config", str(path))
+        assert code == 0
+        assert out.startswith("delta,type1,type2,risk\n")
 
 
 class TestUsage:

@@ -176,6 +176,19 @@ class TestIO:
         with pytest.raises(FormatError, match="line 1"):
             read_matrix(p)
 
+    def test_non_ascii_byte(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_bytes(b"2 3\n010\n1\xe90\n")
+        with pytest.raises(FormatError, match="line 3"):
+            read_matrix(p)
+
+    def test_zero_dimension(self, tmp_path):
+        for text in ("0 3\n", "2 0\n\n\n"):
+            p = tmp_path / "m.txt"
+            p.write_text(text)
+            with pytest.raises(FormatError, match="line 1"):
+                read_matrix(p)
+
     def test_row_count_mismatch(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("3 2\n01\n10\n")
