@@ -1,9 +1,16 @@
 """Command-line interface.
 
-Subcommands: gen, stat, calibrate, risk, rates, lb, sweep, phase.  Exit
-codes: 0 success, 1 usage error, 2 budget exceeded, 3 I/O error.  Every
-randomized subcommand requires an explicit --seed.  Errors are reported as
-a single JSON line on stderr.
+Subcommands: gen, stat, calibrate, risk, rates, lb, sweep, phase.  Each
+takes only the rate constants it reads: rates and phase take --c-phi,
+calibrate adds --c1 and --C-tau (the composite detector's dispatch), and
+risk and sweep add --C-star and --c-prime (the analytic thresholds).  From
+flags, risk and sweep calibrate on max(--trials, 100) null trials seeded by
+--seed.  `sweep --config` reads the experiment from a JSON file alone: only
+--seed, which replaces the config's `seed`, and --out may be given beside
+it, and a key the loader does not read is an error.  Exit codes: 0 success,
+1 usage error, 2 budget exceeded, 3 I/O error.  Every randomized subcommand
+requires an explicit --seed.  Errors are reported as a single JSON line on
+stderr.
 """
 
 from __future__ import annotations
@@ -66,6 +73,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+class _Given(argparse.Action):
+    """The store action, which also records the flag in `given`: a flag
+    given at its default value still counts as given."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (self.option_strings[0],)
+
+
 def _add_shape_flags(p, required=True):
     p.add_argument("--n1", type=int, required=required)
     p.add_argument("--n2", type=int, required=required)
@@ -73,26 +89,32 @@ def _add_shape_flags(p, required=True):
     p.add_argument("--k2", type=int)
 
 
-# The CLI flag of every RateConstants field.
+# The CLI flag of each RateConstants field that some command reads: phi
+# reads C_phi, the composite detector's dispatch reads c1 and C_tau, and the
+# analytic thresholds read C_star and c_prime.  A JSON config's `consts`
+# block takes the same names.
 _CONST_FLAGS = {
-    "C_phi": "--c-phi", "c1": "--c1", "c_delta": "--c-delta", "C_delta": "--C-delta",
-    "C_eta": "--C-eta", "C_star": "--C-star", "c_prime": "--c-prime", "C_tau": "--C-tau",
+    "C_phi": "--c-phi", "c1": "--c1", "C_tau": "--C-tau", "C_star": "--C-star",
+    "c_prime": "--c-prime",
 }
+_RATE_CONSTS = ("C_phi",)
+_DISPATCH_CONSTS = _RATE_CONSTS + ("c1", "C_tau")
+_RISK_CONSTS = tuple(_CONST_FLAGS)
 
 
-def _add_const_flags(p):
+def _add_const_flags(p, names):
     d = RateConstants()
-    for name, flag in _CONST_FLAGS.items():
-        p.add_argument(flag, dest=name, type=float, default=getattr(d, name))
+    for name in names:
+        p.add_argument(_CONST_FLAGS[name], dest=name, type=float, default=getattr(d, name))
 
 
 def _consts_from(args) -> RateConstants:
-    return RateConstants(**{name: getattr(args, name) for name in _CONST_FLAGS})
+    return RateConstants(**{name: getattr(args, name) for name in _CONST_FLAGS if name in args})
 
 
 def _add_trial_flags(p, trials, p0_required=True, risk=True):
     """Flags of the Monte Carlo subcommands; `risk` adds those of risk
-    estimation (eta and the threshold mode)."""
+    estimation (the threshold mode and the analytic threshold constants)."""
     p.add_argument("--p0", type=float, required=p0_required)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--trials", type=int, default=trials)
@@ -101,9 +123,8 @@ def _add_trial_flags(p, trials, p0_required=True, risk=True):
     p.add_argument("--tau", type=float)
     p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
     p.add_argument("--out")
-    _add_const_flags(p)
+    _add_const_flags(p, _RISK_CONSTS if risk else _DISPATCH_CONSTS)
     if risk:
-        p.add_argument("--eta", type=float, default=0.5)
         p.add_argument("--threshold-mode", dest="threshold_mode", default="CALIBRATED",
                        choices=["CALIBRATED", "ANALYTIC"])
 
@@ -163,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     ra = sub.add_parser("rates", help="rate components, R, R_tilde, branch")
     _add_shape_flags(ra)
     ra.add_argument("--out")
-    _add_const_flags(ra)
+    _add_const_flags(ra, _RATE_CONSTS)
 
     lb = sub.add_parser("lb", help="second-moment lower bound quantities")
     _add_shape_flags(lb)
@@ -172,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     lb.add_argument("--out")
 
     sw = sub.add_parser("sweep", help="risk over a delta grid (flags or --config)")
+    sw.register("action", None, _Given)
     _add_shape_flags(sw, required=False)
     sw.add_argument("--config", help="JSON experiment config")
     sw.add_argument("--delta", type=_number_list(float),
@@ -182,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--n1", "--n2", "--k1", "--k2"):
         ph.add_argument(flag, type=_number_list(int), required=True, help="comma-separated values")
     ph.add_argument("--out")
-    _add_const_flags(ph)
+    _add_const_flags(ph, _RATE_CONSTS)
     return parser
 
 
@@ -268,7 +290,6 @@ def _sweep_config(args, grid) -> ExperimentConfig:
         ),
         trials=args.trials,
         seed=args.seed,
-        eta=args.eta,
         consts=_consts_from(args),
         budget=args.budget,
     )
@@ -307,7 +328,13 @@ def _cmd_risk(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.config:
-        return run_config(args.config, args.out, args.seed)
+        extra = [flag for flag in args.given if flag not in ("--config", "--seed", "--out")]
+        if extra:
+            raise _UsageError(f"--config does not combine with {', '.join(extra)}")
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = dataclasses.replace(cfg, seed=args.seed)
+        return _run_sweep(cfg, args.out, str(args.config))
     for flag in ("n1", "n2", "p0", "delta", "seed"):
         if getattr(args, flag) is None:
             raise ParameterError(f"sweep without --config requires --{flag}")
@@ -387,6 +414,28 @@ def _is_json(value, kind: str) -> bool:
     )
 
 
+# The keys load_config reads, each with the keys of its object (None for a
+# scalar).
+_CONFIG_KEYS = {
+    "shape": ("n1", "n2", "k1", "k2"),
+    "p0": None, "delta_grid": None, "trials": None, "seed": None, "budget": None,
+    "detector": ("tag", "tau", "k_scan"),
+    "threshold": ("mode", "alpha", "trials", "seed", "value"),
+    "consts": tuple(_CONST_FLAGS),
+}
+
+
+def _check_keys(doc: dict) -> None:
+    """ConfigError naming the dotted path of a key load_config does not read."""
+    for key, value in doc.items():
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(key, "unknown key")
+        if _CONFIG_KEYS[key] and isinstance(value, dict):
+            for sub in value:
+                if sub not in _CONFIG_KEYS[key]:
+                    raise ConfigError(f"{key}.{sub}", "unknown key")
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a JSON experiment config mirroring ExperimentConfig fields."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -396,6 +445,7 @@ def load_config(path) -> ExperimentConfig:
             raise FormatError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "must be a JSON object")
+    _check_keys(doc)
     _config_field(doc, "shape", kind="object")
     try:
         shape = ProblemShape(
@@ -428,7 +478,7 @@ def load_config(path) -> ExperimentConfig:
         consts = RateConstants(
             **{k: _config_field(doc, f"consts.{k}", kind="number") for k in consts_doc}
         )
-    except (TypeError, ParameterError) as exc:
+    except ParameterError as exc:
         raise ConfigError("consts", str(exc)) from exc
     delta_grid = _config_field(doc, "delta_grid", kind="list")
     if not delta_grid or not all(_is_json(d, "number") for d in delta_grid):
@@ -441,18 +491,9 @@ def load_config(path) -> ExperimentConfig:
         threshold=threshold,
         trials=_config_field(doc, "trials", kind="integer"),
         seed=seed,
-        eta=_config_field(doc, "eta", False, 0.5, "number"),
         consts=consts,
         budget=_config_field(doc, "budget", False, DEFAULT_SUBSET_BUDGET, "integer"),
     )
-
-
-def run_config(config_path, out_path=None, seed_override=None) -> int:
-    """Execute the power sweep described by a JSON config file."""
-    cfg = load_config(config_path)
-    if seed_override is not None:
-        cfg = dataclasses.replace(cfg, seed=seed_override)
-    return _run_sweep(cfg, out_path, experiment_id=str(config_path))
 
 
 _COMMANDS = {

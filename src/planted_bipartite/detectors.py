@@ -106,9 +106,7 @@ class TestDecision:
 
 def total_degree(A: AdjacencyMatrix, p0: float) -> float:
     """t = sum_ij (A_ij - p0) / sqrt(n1 n2 p0 (1 - p0))."""
-    _check_p0(p0)
-    n1, n2 = A.n1, A.n2
-    return (int(A.bits.sum()) - n1 * n2 * p0) / math.sqrt(n1 * n2 * p0 * (1.0 - p0))
+    return statistic(A, p0, DetectorKind(DetectorTag.TOTAL_DEGREE))
 
 
 def truncated_degree(A: AdjacencyMatrix, p0: float, tau: float, axis: int = 1) -> float:
@@ -117,8 +115,7 @@ def truncated_degree(A: AdjacencyMatrix, p0: float, tau: float, axis: int = 1) -
     axis=1 sums each column over the n1 rows (kernel Bin(n1, p0)); axis=2
     runs the same statistic on the transpose.
     """
-    bits = _oriented(A, axis)
-    return float(_batch_truncated(bits[None, :, :], p0, tau)[0])
+    return statistic(A, p0, DetectorKind(_axis_tag("TRUNC_DEGREE", axis), tau=tau))
 
 
 def max_truncated_degree(
@@ -132,19 +129,19 @@ def max_truncated_degree(
     """Exact maximum of the truncated-degree statistic over all k_scan-row
     subsets (kernel Bin(k_scan, p0)); raises BudgetError rather than
     approximating when there are more than `budget` subsets."""
-    bits = _oriented(A, axis)
-    return float(_batch_max_truncated(bits[None, :, :], p0, tau, k_scan, budget)[0])
+    kind = DetectorKind(_axis_tag("MAX_TRUNC", axis), tau=tau, k_scan=k_scan)
+    return statistic(A, p0, kind, budget)
+
+
+def _axis_tag(family: str, axis: int) -> DetectorTag:
+    if axis not in (1, 2):
+        raise ParameterError(f"axis must be 1 or 2, got {axis}")
+    return DetectorTag[f"{family}_AXIS{axis}"]
 
 
 def _check_p0(p0: float) -> None:
     if not 0.0 < p0 < 1.0:
         raise ParameterError(f"p0 must lie in (0, 1), got {p0}")
-
-
-def _oriented(A: AdjacencyMatrix, axis: int) -> np.ndarray:
-    if axis not in (1, 2):
-        raise ParameterError(f"axis must be 1 or 2, got {axis}")
-    return A.bits if axis == 1 else A.bits.T
 
 
 def _batch_total(bits: np.ndarray, p0: float) -> np.ndarray:

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from . import rng
+from .binomial_kernel import BennettKernel
 from .errors import BudgetError, ParameterError
 from .graph_model import ProblemShape
 from .rates import log_binom
@@ -68,16 +69,20 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def _exp_moment(x, y, rate: float) -> float:
+    """E[exp(rate X Y)] for independent X and Y, each given as (support,
+    log-pmf): one log-space double sum, inf where exp overflows."""
+    (xs, log_px), (ys, log_py) = x, y
+    return _exp_or_inf(logsumexp(log_px[:, None] + log_py[None, :] + rate * np.outer(xs, ys)))
+
+
 def second_moment_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     """E[(1 + mu^2)^(U V)] by the exact double sum over overlaps."""
     mu2 = _check_signal(p0, delta)
     if mu2 == 0.0:
         return 1.0
-    us, logpu = _overlap_log_pmf(shape.n1, shape.k1)
-    vs, logpv = _overlap_log_pmf(shape.n2, shape.k2)
-    log_base = math.log1p(mu2)
-    terms = logpu[:, None] + logpv[None, :] + np.outer(us, vs) * log_base
-    return _exp_or_inf(logsumexp(terms))
+    u, v = _overlap_log_pmf(shape.n1, shape.k1), _overlap_log_pmf(shape.n2, shape.k2)
+    return _exp_moment(u, v, math.log1p(mu2))
 
 
 def second_moment_bruteforce(shape: ProblemShape, p0: float, delta: float) -> float:
@@ -118,44 +123,21 @@ def second_moment_exp_bounds(
     Y ~ Bin(k2, k2/(n2-k2))).  The binomial version is inf when undefined
     (k = n) or when the dominating success probability exceeds 1."""
     mu2 = _check_signal(p0, delta)
-    us, logpu = _overlap_log_pmf(shape.n1, shape.k1)
-    vs, logpv = _overlap_log_pmf(shape.n2, shape.k2)
-    terms = logpu[:, None] + logpv[None, :] + mu2 * np.outer(us, vs)
-    exp_hyper = _exp_or_inf(logsumexp(terms))
-
-    exp_binom = math.inf
     n1, n2, k1, k2 = shape.n1, shape.n2, shape.k1, shape.k2
-    if k1 < n1 and k2 < n2:
-        q1 = k1 / (n1 - k1)
-        q2 = k2 / (n2 - k2)
-        if q1 <= 1.0 and q2 <= 1.0:
-            exp_binom = _exp_binom_product(k1, q1, k2, q2, mu2)
-    return exp_hyper, exp_binom
+    exp_hyper = _exp_moment(_overlap_log_pmf(n1, k1), _overlap_log_pmf(n2, k2), mu2)
+    # k/(n - k) <= 1 exactly when 2 k <= n, which also excludes k = n.
+    if 2 * k1 > n1 or 2 * k2 > n2:
+        return exp_hyper, math.inf
+    x, y = _binom_log_pmf(k1, k1 / (n1 - k1)), _binom_log_pmf(k2, k2 / (n2 - k2))
+    return exp_hyper, _exp_moment(x, y, mu2)
 
 
-def _binom_log_pmf(n: int, p: float) -> np.ndarray:
-    ks = np.arange(n + 1)
-    if p == 0.0:
-        out = np.full(n + 1, -np.inf)
-        out[0] = 0.0
-        return out
+def _binom_log_pmf(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Support and log-pmf of Bin(n, p) for 0 < p <= 1."""
+    xs = np.arange(n + 1)
     if p == 1.0:
-        out = np.full(n + 1, -np.inf)
-        out[n] = 0.0
-        return out
-    return np.array(
-        [log_binom(n, int(k)) + k * math.log(p) + (n - k) * math.log1p(-p) for k in ks]
-    )
-
-
-def _exp_binom_product(k1: int, q1: float, k2: int, q2: float, mu2: float) -> float:
-    logx = _binom_log_pmf(k1, q1)
-    logy = _binom_log_pmf(k2, q2)
-    xs = np.arange(k1 + 1)
-    ys = np.arange(k2 + 1)
-    terms = logx[:, None] + logy[None, :] + mu2 * np.outer(xs, ys)
-    val = logsumexp(terms)
-    return float(math.exp(val)) if val < 700 else math.inf
+        return xs, np.where(xs == n, 0.0, -np.inf)
+    return xs, BennettKernel(n, p).log_pmf(xs)
 
 
 def risk_lower_bound(second_moment_value: float) -> float:

@@ -94,17 +94,14 @@ def trial_uniforms(seed: int, tag: int, n1: int, n2: int, trials: int):
         yield seeds, batch_cell_uniforms(seeds, n1, n2)
 
 
-def stream_uint(seed: int, tag: int, index: int) -> int:
-    """The ``index``-th 64-bit draw of the (seed, tag) stream."""
-    return mix64(mix64(mix64(seed) ^ tag) ^ index)
-
-
 def sample_subset(seed: int, tag: int, n: int, k: int) -> tuple[int, ...]:
     """Uniform k-subset of {0, ..., n-1} via a partial Fisher-Yates shuffle
-    driven by the (seed, tag) counter stream.  Returns sorted indices."""
+    driven by the (seed, tag) counter stream: draw i is
+    derive_seed(seed, tag, i).  Returns sorted indices."""
     idx = list(range(n))
+    h = derive_seed(seed, tag)
     for i in range(k):
-        r = stream_uint(seed, tag, i)
+        r = mix64(h ^ i)
         # Multiply-shift range reduction; bias is O(2^-64), negligible here.
         j = i + ((r * (n - i)) >> 64)
         idx[i], idx[j] = idx[j], idx[i]

@@ -1,11 +1,12 @@
-import dataclasses
+import argparse
+import csv
 import json
 import math
 
 import pytest
 
-from planted_bipartite import RateConstants, detectors
-from planted_bipartite.cli import dispatch
+from planted_bipartite import detectors
+from planted_bipartite.cli import build_parser, dispatch
 from planted_bipartite.graph_model import read_matrix
 
 
@@ -13,6 +14,12 @@ def run(capsys, *argv):
     code = dispatch(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+BASE_CONFIG = {
+    "shape": {"n1": 8, "n2": 8, "k1": 2, "k2": 2},
+    "p0": 0.25, "delta_grid": [0.1], "trials": 100, "seed": 1,
+}
 
 
 class TestGen:
@@ -160,6 +167,48 @@ class TestSweep:
         assert code == 0
         assert out.read_text().count("\n") == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "1000"],
+        ["--budget", "1000000"],  # a flag given at its default value counts as given
+        ["--p0", "0.1", "--delta", "0.5", "--detector", "MAX_TRUNC_AXIS1"],
+    ], ids=["trials", "budget-default", "several"])
+    def test_config_rejects_experiment_flags(self, tmp_path, capsys, argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(BASE_CONFIG))
+        code, _, err = run(capsys, "sweep", "--config", str(path), *argv)
+        assert code == 1
+        message = json.loads(err)["message"]
+        assert all(flag in message for flag in argv if flag.startswith("--"))
+
+    def test_config_takes_seed_and_out(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(BASE_CONFIG))
+        code, stdout, _ = run(capsys, "sweep", "--config", str(path))
+        assert code == 0
+        out = tmp_path / "r.csv"
+        code, _, _ = run(capsys, "sweep", "--config", str(path), "--seed", "5", "--out", str(out))
+        assert code == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert [r["seed"] for r in rows] == ["5"]
+        path.write_text(json.dumps({**BASE_CONFIG, "seed": 5}))
+        assert run(capsys, "sweep", "--config", str(path))[1] != stdout
+
+    @pytest.mark.parametrize("key,value,unknown", [
+        pytest.param(key, value, unknown, id=unknown) for key, value, unknown in [
+            ("eta", 0.3, "eta"),
+            ("consts", {"c_delta": 0.02}, "consts.c_delta"),
+            ("shape", {**BASE_CONFIG["shape"], "n3": 1}, "shape.n3"),
+            ("threshold", {"trails": 100}, "threshold.trails"),
+            ("detector", {"tag": "TOTAL_DEGREE", "k": 1}, "detector.k"),
+        ]
+    ])
+    def test_config_unknown_key_names_path(self, tmp_path, capsys, key, value, unknown):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**BASE_CONFIG, key: value}))
+        code, _, err = run(capsys, "sweep", "--config", str(path))
+        assert code == 1
+        assert json.loads(err)["message"].startswith(f"{unknown}: ")
+
     def test_config_empty_grid_names_field(self, tmp_path, capsys):
         cfg = {
             "shape": {"n1": 16, "n2": 16, "k1": 4, "k2": 4},
@@ -172,41 +221,186 @@ class TestSweep:
         assert "delta_grid" in json.loads(err)["message"]
 
 
-# The CLI flag of each RateConstants field.
-CONST_FLAGS = {
-    "C_phi": "--c-phi", "c1": "--c1", "c_delta": "--c-delta", "C_delta": "--C-delta",
-    "C_eta": "--C-eta", "C_star": "--C-star", "c_prime": "--c-prime", "C_tau": "--C-tau",
+def _argv(flags: dict) -> list[str]:
+    return [tok for flag, value in flags.items() if value is not None for tok in (flag, value)]
+
+
+# A valid flag set of each command, which the probes below vary.
+PROBE_BASES = {
+    "calibrate": {"--n1": "16", "--n2": "16", "--k1": "4", "--k2": "4", "--p0": "0.25",
+                  "--trials": "100", "--seed": "1"},
+    "risk": {"--n1": "16", "--n2": "16", "--k1": "4", "--k2": "4", "--p0": "0.25",
+             "--delta": "0.3", "--trials": "100", "--seed": "1", "--out": "r.csv"},
+    "sweep": {"--n1": "16", "--n2": "16", "--k1": "4", "--k2": "4", "--p0": "0.25",
+              "--delta": "0,0.3", "--trials": "100", "--seed": "1", "--out": "r.csv"},
+    "rates": {"--n1": "100", "--n2": "100", "--k1": "10", "--k2": "10"},
+    "phase": {"--n1": "32,64", "--n2": "64", "--k1": "4,8", "--k2": "8"},
 }
+_MAX_SCAN = {"--detector": "MAX_TRUNC_AXIS1", "--tau": "1.0"}
+_ANALYTIC = {"--threshold-mode": "ANALYTIC"}
+# Per command: option -> (extra flags, value a, value b); None leaves the
+# option out.  The 16x16, k = 4 base runs the composite detector as a
+# truncated degree test.
+_CALIBRATE_PROBES = {
+    "--n1": ({}, "16", "18"),
+    "--n2": ({}, "16", "18"),
+    "--k1": ({}, "4", "2"),
+    "--k2": ({}, "4", "2"),
+    "--p0": ({}, "0.25", "0.3"),
+    "--alpha": ({}, "0.1", "0.3"),
+    "--trials": ({}, "100", "150"),
+    "--seed": ({}, "1", "2"),
+    "--detector": ({}, "DELTA_STAR", "TOTAL_DEGREE"),
+    "--tau": ({"--detector": "TRUNC_DEGREE_AXIS1"}, "0.5", "1.5"),
+    "--budget": (_MAX_SCAN, None, "100"),
+    "--out": ({}, "o.txt", None),
+    "--c-phi": ({}, None, "0.5"),
+    "--c1": ({}, None, "100"),
+    "--C-tau": ({}, None, "2.5"),
+}
+_RISK_PROBES = {
+    **_CALIBRATE_PROBES,
+    "--C-star": (_ANALYTIC, None, "0.5"),
+    "--c-prime": (_ANALYTIC, None, "2"),
+    "--threshold-mode": ({}, "CALIBRATED", "ANALYTIC"),
+    "--delta": ({}, "0.3", "0.4"),
+}
+_RATE_PROBES = {
+    "--n1": ({}, "100", "200"),
+    "--n2": ({}, "100", "200"),
+    "--k1": ({}, "10", "5"),
+    "--k2": ({}, "10", "5"),
+    "--out": ({}, "o.txt", None),
+    "--c-phi": ({}, None, "0.5"),
+}
+PROBES = {
+    "calibrate": _CALIBRATE_PROBES,
+    "risk": _RISK_PROBES,
+    "sweep": {**_RISK_PROBES, "--delta": ({}, "0,0.3", "0,0.4"),
+              "--config": ("config", "a.json", "b.json")},
+    "rates": _RATE_PROBES,
+    "phase": {**_RATE_PROBES, "--n1": ({}, "32,64", "32,128"), "--n2": ({}, "64", "32"),
+              "--k1": ({}, "4,8", "4"), "--k2": ({}, "8", "8,16")},
+}
+PROBE_CONFIGS = {"a.json": {**BASE_CONFIG, "trials": 100},
+                 "b.json": {**BASE_CONFIG, "trials": 150}}
+
+
+# The CLI flag of each RateConstants field that some command reads, and a
+# value that changes the output of TestConstsParity's sweep at 16x16, k = 4:
+# C_phi = 0.5 makes phi infinite and the composite detector a max scan,
+# c1 = 100 switches it to the total degree test, and the other three change
+# its truncation level or the analytic threshold.
+CONST_PROBES = {
+    "C_phi": ("--c-phi", 0.5), "c1": ("--c1", 100.0), "C_tau": ("--C-tau", 2.5),
+    "C_star": ("--C-star", 0.5), "c_prime": ("--c-prime", 2.0),
+}
+# Fields that only library functions no command calls read.
+UNREAD_CONSTS = {"c_delta": "--c-delta", "C_delta": "--C-delta", "C_eta": "--C-eta"}
 
 
 class TestConstsParity:
-    """Every RateConstants field is settable from CLI flags and from a JSON
-    `consts` block, and reaches the config the sweep runs (its sidecar)."""
+    """A constant that some command reads is settable from its flag and from
+    a JSON `consts` key, with the same effect on the output; a constant that
+    no command reads is rejected both ways."""
 
-    SHAPE = {"n1": 8, "n2": 8, "k1": 2, "k2": 2}
+    SHAPE = {"n1": 16, "n2": 16, "k1": 4, "k2": 4}
 
-    def _sidecar_consts(self, tmp_path, capsys, name, *argv):
+    def _sweep(self, tmp_path, capsys, name, *argv):
+        """CSV rows and sidecar of a sweep, without the experiment id."""
         out = tmp_path / f"{name}.csv"
         code, _, err = run(capsys, "sweep", *argv, "--out", str(out))
         assert code == 0, err
-        return json.loads((tmp_path / f"{name}.csv.meta.json").read_text())["consts"]
+        rows = [line.split(",", 1)[1] for line in out.read_text().splitlines()]
+        meta = json.loads((tmp_path / f"{name}.csv.meta.json").read_text())
+        del meta["experiment_id"]
+        return rows, meta
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RateConstants)])
-    def test_field_settable(self, tmp_path, capsys, field):
-        value = getattr(RateConstants(), field) * 1.5
-        want = dataclasses.asdict(dataclasses.replace(RateConstants(), **{field: value}))
-        flag_argv = [f"--{k}={v}" for k, v in self.SHAPE.items()] + [
-            "--p0", "0.25", "--delta", "0.3", "--trials", "100", "--seed", "2",
-            "--threshold-mode", "ANALYTIC", CONST_FLAGS[field], repr(value),
-        ]
-        assert self._sidecar_consts(tmp_path, capsys, "flags", *flag_argv) == want
+    def _config(self, tmp_path, mode, consts):
         cfg = {
             "shape": self.SHAPE, "p0": 0.25, "delta_grid": [0.3], "trials": 100, "seed": 2,
-            "threshold": {"mode": "ANALYTIC", "alpha": 0.1}, "consts": {field: value},
+            "threshold": {"mode": mode, "alpha": 0.1, "trials": 100, "seed": 2},
+            "consts": consts,
         }
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(cfg))
-        assert self._sidecar_consts(tmp_path, capsys, "config", "--config", str(cfg_path)) == want
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return str(path)
+
+    @pytest.mark.parametrize("field", list(CONST_PROBES))
+    def test_field_settable(self, tmp_path, capsys, field):
+        flag, value = CONST_PROBES[field]
+        mode = "ANALYTIC" if field in ("C_star", "c_prime") else "CALIBRATED"
+        flag_argv = [f"--{k}={v}" for k, v in self.SHAPE.items()] + [
+            "--p0", "0.25", "--delta", "0.3", "--trials", "100", "--seed", "2",
+            "--threshold-mode", mode,
+        ]
+        default = self._sweep(tmp_path, capsys, "default", *flag_argv)
+        flags = self._sweep(tmp_path, capsys, "flags", *flag_argv, flag, repr(value))
+        config = self._sweep(tmp_path, capsys, "config",
+                             "--config", self._config(tmp_path, mode, {field: value}))
+        assert flags == config
+        assert flags[1]["consts"][field] == value
+        assert flags[0] != default[0]
+
+    @pytest.mark.parametrize("field", list(UNREAD_CONSTS))
+    def test_unread_field_rejected(self, tmp_path, capsys, field):
+        flag = UNREAD_CONSTS[field]
+        for command, base in PROBE_BASES.items():
+            code, _, err = run(capsys, command, *_argv(base), flag, "1.0")
+            assert code == 1
+            assert flag in json.loads(err)["message"]
+        path = self._config(tmp_path, "CALIBRATED", {field: 1.0})
+        code, _, err = run(capsys, "sweep", "--config", path)
+        assert code == 1
+        assert f"consts.{field}" in json.loads(err)["message"]
+
+
+def _options(command: str) -> list[str]:
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in sub.choices[command]._actions
+            if a.option_strings and a.dest != "help"]
+
+
+def _output(workdir, capsys, monkeypatch, argv) -> tuple:
+    """Exit code, stdout, stderr and written files of one run in a fresh
+    directory.  A sidecar's `consts` echo the input, so they are left out."""
+    workdir.mkdir()
+    for name, cfg in PROBE_CONFIGS.items():
+        (workdir / name).write_text(json.dumps(cfg))
+    monkeypatch.chdir(workdir)
+    result = run(capsys, *argv)
+    files = {}
+    for path in sorted(workdir.iterdir()):
+        if path.name.endswith(".meta.json"):
+            files[path.name] = json.loads(path.read_text())
+            del files[path.name]["consts"]
+        elif path.name not in PROBE_CONFIGS:
+            files[path.name] = path.read_text()
+    return result, files
+
+
+class TestOptionProbes:
+    """Every option of the experiment commands changes the output: a probe
+    pair of runs that differ only in that option must differ."""
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in PROBES for flag in _options(command)
+    ], ids=lambda v: v)
+    def test_option_changes_output(self, tmp_path, capsys, monkeypatch, command, flag):
+        assert flag in PROBES[command], f"{command} {flag} has no probe"
+        extra, a, b = PROBES[command][flag]
+        base = {} if extra == "config" else {**PROBE_BASES[command], **extra}
+        outputs = [
+            _output(tmp_path / side, capsys, monkeypatch,
+                    [command, *_argv({**base, flag: value})])
+            for side, value in (("a", a), ("b", b))
+        ]
+        assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize("command", list(PROBES))
+    def test_every_probe_is_an_option(self, command):
+        assert set(PROBES[command]) <= set(_options(command))
 
 
 class TestPhase:
@@ -219,10 +413,6 @@ class TestPhase:
         assert len(lines) == 5
 
 
-BASE_CONFIG = {
-    "shape": {"n1": 8, "n2": 8, "k1": 2, "k2": 2},
-    "p0": 0.25, "delta_grid": [0.1], "trials": 100, "seed": 1,
-}
 
 
 class TestMalformedNumbers:

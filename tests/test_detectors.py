@@ -64,6 +64,29 @@ class TestTotalDegree:
         with pytest.raises(ParameterError):
             total_degree(_mat([[0]]), 0.0)
 
+    def test_matches_closed_form(self):
+        for seed, (n1, n2) in enumerate([(1, 1), (3, 7), (16, 16), (40, 9)]):
+            for p0 in (0.1, 0.25, 0.5):
+                A = sample_null(ProblemShape(n1, n2, 1, 1), p0, seed)
+                want = (int(A.bits.sum()) - n1 * n2 * p0) / math.sqrt(n1 * n2 * p0 * (1 - p0))
+                assert total_degree(A, p0) == want
+
+
+class TestAxis:
+    @pytest.mark.parametrize("axis", [0, 3, -1])
+    def test_axis_domain(self, axis):
+        A = sample_null(ProblemShape(4, 4, 2, 2), 0.25, 1)
+        with pytest.raises(ParameterError):
+            truncated_degree(A, 0.25, 1.0, axis=axis)
+        with pytest.raises(ParameterError):
+            max_truncated_degree(A, 0.25, 1.0, k_scan=2, axis=axis)
+
+    def test_axis2_scans_the_transpose(self):
+        A = sample_null(ProblemShape(5, 8, 2, 2), 0.3, 4)
+        assert max_truncated_degree(A, 0.3, 0.5, k_scan=3, axis=2) == max_truncated_degree(
+            A.transpose(), 0.3, 0.5, k_scan=3, axis=1
+        )
+
 
 class TestTruncatedDegree:
     def test_all_zeros(self):

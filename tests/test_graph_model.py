@@ -17,6 +17,7 @@ from planted_bipartite import (
     sample_planted_uniform_support,
     write_matrix,
 )
+from planted_bipartite import rng
 from planted_bipartite.rng import batch_cell_uniforms, cell_uniforms
 
 
@@ -137,6 +138,21 @@ class TestUniformSupport:
         assert len(counts) == 6
         for key, c in counts.items():
             assert abs(c / n - 1 / 6) <= 4 * se
+
+
+    def test_draws_follow_the_seed_stream(self):
+        """Draw i of sample_subset is derive_seed(seed, tag, i): the
+        reference below runs the partial Fisher-Yates shuffle on it."""
+        gen = np.random.default_rng(3)
+        for _ in range(300):
+            seed = int(gen.integers(0, 2**63)) * 2 + int(gen.integers(0, 2))
+            n = int(gen.integers(1, 80))
+            k = int(gen.integers(0, n + 1))
+            idx = list(range(n))
+            for i in range(k):
+                j = i + ((rng.derive_seed(seed, rng.TAG_ROWS, i) * (n - i)) >> 64)
+                idx[i], idx[j] = idx[j], idx[i]
+            assert rng.sample_subset(seed, rng.TAG_ROWS, n, k) == tuple(sorted(idx[:k]))
 
 
 class TestIO:

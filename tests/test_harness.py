@@ -1,15 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
 from planted_bipartite import (
     BracketError,
+    BudgetError,
     ConfigError,
     DetectorKind,
     DetectorTag,
     ExperimentConfig,
     ProblemShape,
     RateConstants,
+    SignalConfig,
     ThresholdMode,
     ThresholdSpec,
     bisect_delta_star,
@@ -19,8 +22,9 @@ from planted_bipartite import (
     phase_diagram,
     power_sweep,
     rate_bundle,
+    sample_planted_uniform_support,
 )
-from planted_bipartite import detectors
+from planted_bipartite import detectors, harness, rng
 from planted_bipartite.detectors import resolve_threshold
 from planted_bipartite.harness import ResultRow, SweepResult, result_rows
 
@@ -194,6 +198,38 @@ class TestEmptySubgraph:
         res = empty_subgraph_diagnostic(ProblemShape(4, 3, 2, 1), 0.3, 2000, 5, row_variant=True)
         assert 0.0 <= res["mc_estimate"] <= 1.0
         assert res["mc_estimate"] <= min(1.0, res["union_bound"]) + 4 * res["mc_se"]
+
+    def test_budget_counts_row_subsets(self):
+        # C(20, 5) = 15,504 row subsets are scanned; C(20, 5) C(64, 5) blocks
+        # are far above the budget but never enumerated.
+        res = empty_subgraph_diagnostic(ProblemShape(20, 64, 5, 5), 0.25, 100, 6)
+        assert res["trials"] == 100
+        assert 0.0 <= res["mc_estimate"] <= 1.0
+        with pytest.raises(BudgetError):
+            empty_subgraph_diagnostic(ProblemShape(10, 4, 4, 2), 0.25, 100, 6, scan_budget=209)
+
+
+class TestTrialPipeline:
+    def test_planted_trials_match_sampler(self, monkeypatch):
+        """Trial j of the planted pass is the matrix the sampler draws from
+        seed derive_seed(seed, TAG_ALT) + j, across chunk boundaries."""
+        shape, p0, delta, seed, trials = ProblemShape(12, 10, 3, 4), 0.25, 0.5, 21, 40
+        monkeypatch.setattr(rng, "BATCH_BYTES", 8 * shape.n1 * shape.n2 * 16)  # 16 per chunk
+        seen = []
+        original = harness._batch_statistic
+
+        def record(bits, *args):
+            seen.extend(bits)
+            return original(bits, *args)
+
+        monkeypatch.setattr(harness, "_batch_statistic", record)
+        kind = DetectorKind(DetectorTag.TOTAL_DEGREE)
+        harness._planted_accept_count(kind, shape, p0, [delta], 0.0, trials, seed, 10**6)
+        assert len(seen) == trials
+        base = rng.derive_seed(seed, rng.TAG_ALT)
+        for j, bits in enumerate(seen, start=1):
+            A, _ = sample_planted_uniform_support(shape, SignalConfig(p0, delta), base + j)
+            assert np.array_equal(bits, A.bits), j
 
 
 class TestEmitResults:

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from planted_bipartite import rng
 from planted_bipartite import (
@@ -17,6 +18,7 @@ from planted_bipartite import (
     second_moment_summary,
     tv_exact,
 )
+from planted_bipartite.rates import log_binom
 
 
 class TestSecondMomentExact:
@@ -74,6 +76,46 @@ class TestExpBounds:
     def test_binomial_undefined_is_inf(self):
         _, b = second_moment_exp_bounds(ProblemShape(2, 4, 2, 1), 0.25, 0.1)
         assert math.isinf(b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_binomial_matches_reference(self, seed):
+        rnd = np.random.default_rng(seed)
+        for _ in range(50):
+            n1, n2 = (int(n) for n in rnd.choice([2, 3, 6, 10, 40, 1000], size=2))
+            k1 = int(rnd.integers(1, min(n1, 40) // 2 + 1))
+            k2 = int(rnd.integers(1, min(n2, 40) // 2 + 1))
+            p0 = float(rnd.choice([0.05, 0.25, 0.5]))
+            delta = float(rnd.uniform(0.0, 1.0 - p0))
+            shape = ProblemShape(n1, n2, k1, k2)
+            got = second_moment_exp_bounds(shape, p0, delta)[1]
+            assert got == _reference_exp_binomial(shape, p0, delta), (shape, p0, delta)
+
+    def test_binomial_finite_below_float_overflow(self):
+        # The log-space sum is 700.39: exp overflows to inf only above 709.78.
+        shape, p0, delta = ProblemShape(1000, 1000, 17, 17), 0.25, 0.7375
+        got = second_moment_exp_bounds(shape, p0, delta)[1]
+        assert got == _reference_exp_binomial(shape, p0, delta)
+        assert got == pytest.approx(1.497068e304, rel=1e-6)
+
+
+def _reference_exp_binomial(shape, p0, delta):
+    """E[exp(mu^2 X Y)] for X ~ Bin(k1, k1/(n1-k1)), Y ~ Bin(k2, k2/(n2-k2)):
+    the log-pmfs from log_binom and one log-space double sum, exponentiated
+    to inf only where math.exp overflows.  Requires 2 k <= n on each axis."""
+    mu2 = delta * delta / (p0 * (1.0 - p0))
+
+    def log_pmf(n, p):
+        if p == 1.0:
+            return np.where(np.arange(n + 1) == n, 0.0, -np.inf)
+        return np.array([log_binom(n, k) + k * math.log(p) + (n - k) * math.log1p(-p)
+                         for k in range(n + 1)])
+
+    k1, k2 = shape.k1, shape.k2
+    terms = (log_pmf(k1, k1 / (shape.n1 - k1))[:, None]
+             + log_pmf(k2, k2 / (shape.n2 - k2))[None, :]
+             + mu2 * np.outer(np.arange(k1 + 1), np.arange(k2 + 1)))
+    val = logsumexp(terms)
+    return math.exp(val) if val < math.log(np.finfo(float).max) else math.inf
 
 
 class TestRiskLowerBound:
