@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p0", type=float, required=True)
     s.add_argument("--detector", default="TOTAL_DEGREE")
     s.add_argument("--tau", type=float)
-    s.add_argument("--k1", type=int, help="scan size for max tests")
+    s.add_argument("--k1", type=int, help="scan size for max tests on either axis")
     s.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
     s.add_argument("--out")
 
@@ -208,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _detector_kind(name: str, tau, k_scan) -> DetectorKind:
+def _detector_kind(name: str, tau, k1, k2, flags=("--k1", "--k2")) -> DetectorKind:
+    """A max truncated scan takes k1 rows on axis 1 and k2 columns on axis 2;
+    `flags` name the options (or keys) they come from."""
     try:
         tag = DetectorTag[name.upper().replace("-", "_")]
     except KeyError:
@@ -218,8 +220,10 @@ def _detector_kind(name: str, tau, k_scan) -> DetectorKind:
     if tau is None:
         raise ParameterError(f"detector {tag.value} requires --tau")
     if tag in (DetectorTag.MAX_TRUNC_AXIS1, DetectorTag.MAX_TRUNC_AXIS2):
+        axis2 = tag is DetectorTag.MAX_TRUNC_AXIS2
+        k_scan = k2 if axis2 else k1
         if k_scan is None:
-            raise ParameterError(f"detector {tag.value} requires a scan size (--k1)")
+            raise ParameterError(f"detector {tag.value} requires a scan size ({flags[axis2]})")
         return DetectorKind(tag, tau=tau, k_scan=k_scan)
     return DetectorKind(tag, tau=tau)
 
@@ -256,7 +260,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_stat(args) -> int:
     A = read_matrix(args.matrix)
-    kind = _detector_kind(args.detector, args.tau, args.k1)
+    kind = _detector_kind(args.detector, args.tau, args.k1, args.k1, ("--k1",) * 2)
     if kind.tag is DetectorTag.DELTA_STAR:
         raise ParameterError("stat requires a concrete detector, not DELTA_STAR")
     value = statistic(A, args.p0, kind, args.budget)
@@ -266,7 +270,7 @@ def _cmd_stat(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     shape = _shape_from(args)
-    kind = _detector_kind(args.detector, args.tau, args.k1)
+    kind = _detector_kind(args.detector, args.tau, args.k1, args.k2)
     h = calibrate_threshold(
         kind, shape, args.p0, args.alpha, args.trials, args.seed,
         _consts_from(args), args.budget,
@@ -281,7 +285,7 @@ def _sweep_config(args, grid) -> ExperimentConfig:
         shape=shape,
         p0=args.p0,
         delta_grid=tuple(grid),
-        detector=_detector_kind(args.detector, args.tau, shape.k1),
+        detector=_detector_kind(args.detector, args.tau, shape.k1, shape.k2),
         threshold=ThresholdSpec(
             mode=ThresholdMode[args.threshold_mode],
             alpha=args.alpha,
@@ -456,11 +460,10 @@ def load_config(path) -> ExperimentConfig:
     if isinstance(doc.get("detector"), str):
         doc["detector"] = {"tag": doc["detector"]}
     _config_field(doc, "detector", False, kind="object")
-    detector = _detector_kind(
-        _config_field(doc, "detector.tag", False, "DELTA_STAR", "string"),
-        _config_field(doc, "detector.tau", False, None, "number"),
-        _config_field(doc, "detector.k_scan", False, None, "integer"),
-    )
+    tag = _config_field(doc, "detector.tag", False, "DELTA_STAR", "string")
+    tau = _config_field(doc, "detector.tau", False, None, "number")
+    k_scan = _config_field(doc, "detector.k_scan", False, None, "integer")
+    detector = _detector_kind(tag, tau, k_scan, k_scan, ("detector.k_scan",) * 2)
     seed = _config_field(doc, "seed", kind="seed")
     _config_field(doc, "threshold", False, kind="object")
     try:

@@ -348,12 +348,15 @@ def null_statistics(
     trials: int,
     seed: int,
     budget: int = DEFAULT_SUBSET_BUDGET,
+    tag: int = rng.TAG_CAL,
 ) -> np.ndarray:
-    """Statistic values over `trials` independent null draws, computed in
-    byte-bounded batches with per-trial derived seeds; order-deterministic."""
+    """Statistic values over `trials` independent null draws of the
+    (seed, tag) stream, computed in byte-bounded batches with per-trial
+    derived seeds; order-deterministic."""
+    cut = rng.below(p0)
     chunks = [
-        _batch_statistic((u < p0).astype(np.uint8), p0, kind, budget)
-        for _, u in rng.trial_uniforms(seed, rng.TAG_CAL, shape.n1, shape.n2, trials)
+        _batch_statistic((x < cut).view(np.uint8), p0, kind, budget)
+        for _, x in rng.trial_uniforms(seed, tag, shape.n1, shape.n2, trials)
     ]
     return np.concatenate(chunks) if chunks else np.empty(0)
 

@@ -6,7 +6,8 @@ planted alternative elevates the probability to ``p0 + delta`` exactly on a
 k1 x k2 block of vertex pairs (the least-favorable configuration).  Sampling
 uses one uniform per cell from a counter-based stream keyed on
 (seed, row, col), so matrices for different signal strengths but a shared
-seed are coupled entrywise.
+seed are coupled entrywise.  A uniform is a 53-bit word, and a cell is an
+edge when its word is below rng.below(p) of the cell's probability p.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .rng import TAG_COLS, TAG_ROWS, cell_uniforms, sample_subset
+from .rng import TAG_COLS, TAG_ROWS, below, cell_uniforms, sample_subset
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,7 @@ def sample_null(shape: ProblemShape, p0: float, seed: int) -> AdjacencyMatrix:
     """Bipartite Erdos-Renyi matrix: independent Bernoulli(p0) entries,
     a pure function of (shape, p0, seed)."""
     cfg = SignalConfig(p0, 0.0)
-    u = cell_uniforms(seed, shape.n1, shape.n2)
-    return AdjacencyMatrix(u < cfg.p0)
+    return AdjacencyMatrix(cell_uniforms(seed, shape.n1, shape.n2) < below(cfg.p0))
 
 
 def sample_planted(
@@ -133,10 +133,9 @@ def sample_planted(
     sample_null, so delta = 0 reproduces the null matrix bit-for-bit and
     larger delta dominates entrywise."""
     support.validate_for(shape)
-    u = cell_uniforms(seed, shape.n1, shape.n2)
-    p = np.full((shape.n1, shape.n2), cfg.p0)
-    p[np.ix_(support.K1, support.K2)] = cfg.p0 + cfg.delta
-    return AdjacencyMatrix(u < p)
+    m = np.full((shape.n1, shape.n2), below(cfg.p0), dtype=np.uint64)
+    m[np.ix_(support.K1, support.K2)] = below(cfg.p0 + cfg.delta)
+    return AdjacencyMatrix(cell_uniforms(seed, shape.n1, shape.n2) < m)
 
 
 def sample_planted_uniform_support(

@@ -29,12 +29,13 @@ from .detectors import (
     _batch_statistic,
     _subset_counts,
     _subset_indices,
+    null_statistics,
     resolve_threshold,
 )
 from .errors import BracketError, ConfigError, ParameterError
 from .graph_model import ProblemShape
 from .rates import RateBundle, RateConstants, log_binom, rate_bundle
-from .rng import TAG_ALT, TAG_COLS, TAG_NULL, TAG_ROWS, sample_subset, trial_uniforms
+from .rng import TAG_ALT, TAG_COLS, TAG_NULL, TAG_ROWS, below, sample_subset, trial_uniforms
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,8 @@ def _null_reject_count(
     kind: DetectorKind, shape: ProblemShape, p0: float, threshold: float,
     trials: int, seed: int, budget: int,
 ) -> int:
-    count = 0
-    for _, u in trial_uniforms(seed, TAG_NULL, shape.n1, shape.n2, trials):
-        stats = _batch_statistic((u < p0).astype(np.uint8), p0, kind, budget)
-        count += int((stats > threshold).sum())
-    return count
+    stats = null_statistics(kind, shape, p0, trials, seed, budget, tag=TAG_NULL)
+    return int((stats > threshold).sum())
 
 
 def _planted_accept_count(
@@ -97,16 +95,18 @@ def _planted_accept_count(
     trials: int, seed: int, budget: int,
 ) -> list[int]:
     """Planted trials accepted at each of `deltas`.  Each chunk's uniforms
-    and supports are drawn once; only the block probability changes."""
+    and supports are drawn once; only the block's cut changes."""
     counts = [0] * len(deltas)
-    for seeds, u in trial_uniforms(seed, TAG_ALT, shape.n1, shape.n2, trials):
-        blocks = [np.ix_(sample_subset(s, TAG_ROWS, shape.n1, shape.k1),
-                         sample_subset(s, TAG_COLS, shape.n2, shape.k2)) for s in seeds.tolist()]
-        p = np.full_like(u, p0)
-        for i, delta in enumerate(deltas):
-            for t, block in enumerate(blocks):
-                p[t][block] = p0 + delta
-            stats = _batch_statistic((u < p).astype(np.uint8), p0, kind, budget)
+    cuts = [below(p0 + delta) for delta in deltas]
+    for seeds, x in trial_uniforms(seed, TAG_ALT, shape.n1, shape.n2, trials):
+        supports = [(sample_subset(s, TAG_ROWS, shape.n1, shape.k1),
+                     sample_subset(s, TAG_COLS, shape.n2, shape.k2)) for s in seeds.tolist()]
+        rows, cols = (np.array(K, dtype=np.intp) for K in zip(*supports))
+        block = (np.arange(len(supports))[:, None, None], rows[:, :, None], cols[:, None, :])
+        m = np.full(x.shape, below(p0), dtype=np.uint64)
+        for i, cut in enumerate(cuts):
+            m[block] = cut
+            stats = _batch_statistic((x < m).view(np.uint8), p0, kind, budget)
             counts[i] += int((stats <= threshold).sum())
     return counts
 
@@ -232,9 +232,10 @@ def empty_subgraph_diagnostic(
 
     subsets = _subset_indices(n1, k1, scan_budget)
     hits = 0
-    for _, u in trial_uniforms(seed, TAG_NULL, n1, n2, trials):
-        found = np.zeros(u.shape[0], dtype=bool)
-        for block, counts in _subset_counts(u < p0, subsets):
+    cut = below(p0)
+    for _, x in trial_uniforms(seed, TAG_NULL, n1, n2, trials):
+        found = np.zeros(x.shape[0], dtype=bool)
+        for block, counts in _subset_counts(x < cut, subsets):
             if row_variant:
                 # All k1 chosen rows empty across every column.
                 found[block] |= (counts.sum(axis=2) == 0).any(axis=1)

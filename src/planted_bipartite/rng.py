@@ -8,11 +8,21 @@ hashing with the murmur3 64-bit finalizer.  This gives:
 - a common-uniform-variate coupling across signal strengths (the same cell
   always sees the same uniform), and
 - cheap vectorized generation with numpy uint64 arithmetic.
+
+A cell's uniform is its 53-bit word x = fmix64(...) >> 11, standing for
+u = x / 2^53 in [0, 1).  An edge is the event u < p, decided on the word as
+x < below(p) with below(p) = ceil(p * 2^53): x * 2^-53 is exact, scaling by
+a power of two is exact, and an integer lies below a real exactly when it
+lies below the real's ceiling.  Only this module knows the word width.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import ParameterError
 
 _MASK = (1 << 64) - 1
 _M1 = 0xFF51AFD7ED558CCD
@@ -26,9 +36,9 @@ TAG_NULL = 0x27D4EB2F165667C5
 TAG_ALT = 0x85EBCA77C2B2AE63
 TAG_CAL = 0xD6E8FEB86659FD93
 
-# Bytes of float64 per batch.  Every trial chunk and every subset block is
-# sized from this one budget (below a 2 MiB L2 cache), so memory does not
-# grow with the trial count.
+# Bytes per batch, 8 per uniform word.  Every trial chunk and every subset
+# block is sized from this one budget (below a 2 MiB L2 cache), so memory
+# does not grow with the trial count.
 BATCH_BYTES = 512 * 1024
 
 
@@ -51,6 +61,16 @@ def derive_seed(seed: int, *parts: int) -> int:
     return h
 
 
+def below(p: float) -> int:
+    """Integer cut m = ceil(p * 2^53), 0 for p <= 0 and 2^53 for p >= 1:
+    a word x is below m exactly when its uniform x / 2^53 is below p."""
+    if not p > 0.0:
+        return 0
+    if p >= 1.0:
+        return 1 << 53
+    return math.ceil(math.ldexp(p, 53))
+
+
 def _mix64_array(x: np.ndarray) -> np.ndarray:
     z = x.astype(np.uint64, copy=True)
     z ^= z >> np.uint64(33)
@@ -62,36 +82,58 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
 
 
 def cell_uniforms(seed: int, n1: int, n2: int) -> np.ndarray:
-    """(n1, n2) array of uniforms in [0, 1); entry (r, c) depends only on
-    (seed, r, c)."""
+    """(n1, n2) array of uniform words in [0, 2^53); entry (r, c) depends
+    only on (seed, r, c)."""
     return _uniform_grid(np.array(derive_seed(seed, TAG_EDGE), dtype=np.uint64), n1, n2)
 
 
-def batch_cell_uniforms(seeds: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """(T, n1, n2) uniforms for a batch of per-trial seeds (uint64)."""
+def batch_cell_uniforms(
+    seeds: np.ndarray, n1: int, n2: int, out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """(T, n1, n2) uniform words for a batch of per-trial seeds (uint64).
+    `out` and `scratch`, uint64 arrays of that shape, let a caller reuse
+    memory across batches; the words are written into `out`."""
     bases = _mix64_array(_mix64_array(seeds.astype(np.uint64)) ^ np.uint64(TAG_EDGE & _MASK))
-    return _uniform_grid(bases, n1, n2)
+    return _uniform_grid(bases, n1, n2, out, scratch)
 
 
-def _uniform_grid(bases: np.ndarray, n1: int, n2: int) -> np.ndarray:
-    """Uniforms of shape bases.shape + (n1, n2): cell (r, c) of the matrix
-    with edge-stream base b hashes b with r + 1, then with c + 1."""
+def _uniform_grid(
+    bases: np.ndarray, n1: int, n2: int, out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Words of shape bases.shape + (n1, n2): cell (r, c) of the matrix with
+    edge-stream base b is the top 53 bits of fmix64(fmix64(b ^ (r + 1)) ^
+    (c + 1)).  The grid is mixed in place in `out` with one scratch array."""
+    if n2 >= 1 << 33:
+        raise ParameterError(f"n2={n2} must be below 2^33")
     rows = _mix64_array(bases[..., None] ^ np.arange(1, n1 + 1, dtype=np.uint64))
-    grid = _mix64_array(rows[..., None] ^ np.arange(1, n2 + 1, dtype=np.uint64))
-    # Top 53 bits -> float64 in [0, 1).
-    return (grid >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    # fmix64's first step z ^= z >> 33 is the row's own: (r ^ (c + 1)) >> 33
+    # equals r >> 33 while c + 1 < 2^33.
+    rows ^= rows >> np.uint64(33)
+    z = np.bitwise_xor(rows[..., None], np.arange(1, n2 + 1, dtype=np.uint64), out=out)
+    scratch = np.empty_like(z) if scratch is None else scratch
+    for m in (_M1, _M2):
+        z *= np.uint64(m)
+        np.right_shift(z, np.uint64(33), out=scratch)
+        z ^= scratch
+    z >>= np.uint64(11)
+    return z
 
 
 def trial_uniforms(seed: int, tag: int, n1: int, n2: int, trials: int):
-    """Yield (trial_seeds, uniforms) for trials 1..trials of the (seed, tag)
-    stream, as many trials per chunk as BATCH_BYTES of float64 uniforms hold
-    (at least one).  Trial i has seed derive_seed(seed, tag) + i (mod 2^64),
-    so its uniforms do not depend on the chunking."""
+    """Yield (trial_seeds, words) for trials 1..trials of the (seed, tag)
+    stream, as many trials per chunk as BATCH_BYTES of 8-byte uniform words
+    hold (at least one).  Trial i has seed derive_seed(seed, tag) + i
+    (mod 2^64), so its words do not depend on the chunking.  Every chunk's
+    words are written into one buffer, so each chunk overwrites the last."""
     base = np.uint64(derive_seed(seed, tag))
     chunk = max(1, BATCH_BYTES // (8 * n1 * n2))
+    out, scratch = np.empty((2, min(chunk, max(trials, 0)), n1, n2), dtype=np.uint64)
     for lo in range(0, trials, chunk):
         seeds = base + np.arange(lo + 1, min(lo + chunk, trials) + 1, dtype=np.uint64)
-        yield seeds, batch_cell_uniforms(seeds, n1, n2)
+        t = len(seeds)
+        yield seeds, batch_cell_uniforms(seeds, n1, n2, out[:t], scratch[:t])
 
 
 def sample_subset(seed: int, tag: int, n: int, k: int) -> tuple[int, ...]:

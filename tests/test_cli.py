@@ -7,7 +7,7 @@ import pytest
 
 from planted_bipartite import detectors
 from planted_bipartite.cli import build_parser, dispatch
-from planted_bipartite.graph_model import read_matrix
+from planted_bipartite.graph_model import ProblemShape, read_matrix
 
 
 def run(capsys, *argv):
@@ -114,6 +114,25 @@ class TestCalibrate:
                            "--seed", "3")
         assert code == 0
         assert out.startswith("threshold ")
+
+    @pytest.mark.parametrize("k1,k2", [(2, 5), (5, 2)])
+    def test_axis2_scan_size_is_k2(self, capsys, k1, k2):
+        code, out, _ = run(capsys, "calibrate", "--n1", "8", "--n2", "12", "--k1", str(k1),
+                           "--k2", str(k2), "--p0", "0.25", "--detector", "MAX_TRUNC_AXIS2",
+                           "--tau", "1", "--trials", "200", "--seed", "1")
+        assert code == 0
+        kind = detectors.DetectorKind(detectors.DetectorTag.MAX_TRUNC_AXIS2, tau=1.0, k_scan=k2)
+        expected = detectors.calibrate_threshold(
+            kind, ProblemShape(8, 12, k1, k2), 0.25, 0.1, 200, 1
+        )
+        assert out.split() == ["threshold", format(expected, ".17g")]
+
+    def test_axis2_scan_needs_k2(self, capsys):
+        code, _, err = run(capsys, "calibrate", "--n1", "8", "--n2", "12", "--k1", "2",
+                           "--p0", "0.25", "--detector", "MAX_TRUNC_AXIS2", "--tau", "1",
+                           "--trials", "200", "--seed", "1")
+        assert code == 1
+        assert "(--k2)" in json.loads(err)["message"]
 
 
 class TestSweep:
@@ -397,6 +416,21 @@ class TestOptionProbes:
             for side, value in (("a", a), ("b", b))
         ]
         assert outputs[0] != outputs[1]
+
+    @pytest.mark.parametrize("command", ["calibrate", "risk", "sweep"])
+    def test_k2_probe_under_axis2_scan(self, tmp_path, capsys, monkeypatch, command):
+        """The `--k2` probe above runs the composite detector.  Under
+        MAX_TRUNC_AXIS2, --k2 is the scan size: it changes the output, and
+        risk and sweep record it as k_scan."""
+        base = {**PROBE_BASES[command], "--detector": "MAX_TRUNC_AXIS2", "--tau": "1.0"}
+        outputs = {
+            k2: _output(tmp_path / k2, capsys, monkeypatch, [command, *_argv({**base, "--k2": k2})])
+            for k2 in ("4", "2")
+        }
+        assert outputs["4"] != outputs["2"]
+        for k2, (_, files) in outputs.items():
+            if command != "calibrate":
+                assert files["r.csv.meta.json"]["k_scan"] == int(k2)
 
     @pytest.mark.parametrize("command", list(PROBES))
     def test_every_probe_is_an_option(self, command):

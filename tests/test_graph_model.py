@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from planted_bipartite import (
     AdjacencyMatrix,
@@ -53,6 +54,24 @@ class TestTypes:
             AdjacencyMatrix(np.array([[0, 2]]))
 
 
+def _reference_uniforms(seed: int, n1: int, n2: int) -> np.ndarray:
+    """Float uniforms (fmix64(fmix64(b ^ (r + 1)) ^ (c + 1)) >> 11) * 2^-53
+    of the edge stream's base b, cell by cell with Python integers."""
+    base = rng.derive_seed(seed, rng.TAG_EDGE)
+    words = [[rng.mix64(rng.mix64(base ^ (r + 1)) ^ (c + 1)) >> 11 for c in range(n2)]
+             for r in range(n1)]
+    return np.array(words, dtype=np.uint64).astype(np.float64) * (1.0 / (1 << 53))
+
+
+# Probabilities at which the float and word comparisons could part: the
+# ends, the smallest subnormal, one word's width, and sums that round.
+EDGE_PROBABILITIES = [0.0, 5e-324, 2.0**-53, 1.0 - 2.0**-53, 1.0, 0.25 + 0.75,
+                      0.25 + 0.7375, 0.1 + 0.2, -0.5, 1.5]
+
+_seeds = st.integers(0, 2**64 - 1)
+_sides = st.integers(1, 6)
+
+
 class TestCellUniforms:
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63, 2**64 - 1])
     def test_single_equals_batch(self, seed):
@@ -60,6 +79,68 @@ class TestCellUniforms:
         batch = batch_cell_uniforms(np.array([seed], dtype=np.uint64), 5, 7)
         assert one.shape == (5, 7)
         assert np.array_equal(one, batch[0])
+
+    @given(_seeds, _sides, _sides)
+    @example(0, 1, 1)
+    @example(2**64 - 1, 1, 6)
+    @example(12345, 6, 1)
+    def test_words_are_the_reference_uniforms(self, seed, n1, n2):
+        """A word times 2^-53 is the float uniform, bit for bit."""
+        words = cell_uniforms(seed, n1, n2)
+        assert words.dtype == np.uint64 and words.shape == (n1, n2)
+        assert (words < 2**53).all()
+        ref = _reference_uniforms(seed, n1, n2)
+        assert np.array_equal((words.astype(np.float64) * 2.0**-53).view(np.uint64),
+                              ref.view(np.uint64))
+
+    @given(st.lists(_seeds, min_size=1, max_size=4), _sides, _sides)
+    @example([0, 2**64 - 1], 1, 1)
+    def test_batch_words_are_the_reference_uniforms(self, seeds, n1, n2):
+        batch = batch_cell_uniforms(np.array(seeds, dtype=np.uint64), n1, n2)
+        for words, seed in zip(batch, seeds):
+            ref = _reference_uniforms(seed, n1, n2)
+            assert np.array_equal(words.astype(np.float64) * 2.0**-53, ref)
+
+    def test_column_bound_guarded(self):
+        """A cell's first xor-shift is its row's only while n2 < 2^33; the
+        bound is checked before anything is allocated."""
+        with pytest.raises(ParameterError, match="2\\^33"):
+            cell_uniforms(0, 1, 2**33)
+
+    def test_trial_chunks_are_fresh_batches(self, monkeypatch):
+        """trial_uniforms reuses one buffer; each chunk's words, read before
+        the next chunk, are those of a fresh batch of its seeds."""
+        monkeypatch.setattr(rng, "BATCH_BYTES", 8 * 3 * 5 * 4)  # 4 trials per chunk
+        sizes = []
+        for seeds, words in rng.trial_uniforms(7, rng.TAG_CAL, 3, 5, 10):
+            sizes.append(len(seeds))
+            assert np.array_equal(words, batch_cell_uniforms(seeds, 3, 5))
+        assert sizes == [4, 4, 2]
+
+
+class TestBelow:
+    @staticmethod
+    def _agrees(p: float) -> None:
+        m = rng.below(p)
+        assert 0 <= m <= 2**53
+        xs = [x for x in (m - 1, m, m + 1) if 0 <= x < 2**53]
+        words = np.array(xs, dtype=np.uint64)
+        floats = words.astype(np.float64) * 2.0**-53
+        assert ((words < m) == (floats < p)).all()
+        assert [x < m for x in xs] == [x * 2.0**-53 < p for x in xs]
+
+    @pytest.mark.parametrize("p", EDGE_PROBABILITIES)
+    def test_edge_probabilities(self, p):
+        self._agrees(p)
+
+    @given(st.floats(-0.5, 1.5, allow_nan=False))
+    def test_word_cut_equals_float_comparison(self, p):
+        self._agrees(p)
+
+    def test_ends(self):
+        assert rng.below(0.0) == 0 and rng.below(-1.0) == 0
+        assert rng.below(1.0) == 2**53 and rng.below(2.0) == 2**53
+        assert rng.below(5e-324) == 1 and rng.below(0.5) == 2**52
 
 
 class TestSampling:
@@ -103,6 +184,27 @@ class TestSampling:
         lo = sample_planted(shape, SignalConfig(0.2, 0.1), sup, 9)
         hi = sample_planted(shape, SignalConfig(0.2, 0.5), sup, 9)
         assert np.all(hi.bits >= lo.bits)
+
+    @pytest.mark.parametrize("p0", [0.0, 0.25, 0.3, 1.0])
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_null_equals_float_construction(self, p0, seed):
+        shape = ProblemShape(6, 7, 2, 3)
+        A = sample_null(shape, p0, seed)
+        assert np.array_equal(A.bits, _reference_uniforms(seed, 6, 7) < p0)
+
+    @pytest.mark.parametrize("p0", [0.0, 0.25, 0.3, 1.0])
+    @pytest.mark.parametrize("share", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+    def test_planted_equals_float_construction(self, p0, share, seed):
+        """delta = share * (1 - p0) includes delta = 1 - p0, where the block
+        probability p0 + delta may round."""
+        shape = ProblemShape(6, 7, 2, 3)
+        cfg = SignalConfig(p0, share * (1.0 - p0))
+        support = PlantedSupport((1, 4), (0, 2, 6))
+        A = sample_planted(shape, cfg, support, seed)
+        p = np.full((6, 7), cfg.p0)
+        p[np.ix_(support.K1, support.K2)] = cfg.p0 + cfg.delta
+        assert np.array_equal(A.bits, _reference_uniforms(seed, 6, 7) < p)
 
     def test_support_out_of_range(self):
         shape = ProblemShape(4, 4, 2, 2)
