@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import sys
 
 from . import lower_bound
@@ -385,7 +386,7 @@ def _cmd_phase(args) -> int:
 
 # JSON kind -> (Python types, description in error messages).
 _JSON_KINDS = {
-    "number": ((int, float), "a JSON number"),
+    "number": ((int, float), "a finite JSON number"),
     "integer": (int, "a JSON integer"),
     "seed": (int, "an integer in [0, 2^64)"),
     "string": (str, "a JSON string"),
@@ -415,6 +416,7 @@ def _is_json(value, kind: str) -> bool:
         not isinstance(value, bool)
         and isinstance(value, _JSON_KINDS[kind][0])
         and (kind != "seed" or 0 <= value < _SEED_LIMIT)
+        and (kind != "number" or isinstance(value, int) or math.isfinite(value))
     )
 
 

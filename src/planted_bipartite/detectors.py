@@ -8,10 +8,10 @@ Three statistics are implemented:
   standardized count exceeds tau (kernel Bin(n1, p0) for axis 1);
 - max truncated degree: the same column statistic computed from row subsets
   of size k_scan (kernel Bin(k_scan, p0)), maximized by exact enumeration
-  over all subsets.  Subset column counts come from BLAS matrix products,
-  in blocks of (trials, subsets, columns) bounded by rng.BATCH_BYTES, and
-  each count is scored by one lookup in a contribution table.  The table
-  and the subset enumeration are built once per run and cached read-only.
+  over all subsets.  One kernel, _scan_max, forms subset column counts by
+  BLAS products in (trials, subsets, columns) blocks within rng.BATCH_BYTES
+  and scores each by a table lookup; the empty-subgraph diagnostic runs it
+  too.  Tables and subset enumerations are built once, cached read-only.
 
 Thresholds come either from closed-form expressions with configurable
 constants (ANALYTIC) or from the empirical (1 - alpha)-quantile of the
@@ -71,8 +71,8 @@ class DetectorKind:
             raise ParameterError(f"tau must be given exactly for truncated tests, tag={self.tag}")
         if (self.k_scan is not None) != (self.tag in _MAX_TAGS):
             raise ParameterError(f"k_scan must be given exactly for max tests, tag={self.tag}")
-        if self.tau is not None and self.tau < 0:
-            raise ParameterError(f"tau must be nonnegative, got {self.tau}")
+        if self.tau is not None and not 0.0 <= self.tau < math.inf:
+            raise ParameterError(f"tau must be finite and nonnegative, got {self.tau}")
         if self.k_scan is not None and self.k_scan < 1:
             raise ParameterError(f"k_scan must be a positive integer, got {self.k_scan}")
 
@@ -95,6 +95,8 @@ class ThresholdSpec:
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.mode is ThresholdMode.CALIBRATED and self.trials < 100:
             raise ParameterError(f"calibration needs trials >= 100, got {self.trials}")
+        if self.value is not None and math.isnan(self.value):
+            raise ParameterError("threshold value must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -157,8 +159,8 @@ def _contribution_table(n: int, p0: float, tau: float) -> np.ndarray:
     the column contribution of a count under kernel Bin(n, p0).  Cached, so
     the array is read-only."""
     _check_p0(p0)
-    if tau < 0:
-        raise ParameterError(f"tau must be nonnegative, got {tau}")
+    if not 0.0 <= tau < math.inf:
+        raise ParameterError(f"tau must be finite and nonnegative, got {tau}")
     kern = bk.BennettKernel(n, p0)
     k_min = bk.z_threshold_to_count(tau, kern)
     nu_tau = bk.nu(tau, kern)
@@ -186,10 +188,10 @@ def _subset_indices(n: int, k: int, budget: int) -> np.ndarray:
     return idx
 
 
-def _subset_counts(bits: np.ndarray, subsets: np.ndarray):
-    """Yield (block, counts) pairs covering bits (T, n, n2) x subsets (S, k):
-    counts[t, s, j] is the number of ones in column j of trial block[t] over
-    the rows subsets[s], for one run of consecutive subsets.
+def _scan_max(bits: np.ndarray, f: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """bits (T, n, n2), column scores f (k + 1,), subsets (S, k); returns
+    (T,): per trial, the maximum over the row subsets of sum_j f[count_j],
+    where count_j is the number of ones in column j over the subset's rows.
 
     Each run's float32 indicator rows (subsets, n) and each block of
     (trials, subsets, n2) counts fit rng.BATCH_BYTES, so many subsets split
@@ -201,13 +203,16 @@ def _subset_counts(bits: np.ndarray, subsets: np.ndarray):
     block_subsets = max(1, min(len(subsets), cells, rng.BATCH_BYTES // (4 * n)))
     block_trials = max(1, cells // block_subsets)
     b = bits.astype(np.float32)
+    out = np.full(T, -np.inf)
     for s in range(0, len(subsets), block_subsets):
         idx = subsets[s : s + block_subsets]
         rows = np.zeros((len(idx), n), dtype=np.float32)
         np.put_along_axis(rows, idx, 1.0, axis=1)
         for lo in range(0, T, block_trials):
             block = slice(lo, min(lo + block_trials, T))
-            yield block, np.matmul(rows, b[block]).astype(np.intp)
+            counts = np.matmul(rows, b[block]).astype(np.intp)
+            np.maximum(out[block], np.take(f, counts).sum(axis=-1).max(axis=1), out=out[block])
+    return out
 
 
 def _batch_max_truncated(
@@ -218,11 +223,7 @@ def _batch_max_truncated(
     if k_scan > n1:
         raise ParameterError(f"k_scan={k_scan} exceeds row count {n1}")
     f = _contribution_table(k_scan, p0, tau)
-    subsets = _subset_indices(n1, k_scan, budget)
-    out = np.full(bits.shape[0], -np.inf)
-    for block, counts in _subset_counts(bits, subsets):
-        np.maximum(out[block], np.take(f, counts).sum(axis=-1).max(axis=1), out=out[block])
-    return out
+    return _scan_max(bits, f, _subset_indices(n1, k_scan, budget))
 
 
 def statistic(

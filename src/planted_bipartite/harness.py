@@ -3,10 +3,10 @@
 Estimates Type I / Type II error of a detector over many seeded trials,
 sweeps a grid of signal strengths, bisects for the empirical separation
 level, evaluates rate bundles over shape grids, and runs the empty-subgraph
-diagnostics.  Everything is a pure function of (config, seed): per-trial
-seeds are derived from the experiment seed and trial index, so results are
-identical for any batch size, and the same uniforms drive every point of
-a delta grid (common random numbers).  Trials arrive in chunks of at most
+diagnostics through the detectors' subset scan.  Everything is a pure
+function of (config, seed): per-trial seeds are derived from the experiment
+seed and trial index, so results are identical for any batch size, and the
+same uniforms drive every point of a delta grid (common random numbers).  Trials arrive in chunks of at most
 rng.BATCH_BYTES of uniforms, so memory does not grow with the trial count.
 The threshold and the Type I error are computed once per sweep and once
 per bisection, and `SweepResult` carries the resolved detector and
@@ -27,7 +27,7 @@ from .detectors import (
     DetectorKind,
     ThresholdSpec,
     _batch_statistic,
-    _subset_counts,
+    _scan_max,
     _subset_indices,
     null_statistics,
     resolve_threshold,
@@ -117,8 +117,6 @@ def _resolve(cfg: ExperimentConfig) -> tuple[DetectorKind, float, int]:
     kind, threshold = resolve_threshold(
         cfg.detector, cfg.shape, cfg.p0, cfg.threshold, cfg.consts, cfg.budget
     )
-    if math.isinf(threshold):  # degenerate detectors never / always reject
-        return kind, threshold, 0 if threshold > 0 else cfg.trials
     return kind, threshold, _null_reject_count(
         kind, cfg.shape, cfg.p0, threshold, cfg.trials, cfg.seed, cfg.budget
     )
@@ -128,12 +126,9 @@ def _evaluate(cfg: ExperimentConfig, resolved: tuple, deltas: list[float]) -> li
     """Risk estimates at each of `deltas` for a config resolved by _resolve."""
     kind, threshold, r1 = resolved
     n = cfg.trials
-    if math.isinf(threshold):
-        accepts = [n - r1] * len(deltas)
-    else:
-        accepts = _planted_accept_count(
-            kind, cfg.shape, cfg.p0, deltas, threshold, n, cfg.seed, cfg.budget
-        )
+    accepts = _planted_accept_count(
+        kind, cfg.shape, cfg.p0, deltas, threshold, n, cfg.seed, cfg.budget
+    )
     se1 = _proportion_se(r1 / n, n)
     return [RiskEstimate(r1 / n, r2 / n, se1, _proportion_se(r2 / n, n), n) for r2 in accepts]
 
@@ -230,18 +225,15 @@ def empty_subgraph_diagnostic(
         log_ub = log_binom(n1, k1) + log_binom(n2, k2) + k1 * k2 * log_q
     union_bound = min(1.0, math.exp(log_ub)) if log_ub < 0 else 1.0
 
+    # One point per edge-free column: some k1 rows score >= k2 exactly when
+    # an empty block exists, and n2 exactly when k1 rows are isolated.
+    empty = np.where(np.arange(k1 + 1) == 0, 1.0, 0.0)
+    need = n2 if row_variant else k2
     subsets = _subset_indices(n1, k1, scan_budget)
     hits = 0
     cut = below(p0)
     for _, x in trial_uniforms(seed, TAG_NULL, n1, n2, trials):
-        found = np.zeros(x.shape[0], dtype=bool)
-        for block, counts in _subset_counts(x < cut, subsets):
-            if row_variant:
-                # All k1 chosen rows empty across every column.
-                found[block] |= (counts.sum(axis=2) == 0).any(axis=1)
-            else:
-                found[block] |= ((counts == 0).sum(axis=2) >= k2).any(axis=1)
-        hits += int(found.sum())
+        hits += int((_scan_max(x < cut, empty, subsets) >= need).sum())
     mc = hits / trials
     return {
         "union_bound": union_bound,

@@ -180,7 +180,7 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
         raise BudgetError(f"2^{cells} matrices exceed the 2^{TV_BUDGET_BITS} budget")
     # delta may exceed 1 - p0 by the rounding slack _check_signal allows.
     p1 = min(p0 + delta, 1.0)
-    # Degenerate edge probabilities need explicit masses, not log products.
+    # Only log(1 - p1) can be -inf (p1 = 1); it needs explicit zero masses.
     with np.errstate(divide="ignore"):
         lp0, lq0 = np.log(p0), np.log(1.0 - p0)
         lp1, lq1 = np.log(p1), np.log(1.0 - p1)
@@ -188,19 +188,17 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     def log_vectors(planted: np.ndarray):
         """(a, b, impossible) for a support: a matrix's log-probability is
         bits @ a + (1 - bits) @ b, and it has zero mass where
-        bits @ impossible[0] + (1 - bits) @ impossible[1] > 0 (None when no
-        cell value is impossible)."""
-        a = np.where(planted, lp1, lp0)
+        (1 - bits) @ impossible > 0 (None when no cell value is impossible)."""
         b = np.where(planted, lq1, lq0)
-        ia, ib = np.isneginf(a), np.isneginf(b)
-        impossible = (ia.astype(float), ib.astype(float)) if ia.any() or ib.any() else None
-        return np.where(ia, 0.0, a), np.where(ib, 0.0, b), impossible
+        ib = np.isneginf(b)
+        impossible = ib.astype(float) if ib.any() else None
+        return np.where(planted, lp1, lp0), np.where(ib, 0.0, b), impossible
 
     def matrix_probs(on: np.ndarray, off: np.ndarray, vectors) -> np.ndarray:
         a, b, impossible = vectors
         out = np.exp(on @ a + off @ b)
         if impossible is not None:
-            out[on @ impossible[0] + off @ impossible[1] > 0] = 0.0
+            out[off @ impossible > 0] = 0.0
         return out
 
     null = log_vectors(np.zeros(cells, dtype=bool))

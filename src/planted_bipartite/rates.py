@@ -46,8 +46,9 @@ class RateConstants:
 
     def __post_init__(self):
         for name in ("C_phi", "c1", "c_delta", "C_delta", "C_eta", "C_star", "c_prime", "C_tau"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ParameterError(f"{name} must be finite and positive, got {value}")
         if self.c_delta > self.C_delta:
             raise ParameterError(
                 f"c_delta={self.c_delta} must not exceed C_delta={self.C_delta}"

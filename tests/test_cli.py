@@ -449,6 +449,10 @@ class TestPhase:
 
 
 
+_CAL_16 = ["--n1", "16", "--n2", "16", "--k1", "4", "--k2", "4", "--p0", "0.25",
+           "--trials", "200", "--seed", "1"]
+
+
 class TestMalformedNumbers:
     """A malformed number on the command line or in a JSON config is a usage
     error: one JSON line on stderr and exit code 1, not a traceback."""
@@ -474,10 +478,24 @@ class TestMalformedNumbers:
         ([], {"seed": -1}),
         ([], {"seed": 2**64}),
         ([], {"threshold": {"seed": -1}}),
+        # NaN passes `< 0` and `<= 0` checks, and inf passes both.
+        (["calibrate", *_CAL_16, "--detector", "TRUNC_DEGREE_AXIS1", "--tau", "nan"], None),
+        (["calibrate", *_CAL_16, "--detector", "TRUNC_DEGREE_AXIS1", "--tau", "inf"], None),
+        (["calibrate", *_CAL_16, "--C-tau", "nan"], None),
+        (["risk", "--n1", "16", "--n2", "16", "--k1", "4", "--k2", "4", "--p0", "0.25",
+          "--delta", "0.3", "--trials", "200", "--seed", "1", "--threshold-mode", "ANALYTIC",
+          "--C-star", "nan"], None),
+        (["rates", "--n1", "100", "--n2", "100", "--k1", "10", "--k2", "10",
+          "--c-phi", "nan"], None),
+        ([], {"consts": {"C_star": math.nan}}),
+        ([], {"detector": {"tag": "TRUNC_DEGREE_AXIS1", "tau": math.inf}}),
+        ([], {"threshold": {"value": math.nan}}),
     ], ids=["risk-delta", "sweep-delta", "phase-n1", "p0", "trials", "seed",
             "threshold-alpha", "consts", "delta-grid", "detector-tau",
             "calibrate-seed-negative", "risk-seed-2^64", "seed-negative", "seed-2^64",
-            "threshold-seed-negative"])
+            "threshold-seed-negative", "calibrate-tau-nan", "calibrate-tau-inf",
+            "calibrate-C-tau-nan", "risk-C-star-nan", "rates-c-phi-nan",
+            "consts-C-star-nan", "detector-tau-inf", "threshold-value-nan"])
     def test_usage_error(self, tmp_path, capsys, argv, config):
         if config is not None:
             path = tmp_path / "cfg.json"

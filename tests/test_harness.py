@@ -1,7 +1,9 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from planted_bipartite import (
     BracketError,
@@ -207,6 +209,51 @@ class TestEmptySubgraph:
         assert 0.0 <= res["mc_estimate"] <= 1.0
         with pytest.raises(BudgetError):
             empty_subgraph_diagnostic(ProblemShape(10, 4, 4, 2), 0.25, 100, 6, scan_budget=209)
+
+
+@st.composite
+def _small_shapes(draw):
+    n1, n2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return ProblemShape(n1, n2, draw(st.integers(1, n1)), draw(st.integers(1, n2)))
+
+
+def _brute_force_hits(shape, p0, trials, seed, row_variant):
+    """Trials whose TAG_NULL matrix has an all-zero k1 x k2 block (k1 rows
+    with no edge at all for row_variant), testing every k1-row subset."""
+    base = rng.derive_seed(seed, rng.TAG_NULL)
+    need = shape.n2 if row_variant else shape.k2
+    hits = 0
+    for i in range(1, trials + 1):
+        bits = rng.cell_uniforms((base + i) % 2**64, shape.n1, shape.n2) < rng.below(p0)
+        hits += any(
+            int((~bits[list(rows)].any(axis=0)).sum()) >= need
+            for rows in combinations(range(shape.n1), shape.k1)
+        )
+    return hits
+
+
+class TestEmptySubgraphExact:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        shape=_small_shapes(),
+        p0=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        row_variant=st.booleans(),
+        chunk=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # C(6, 3) = 20 subsets exceed 2 * n1 = 12: the subset runs and the trial
+    # blocks inside each 2-trial chunk both split.
+    @example(shape=ProblemShape(6, 4, 3, 2), p0=0.5, row_variant=False, chunk=2, seed=7)
+    def test_matches_brute_force(self, shape, p0, row_variant, chunk, seed):
+        """The Monte Carlo hit count is exactly the number of trials whose
+        matrix an exhaustive subset check finds an empty block in, with
+        batches of `chunk` trials."""
+        trials = 100
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng, "BATCH_BYTES", 8 * shape.n1 * shape.n2 * chunk)
+            res = empty_subgraph_diagnostic(shape, p0, trials, seed, row_variant=row_variant)
+        hits = _brute_force_hits(shape, p0, trials, seed, row_variant)
+        assert res["mc_estimate"] == hits / trials
 
 
 class TestTrialPipeline:
