@@ -7,10 +7,12 @@ risk and sweep add --C-star and --c-prime (the analytic thresholds).  From
 flags, risk and sweep calibrate on max(--trials, 100) null trials seeded by
 --seed.  `sweep --config` reads the experiment from a JSON file alone: only
 --seed, which replaces the config's `seed`, and --out may be given beside
-it, and a key the loader does not read is an error.  Exit codes: 0 success,
-1 usage error, 2 budget exceeded, 3 I/O error.  Every randomized subcommand
-requires an explicit --seed.  Errors are reported as a single JSON line on
-stderr.
+it; _CONFIG_SCHEMA lists every config key, its JSON kind and default.  The
+tau and scan size given (`stat --k1`, `detector.k_scan`, or from flags the
+shape's k1 or k2 for a max scan) go to DetectorKind, which refuses one that
+no statistic reads.  gen, calibrate and risk require --seed, and the streams
+reject a seed outside [0, 2^64).  Exit codes: 0 success, 1 usage error,
+2 budget exceeded, 3 I/O error, each reported as one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import sys
 
 from . import lower_bound
 from .detectors import (
+    _MAX_TAGS,
+    _TRUNC_TAGS,
     DEFAULT_SUBSET_BUDGET,
     DetectorKind,
     DetectorTag,
@@ -49,6 +53,7 @@ from .graph_model import (
 )
 from .harness import (
     ExperimentConfig,
+    _fmt,
     emit_results,
     phase_diagram,
     power_sweep,
@@ -61,17 +66,10 @@ EXIT_USAGE = 1
 EXIT_BUDGET = 2
 EXIT_IO = 3
 
-_RANDOMIZED = {"gen", "calibrate", "risk", "sweep"}
-_SEED_LIMIT = 1 << 64
-
-
-class _UsageError(Exception):
-    pass
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ParameterError(message)
 
 
 class _Given(argparse.Action):
@@ -113,13 +111,14 @@ def _consts_from(args) -> RateConstants:
     return RateConstants(**{name: getattr(args, name) for name in _CONST_FLAGS if name in args})
 
 
-def _add_trial_flags(p, trials, p0_required=True, risk=True):
-    """Flags of the Monte Carlo subcommands; `risk` adds those of risk
-    estimation (the threshold mode and the analytic threshold constants)."""
-    p.add_argument("--p0", type=float, required=p0_required)
+def _add_trial_flags(p, trials, required=True, risk=True):
+    """Flags of the Monte Carlo subcommands, with --p0 and --seed `required`
+    unless a config may give them; `risk` adds those of risk estimation (the
+    threshold mode and the analytic threshold constants)."""
+    p.add_argument("--p0", type=float, required=required)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--trials", type=int, default=trials)
-    p.add_argument("--seed", type=_seed)
+    p.add_argument("--seed", type=int, required=required)
     p.add_argument("--detector", default="DELTA_STAR")
     p.add_argument("--tau", type=float)
     p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
@@ -128,18 +127,6 @@ def _add_trial_flags(p, trials, p0_required=True, risk=True):
     if risk:
         p.add_argument("--threshold-mode", dest="threshold_mode", default="CALIBRATED",
                        choices=["CALIBRATED", "ANALYTIC"])
-
-
-def _seed(text: str) -> int:
-    """argparse type of --seed: an integer in [0, 2^64), the range of the
-    counter-based streams (which would otherwise reduce it mod 2^64)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or not 0 <= value < _SEED_LIMIT:
-        raise argparse.ArgumentTypeError(f"seed must be an integer in [0, 2^64), got {text!r}")
-    return value
 
 
 def _number_list(kind):
@@ -161,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--null", action="store_true", help="sample the null model")
     g.add_argument("--p0", type=float, required=True)
     g.add_argument("--delta", type=float, default=0.0)
-    g.add_argument("--seed", type=_seed)
+    g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True)
 
     s = sub.add_parser("stat", help="evaluate a statistic on a matrix file")
@@ -199,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--config", help="JSON experiment config")
     sw.add_argument("--delta", type=_number_list(float),
                     help="comma-separated grid of signal levels")
-    _add_trial_flags(sw, trials=1000, p0_required=False)
+    _add_trial_flags(sw, trials=1000, required=False)
 
     ph = sub.add_parser("phase", help="rate bundles over a shape grid")
     for flag in ("--n1", "--n2", "--k1", "--k2"):
@@ -209,24 +196,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _detector_kind(name: str, tau, k1, k2, flags=("--k1", "--k2")) -> DetectorKind:
-    """A max truncated scan takes k1 rows on axis 1 and k2 columns on axis 2;
-    `flags` name the options (or keys) they come from."""
+def _detector_kind(name: str, tau, scans: dict) -> DetectorKind:
+    """Detector `name` at truncation `tau`; `scans` maps a tag to its scan
+    size and the option or key naming it.  DetectorKind gets both as given
+    and refuses a tau or k_scan that the tag's statistic does not read."""
     try:
         tag = DetectorTag[name.upper().replace("-", "_")]
     except KeyError:
         raise ParameterError(f"unknown detector {name!r}") from None
-    if tag is DetectorTag.DELTA_STAR or tag is DetectorTag.TOTAL_DEGREE:
-        return DetectorKind(tag)
-    if tau is None:
+    k_scan, source = scans.get(tag, (None, None))
+    if tau is None and tag in _TRUNC_TAGS:
         raise ParameterError(f"detector {tag.value} requires --tau")
-    if tag in (DetectorTag.MAX_TRUNC_AXIS1, DetectorTag.MAX_TRUNC_AXIS2):
-        axis2 = tag is DetectorTag.MAX_TRUNC_AXIS2
-        k_scan = k2 if axis2 else k1
-        if k_scan is None:
-            raise ParameterError(f"detector {tag.value} requires a scan size ({flags[axis2]})")
-        return DetectorKind(tag, tau=tau, k_scan=k_scan)
-    return DetectorKind(tag, tau=tau)
+    if k_scan is None and tag in _MAX_TAGS:
+        raise ParameterError(f"detector {tag.value} requires a scan size ({source})")
+    return DetectorKind(tag, tau=tau, k_scan=k_scan)
+
+
+def _flag_detector(args, k1, k2) -> DetectorKind:
+    """--detector and --tau.  A max scan takes k1 rows on axis 1 and k2
+    columns on axis 2; from flags, no other detector has a scan size."""
+    scans = {DetectorTag.MAX_TRUNC_AXIS1: (k1, "--k1"), DetectorTag.MAX_TRUNC_AXIS2: (k2, "--k2")}
+    return _detector_kind(args.detector, args.tau, scans)
 
 
 def _shape_from(args) -> ProblemShape:
@@ -243,10 +233,6 @@ def _emit_text(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _f(v: float) -> str:
-    return format(v, ".17g")
-
-
 def _cmd_gen(args) -> int:
     shape = _shape_from(args)
     if args.null or args.delta == 0.0:
@@ -261,22 +247,20 @@ def _cmd_gen(args) -> int:
 
 def _cmd_stat(args) -> int:
     A = read_matrix(args.matrix)
-    kind = _detector_kind(args.detector, args.tau, args.k1, args.k1, ("--k1",) * 2)
-    if kind.tag is DetectorTag.DELTA_STAR:
-        raise ParameterError("stat requires a concrete detector, not DELTA_STAR")
+    kind = _detector_kind(args.detector, args.tau, dict.fromkeys(DetectorTag, (args.k1, "--k1")))
     value = statistic(A, args.p0, kind, args.budget)
-    _emit_text(f"statistic {_f(value)}\n", args.out)
+    _emit_text(f"statistic {_fmt(value)}\n", args.out)
     return EXIT_OK
 
 
 def _cmd_calibrate(args) -> int:
     shape = _shape_from(args)
-    kind = _detector_kind(args.detector, args.tau, args.k1, args.k2)
+    kind = _flag_detector(args, args.k1, args.k2)
     h = calibrate_threshold(
         kind, shape, args.p0, args.alpha, args.trials, args.seed,
         _consts_from(args), args.budget,
     )
-    _emit_text(f"threshold {_f(h)}\n", args.out)
+    _emit_text(f"threshold {_fmt(h)}\n", args.out)
     return EXIT_OK
 
 
@@ -286,7 +270,7 @@ def _sweep_config(args, grid) -> ExperimentConfig:
         shape=shape,
         p0=args.p0,
         delta_grid=tuple(grid),
-        detector=_detector_kind(args.detector, args.tau, shape.k1, shape.k2),
+        detector=_flag_detector(args, shape.k1, shape.k2),
         threshold=ThresholdSpec(
             mode=ThresholdMode[args.threshold_mode],
             alpha=args.alpha,
@@ -309,7 +293,8 @@ def _run_sweep(cfg: ExperimentConfig, out_path, experiment_id: str) -> int:
             "detector": sweep.kind.tag.value,
             "tau": sweep.kind.tau,
             "k_scan": sweep.kind.k_scan,
-            "threshold": _f(sweep.threshold),
+            # float(): a config's threshold.value may be a JSON integer.
+            "threshold": _fmt(float(sweep.threshold)),
             "threshold_mode": cfg.threshold.mode.value,
             "alpha": cfg.threshold.alpha,
             "consts": dataclasses.asdict(cfg.consts),
@@ -321,7 +306,7 @@ def _run_sweep(cfg: ExperimentConfig, out_path, experiment_id: str) -> int:
         lines = ["delta,type1,type2,risk"]
         for row in sweep.rows:
             e = row.estimate
-            lines.append(",".join(map(_f, (row.delta, e.type1, e.type2, e.risk))))
+            lines.append(",".join(map(_fmt, (row.delta, e.type1, e.type2, e.risk))))
         _emit_text("\n".join(lines) + "\n", None)
     return EXIT_OK
 
@@ -335,7 +320,7 @@ def _cmd_sweep(args) -> int:
     if args.config:
         extra = [flag for flag in args.given if flag not in ("--config", "--seed", "--out")]
         if extra:
-            raise _UsageError(f"--config does not combine with {', '.join(extra)}")
+            raise ParameterError(f"--config does not combine with {', '.join(extra)}")
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -351,9 +336,7 @@ def _emit_fields(record, out_path) -> None:
     """One "name value" line per dataclass field: floats to 17 digits,
     enums by value."""
     values = [(f.name, getattr(record, f.name)) for f in dataclasses.fields(record)]
-    _emit_text("".join(
-        f"{name} {_f(v) if isinstance(v, float) else v.value}\n" for name, v in values
-    ), out_path)
+    _emit_text("".join(f"{name} {_fmt(getattr(v, 'value', v))}\n" for name, v in values), out_path)
 
 
 def _cmd_rates(args) -> int:
@@ -378,7 +361,7 @@ def _cmd_phase(args) -> int:
     for shape, rb in rows:
         lines.append(
             f"{shape.n1},{shape.n2},{shape.k1},{shape.k2},"
-            f"{_f(rb.R)},{_f(rb.R_tilde)},{rb.branch.value}"
+            f"{_fmt(rb.R)},{_fmt(rb.R_tilde)},{rb.branch.value}"
         )
     _emit_text("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -395,51 +378,76 @@ _JSON_KINDS = {
 }
 
 
-def _config_field(doc: dict, field: str, required=True, default=None, kind=None):
-    """The entry at dotted path `field` (its parents already checked to be
-    objects), or `default` when it is absent or null and not required.  A
-    present entry must have JSON type `kind`."""
-    value = doc
-    for key in field.split("."):
-        value = None if value is None else value.get(key)
-    if value is None:
-        if required:
-            raise ConfigError(field, "missing required field")
-        return default
-    if kind is not None and not _is_json(value, kind):
-        raise ConfigError(field, f"expected {_JSON_KINDS[kind][1]}, got {value!r}")
-    return value
-
-
 def _is_json(value, kind: str) -> bool:
     return (
         not isinstance(value, bool)
         and isinstance(value, _JSON_KINDS[kind][0])
-        and (kind != "seed" or 0 <= value < _SEED_LIMIT)
+        and (kind != "seed" or 0 <= value < 1 << 64)
         and (kind != "number" or isinstance(value, int) or math.isfinite(value))
     )
 
 
-# The keys load_config reads, each with the keys of its object (None for a
-# scalar).
-_CONFIG_KEYS = {
-    "shape": ("n1", "n2", "k1", "k2"),
-    "p0": None, "delta_grid": None, "trials": None, "seed": None, "budget": None,
-    "detector": ("tag", "tau", "k_scan"),
-    "threshold": ("mode", "alpha", "trials", "seed", "value"),
-    "consts": tuple(_CONST_FLAGS),
+_REQUIRED = "required"
+_UNSET = "unset"
+
+# Every key of a JSON config: dotted path -> (JSON kind, default), parents
+# before their entries, in the order they are checked.  A null entry counts
+# as absent.  An absent _REQUIRED key is an error.  An absent _UNSET key is
+# left out, so the dataclass default holds; a null one is missing.
+_CONFIG_SCHEMA = {
+    "shape": ("object", _REQUIRED),
+    **{f"shape.{k}": ("integer", _REQUIRED) for k in ("n1", "n2", "k1", "k2")},
+    "detector": ("object", {}),
+    "detector.tag": ("string", "DELTA_STAR"),
+    "detector.tau": ("number", None),
+    "detector.k_scan": ("integer", None),
+    "seed": ("seed", _REQUIRED),
+    "threshold": ("object", {}),
+    "threshold.mode": ("string", "CALIBRATED"),
+    "threshold.alpha": ("number", 0.1),
+    "threshold.trials": ("integer", 10_000),
+    "threshold.seed": ("seed", None),  # None: the config's seed
+    "threshold.value": ("number", None),
+    "consts": ("object", {}),
+    **{f"consts.{name}": ("number", _UNSET) for name in _CONST_FLAGS},
+    "delta_grid": ("list", _REQUIRED),
+    "p0": ("number", _REQUIRED),
+    "trials": ("integer", _REQUIRED),
+    "budget": ("integer", DEFAULT_SUBSET_BUDGET),
 }
 
 
-def _check_keys(doc: dict) -> None:
-    """ConfigError naming the dotted path of a key load_config does not read."""
+def _reject_unknown(doc: dict, prefix: str = "") -> None:
+    """ConfigError naming the dotted path of the first key, in document
+    order, that _CONFIG_SCHEMA does not list."""
     for key, value in doc.items():
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(key, "unknown key")
-        if _CONFIG_KEYS[key] and isinstance(value, dict):
-            for sub in value:
-                if sub not in _CONFIG_KEYS[key]:
-                    raise ConfigError(f"{key}.{sub}", "unknown key")
+        path = prefix + key
+        if "." in key or path not in _CONFIG_SCHEMA:
+            raise ConfigError(path, "unknown key")
+        if isinstance(value, dict) and _CONFIG_SCHEMA[path][0] == "object":
+            _reject_unknown(value, path + ".")
+
+
+def _read_config(doc: dict) -> dict:
+    """Dotted path -> value of every _CONFIG_SCHEMA key, with defaults
+    filled in: unknown keys are rejected first, then each entry is checked
+    against its JSON kind in table order."""
+    _reject_unknown(doc)
+    values = {}
+    for path, (kind, default) in _CONFIG_SCHEMA.items():
+        parent, _, key = path.rpartition(".")
+        obj = values[parent] if parent else doc
+        value = obj.get(key)
+        if value is None:
+            if default is _REQUIRED or (default is _UNSET and key in obj):
+                raise ConfigError(path, "missing required field")
+            if default is _UNSET:
+                continue
+            value = default
+        elif not _is_json(value, kind):
+            raise ConfigError(path, f"expected {_JSON_KINDS[kind][1]}, got {value!r}")
+        values[path] = value
+    return values
 
 
 def load_config(path) -> ExperimentConfig:
@@ -451,53 +459,43 @@ def load_config(path) -> ExperimentConfig:
             raise FormatError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "must be a JSON object")
-    _check_keys(doc)
-    _config_field(doc, "shape", kind="object")
-    try:
-        shape = ProblemShape(
-            *(_config_field(doc, f"shape.{k}", kind="integer") for k in ("n1", "n2", "k1", "k2"))
-        )
-    except ParameterError as exc:
-        raise ConfigError("shape", str(exc)) from exc
     if isinstance(doc.get("detector"), str):
         doc["detector"] = {"tag": doc["detector"]}
-    _config_field(doc, "detector", False, kind="object")
-    tag = _config_field(doc, "detector.tag", False, "DELTA_STAR", "string")
-    tau = _config_field(doc, "detector.tau", False, None, "number")
-    k_scan = _config_field(doc, "detector.k_scan", False, None, "integer")
-    detector = _detector_kind(tag, tau, k_scan, k_scan, ("detector.k_scan",) * 2)
-    seed = _config_field(doc, "seed", kind="seed")
-    _config_field(doc, "threshold", False, kind="object")
+    v = _read_config(doc)
+    try:
+        shape = ProblemShape(*(v[f"shape.{k}"] for k in ("n1", "n2", "k1", "k2")))
+    except ParameterError as exc:
+        raise ConfigError("shape", str(exc)) from exc
+    scan = (v["detector.k_scan"], "detector.k_scan")
+    detector = _detector_kind(v["detector.tag"], v["detector.tau"], dict.fromkeys(DetectorTag, scan))
     try:
         threshold = ThresholdSpec(
-            mode=ThresholdMode[_config_field(doc, "threshold.mode", False, "CALIBRATED", "string")],
-            alpha=_config_field(doc, "threshold.alpha", False, 0.1, "number"),
-            trials=_config_field(doc, "threshold.trials", False, 10_000, "integer"),
-            seed=_config_field(doc, "threshold.seed", False, seed, "seed"),
-            value=_config_field(doc, "threshold.value", False, None, "number"),
+            mode=ThresholdMode[v["threshold.mode"]],
+            alpha=v["threshold.alpha"],
+            trials=v["threshold.trials"],
+            seed=v["seed"] if v["threshold.seed"] is None else v["threshold.seed"],
+            value=v["threshold.value"],
         )
     except (KeyError, ParameterError) as exc:
         raise ConfigError("threshold", str(exc)) from exc
-    consts_doc = _config_field(doc, "consts", False, {}, "object")
     try:
         consts = RateConstants(
-            **{k: _config_field(doc, f"consts.{k}", kind="number") for k in consts_doc}
+            **{key[len("consts."):]: x for key, x in v.items() if key.startswith("consts.")}
         )
     except ParameterError as exc:
         raise ConfigError("consts", str(exc)) from exc
-    delta_grid = _config_field(doc, "delta_grid", kind="list")
-    if not delta_grid or not all(_is_json(d, "number") for d in delta_grid):
+    if not v["delta_grid"] or not all(_is_json(d, "number") for d in v["delta_grid"]):
         raise ConfigError("delta_grid", "must be a nonempty list of numbers")
     return ExperimentConfig(
         shape=shape,
-        p0=_config_field(doc, "p0", kind="number"),
-        delta_grid=tuple(float(d) for d in delta_grid),
+        p0=v["p0"],
+        delta_grid=tuple(float(d) for d in v["delta_grid"]),
         detector=detector,
         threshold=threshold,
-        trials=_config_field(doc, "trials", kind="integer"),
-        seed=seed,
+        trials=v["trials"],
+        seed=v["seed"],
         consts=consts,
-        budget=_config_field(doc, "budget", False, DEFAULT_SUBSET_BUDGET, "integer"),
+        budget=v["budget"],
     )
 
 
@@ -522,12 +520,7 @@ def dispatch(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command in _RANDOMIZED and args.command != "sweep":
-            if getattr(args, "seed", None) is None:
-                raise _UsageError(f"subcommand {args.command} requires --seed")
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        return _fail("usage", exc, EXIT_USAGE)
     except BudgetError as exc:
         return _fail("budget", exc, EXIT_BUDGET)
     except (ConfigError, ParameterError) as exc:

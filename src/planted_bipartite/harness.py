@@ -173,7 +173,7 @@ def bisect_delta_star(cfg: ExperimentConfig, tolerance: float) -> float:
     Requires risk(0) > eta and risk(1 - p0) < eta; common random numbers
     make the empirical risk monotone enough for bisection at desk scale.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
     resolved = _resolve(cfg)
     lo, hi = 0.0, 1.0 - cfg.p0

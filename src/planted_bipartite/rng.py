@@ -54,7 +54,11 @@ def mix64(x: int) -> int:
 
 
 def derive_seed(seed: int, *parts: int) -> int:
-    """Fold integer parts into ``seed``, one fmix64 round per part."""
+    """Fold integer parts into ``seed``, one fmix64 round per part.  Every
+    user seed enters a stream here; one outside [0, 2^64) is an error, not
+    reduced mod 2^64 onto another seed's stream."""
+    if not 0 <= seed <= _MASK:
+        raise ParameterError(f"seed must be an integer in [0, 2^64), got {seed}")
     h = mix64(seed)
     for p in parts:
         h = mix64(h ^ (p & _MASK))

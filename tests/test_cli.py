@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from planted_bipartite import detectors
+from planted_bipartite import cli, detectors
 from planted_bipartite.cli import build_parser, dispatch
 from planted_bipartite.graph_model import ProblemShape, read_matrix
 
@@ -437,6 +437,72 @@ class TestOptionProbes:
         assert set(PROBES[command]) <= set(_options(command))
 
 
+# A valid config, which the probes below vary: at 16x16, k = 4 every
+# constant of CONST_PROBES changes the output.
+CONFIG_PROBE_BASE = {
+    "shape": {"n1": 16, "n2": 16, "k1": 4, "k2": 4}, "p0": 0.25, "delta_grid": [0.3],
+    "trials": 100, "seed": 2, "threshold": {"trials": 100},
+}
+_CONFIG_MAX_SCAN = {"detector.tag": "MAX_TRUNC_AXIS1", "detector.tau": 1.0}
+# Per optional config key: (extra entries, value a, value b), by dotted
+# path; None leaves the key out.
+CONFIG_PROBES = {
+    "detector": ({}, None, {"tag": "TOTAL_DEGREE"}),
+    "detector.tag": ({}, "DELTA_STAR", "TOTAL_DEGREE"),
+    "detector.tau": ({"detector.tag": "TRUNC_DEGREE_AXIS1"}, 0.5, 1.5),
+    "detector.k_scan": (_CONFIG_MAX_SCAN, 2, 3),
+    "threshold": ({}, {"trials": 100}, {"trials": 150}),
+    "threshold.mode": ({}, "CALIBRATED", "ANALYTIC"),
+    "threshold.alpha": ({}, 0.1, 0.3),
+    "threshold.trials": ({}, 100, 150),
+    "threshold.seed": ({}, None, 3),
+    "threshold.value": ({}, None, 0.0),
+    "consts": ({}, None, {"c1": 100.0}),
+    **{f"consts.{field}": ({"threshold.mode": "ANALYTIC"} if field in ("C_star", "c_prime")
+                           else {}, None, value)
+       for field, (_, value) in CONST_PROBES.items()},
+    "budget": ({**_CONFIG_MAX_SCAN, "detector.k_scan": 2}, None, 1),
+}
+
+
+def _config_doc(entries: dict) -> dict:
+    """CONFIG_PROBE_BASE with each dotted path set to its value, or left
+    out where the value is None."""
+    doc = json.loads(json.dumps(CONFIG_PROBE_BASE))
+    for path, value in entries.items():
+        *parents, key = path.split(".")
+        obj = doc
+        for parent in parents:
+            obj = obj.setdefault(parent, {})
+        if value is None:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    return doc
+
+
+class TestConfigProbes:
+    """The config twin of TestOptionProbes: every optional key of the
+    config table changes the output, so a key that reaches no code fails."""
+
+    @pytest.mark.parametrize("key", [
+        key for key, (_, default) in cli._CONFIG_SCHEMA.items() if default is not cli._REQUIRED
+    ])
+    def test_key_changes_output(self, tmp_path, capsys, monkeypatch, key):
+        assert key in CONFIG_PROBES, f"config key {key} has no probe"
+        extra, a, b = CONFIG_PROBES[key]
+        path = tmp_path / "cfg.json"  # one path, so both runs share the experiment id
+        outputs = []
+        for side, value in (("a", a), ("b", b)):
+            path.write_text(json.dumps(_config_doc({**extra, key: value})))
+            outputs.append(_output(tmp_path / side, capsys, monkeypatch,
+                                   ["sweep", "--config", str(path), "--out", "r.csv"]))
+        assert outputs[0] != outputs[1]
+
+    def test_every_probe_is_a_key(self):
+        assert set(CONFIG_PROBES) <= set(cli._CONFIG_SCHEMA)
+
+
 class TestPhase:
     def test_grid_output(self, capsys):
         code, out, _ = run(capsys, "phase", "--n1", "32,64", "--n2", "64",
@@ -504,6 +570,72 @@ class TestMalformedNumbers:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert json.loads(err)["error"] == "usage"
+
+
+def _matrix(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("2 2\n01\n10\n")
+    return str(path)
+
+
+_RISK_16 = ["--n1", "16", "--n2", "16", "--k1", "4", "--k2", "4", "--p0", "0.25",
+            "--trials", "100", "--seed", "1", "--delta", "0.3"]
+
+
+class TestUnreadDetectorValues:
+    """A tau or scan size that the detector's statistic does not read is a
+    usage error naming it; it used to be dropped without a word."""
+
+    @pytest.mark.parametrize("argv,config", [
+        *[([command, *base, "--detector", tag, "--tau", "5"], None)
+          for command, base in (("calibrate", _CAL_16), ("risk", _RISK_16), ("sweep", _RISK_16))
+          for tag in ("DELTA_STAR", "TOTAL_DEGREE")],
+        (["stat", None, "--p0", "0.25", "--detector", "TOTAL_DEGREE", "--tau", "1"], None),
+        (["stat", None, "--p0", "0.25", "--detector", "TOTAL_DEGREE", "--k1", "1"], None),
+        ([], {"detector": {"tag": "TOTAL_DEGREE", "tau": 3}}),
+        ([], {"detector": {"tag": "TOTAL_DEGREE", "k_scan": 4}}),
+    ], ids=["calibrate-delta-star-tau", "calibrate-total-tau", "risk-delta-star-tau",
+            "risk-total-tau", "sweep-delta-star-tau", "sweep-total-tau", "stat-total-tau",
+            "stat-total-k1", "config-total-tau", "config-total-k_scan"])
+    def test_refused(self, tmp_path, capsys, argv, config):
+        argv = [_matrix(tmp_path) if a is None else a for a in argv]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({**BASE_CONFIG, **config}))
+            argv = ["sweep", "--config", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "usage"
+        assert "tau" in error["message"] or "k_scan" in error["message"]
+
+    @pytest.mark.parametrize("tag,flags", [
+        ("TRUNC_DEGREE_AXIS1", ["--tau", "1"]),
+        ("MAX_TRUNC_AXIS1", ["--tau", "1", "--k1", "1"]),
+        ("MAX_TRUNC_AXIS2", ["--tau", "1", "--k1", "1"]),
+    ], ids=["trunc-axis1", "max-axis1", "max-axis2"])
+    def test_stat_reads_what_it_takes(self, tmp_path, capsys, tag, flags):
+        code, out, _ = run(capsys, "stat", _matrix(tmp_path), "--p0", "0.25",
+                           "--detector", tag, *flags)
+        assert code == 0
+        assert out.startswith("statistic ")
+
+
+class TestSeedRequired:
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--null", "--n1", "4", "--n2", "4", "--p0", "0.25", "--out", "m.txt"],
+        ["calibrate", "--n1", "4", "--n2", "4", "--p0", "0.25"],
+        ["risk", "--n1", "4", "--n2", "4", "--p0", "0.25", "--delta", "0.1"],
+        ["sweep", "--n1", "4", "--n2", "4", "--p0", "0.25", "--delta", "0.1"],
+    ], ids=["gen", "calibrate", "risk", "sweep"])
+    def test_missing_seed_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        error = json.loads(err)
+        assert error["error"] == "usage"
+        assert "seed" in error["message"]
+        assert not (tmp_path / "m.txt").exists()
 
 
 class TestSeedRange:

@@ -12,6 +12,7 @@ from planted_bipartite import (
     DetectorKind,
     DetectorTag,
     ExperimentConfig,
+    ParameterError,
     ProblemShape,
     RateConstants,
     SignalConfig,
@@ -24,6 +25,7 @@ from planted_bipartite import (
     phase_diagram,
     power_sweep,
     rate_bundle,
+    sample_null,
     sample_planted_uniform_support,
 )
 from planted_bipartite import detectors, harness, rng
@@ -154,6 +156,49 @@ class TestBisect:
         )
         d = bisect_delta_star(cfg, 0.05)
         assert 0.0 < d < 0.75
+
+    @pytest.mark.parametrize("tolerance", [math.nan, 0.0, -1.0])
+    def test_tolerance_must_be_positive(self, tolerance):
+        """A NaN tolerance passes a `<= 0` check and would return the
+        bracket midpoint."""
+        cfg = _cfg(shape=ProblemShape(16, 16, 8, 8), trials=100,
+                   threshold=ThresholdSpec(ThresholdMode.CALIBRATED, alpha=0.1, trials=100, seed=5))
+        with pytest.raises(ParameterError):
+            bisect_delta_star(cfg, tolerance)
+
+
+_SMALL = ProblemShape(8, 8, 2, 2)
+_FEW = ThresholdSpec(ThresholdMode.CALIBRATED, alpha=0.1, trials=100, seed=5)
+# Each entry point of a seed into the streams, as a function of the seed.
+_SEEDED = {
+    "sample_null": lambda s: sample_null(_SMALL, 0.25, s),
+    "sample_planted_uniform_support":
+        lambda s: sample_planted_uniform_support(_SMALL, SignalConfig(0.25, 0.5), s),
+    "calibrate_threshold": lambda s: detectors.calibrate_threshold(
+        DetectorKind(DetectorTag.TOTAL_DEGREE), _SMALL, 0.25, 0.1, 100, s),
+    "power_sweep-seed": lambda s: power_sweep(_cfg(shape=_SMALL, threshold=_FEW, trials=100,
+                                                   seed=s)),
+    "power_sweep-threshold-seed": lambda s: power_sweep(_cfg(
+        shape=_SMALL, trials=100,
+        threshold=ThresholdSpec(ThresholdMode.CALIBRATED, alpha=0.1, trials=100, seed=s))),
+    "empty_subgraph_diagnostic": lambda s: empty_subgraph_diagnostic(_SMALL, 0.25, 100, s),
+}
+
+
+class TestSeedRange:
+    """A seed outside [0, 2^64) is refused where it enters a stream, not
+    reduced mod 2^64 onto the stream of another seed."""
+
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2^64"])
+    @pytest.mark.parametrize("name", list(_SEEDED))
+    def test_out_of_range_rejected(self, name, seed):
+        with pytest.raises(ParameterError, match=r"\[0, 2\^64\)"):
+            _SEEDED[name](seed)
+
+    @pytest.mark.parametrize("name", list(_SEEDED))
+    def test_range_ends_accepted(self, name):
+        for seed in (0, 2**64 - 1):
+            _SEEDED[name](seed)
 
 
 class TestPhaseDiagram:
