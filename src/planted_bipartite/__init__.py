@@ -13,14 +13,11 @@ from .detectors import (
     AnalyticThresholds,
     DetectorKind,
     DetectorTag,
-    TestDecision,
     ThresholdMode,
     ThresholdSpec,
     analytic_thresholds,
     calibrate_threshold,
     max_truncated_degree,
-    run_delta_star,
-    run_test,
     statistic,
     total_degree,
     truncated_degree,

@@ -7,10 +7,11 @@ risk and sweep add --C-star and --c-prime (the analytic thresholds).  From
 flags, risk and sweep calibrate on max(--trials, 100) null trials seeded by
 --seed.  `sweep --config` reads the experiment from a JSON file alone: only
 --seed, which replaces the config's `seed`, and --out may be given beside
-it; _CONFIG_SCHEMA lists every config key, its JSON kind and default.  The
-tau and scan size given (`stat --k1`, `detector.k_scan`, or from flags the
-shape's k1 or k2 for a max scan) go to DetectorKind, which refuses one that
-no statistic reads.  gen, calibrate and risk require --seed, and the streams
+it; _CONFIG_SCHEMA lists every config key, its JSON kind and default, and
+its numbers are read as floats.  The tau and scan size given (`stat --k1`,
+`detector.k_scan`, or from flags --k1 on axis 1 and --k2 on axis 2) go to
+DetectorKind, which refuses one that no statistic reads.  gen, calibrate
+and risk require --seed, `gen --null` refuses --delta, and the streams
 reject a seed outside [0, 2^64).  Exit codes: 0 success, 1 usage error,
 2 budget exceeded, 3 I/O error, each reported as one JSON line on stderr.
 """
@@ -21,7 +22,6 @@ import argparse
 import dataclasses
 import itertools
 import json
-import math
 import sys
 
 from . import lower_bound
@@ -145,9 +145,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="sample a matrix and write it in text format")
     _add_shape_flags(g)
-    g.add_argument("--null", action="store_true", help="sample the null model")
+    signal = g.add_mutually_exclusive_group()
+    signal.add_argument("--null", action="store_true", help="sample the null model")
     g.add_argument("--p0", type=float, required=True)
-    g.add_argument("--delta", type=float, default=0.0)
+    signal.add_argument("--delta", type=float, default=0.0)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--out", required=True)
 
@@ -212,10 +213,11 @@ def _detector_kind(name: str, tau, scans: dict) -> DetectorKind:
     return DetectorKind(tag, tau=tau, k_scan=k_scan)
 
 
-def _flag_detector(args, k1, k2) -> DetectorKind:
-    """--detector and --tau.  A max scan takes k1 rows on axis 1 and k2
+def _flag_detector(args) -> DetectorKind:
+    """--detector and --tau.  A max scan takes --k1 rows on axis 1 and --k2
     columns on axis 2; from flags, no other detector has a scan size."""
-    scans = {DetectorTag.MAX_TRUNC_AXIS1: (k1, "--k1"), DetectorTag.MAX_TRUNC_AXIS2: (k2, "--k2")}
+    scans = {DetectorTag.MAX_TRUNC_AXIS1: (args.k1, "--k1"),
+             DetectorTag.MAX_TRUNC_AXIS2: (args.k2, "--k2")}
     return _detector_kind(args.detector, args.tau, scans)
 
 
@@ -255,7 +257,7 @@ def _cmd_stat(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     shape = _shape_from(args)
-    kind = _flag_detector(args, args.k1, args.k2)
+    kind = _flag_detector(args)
     h = calibrate_threshold(
         kind, shape, args.p0, args.alpha, args.trials, args.seed,
         _consts_from(args), args.budget,
@@ -265,12 +267,11 @@ def _cmd_calibrate(args) -> int:
 
 
 def _sweep_config(args, grid) -> ExperimentConfig:
-    shape = _shape_from(args)
     return ExperimentConfig(
-        shape=shape,
+        shape=_shape_from(args),
         p0=args.p0,
         delta_grid=tuple(grid),
-        detector=_flag_detector(args, shape.k1, shape.k2),
+        detector=_flag_detector(args),
         threshold=ThresholdSpec(
             mode=ThresholdMode[args.threshold_mode],
             alpha=args.alpha,
@@ -293,8 +294,7 @@ def _run_sweep(cfg: ExperimentConfig, out_path, experiment_id: str) -> int:
             "detector": sweep.kind.tag.value,
             "tau": sweep.kind.tau,
             "k_scan": sweep.kind.k_scan,
-            # float(): a config's threshold.value may be a JSON integer.
-            "threshold": _fmt(float(sweep.threshold)),
+            "threshold": _fmt(sweep.threshold),
             "threshold_mode": cfg.threshold.mode.value,
             "alpha": cfg.threshold.alpha,
             "consts": dataclasses.asdict(cfg.consts),
@@ -369,12 +369,12 @@ def _cmd_phase(args) -> int:
 
 # JSON kind -> (Python types, description in error messages).
 _JSON_KINDS = {
-    "number": ((int, float), "a finite JSON number"),
+    "number": ((int, float), "a JSON number that a float can hold"),
     "integer": (int, "a JSON integer"),
     "seed": (int, "an integer in [0, 2^64)"),
     "string": (str, "a JSON string"),
     "object": (dict, "a JSON object"),
-    "list": (list, "a JSON list"),
+    "numbers": (list, "a list of JSON numbers that a float can hold"),
 }
 
 
@@ -383,7 +383,9 @@ def _is_json(value, kind: str) -> bool:
         not isinstance(value, bool)
         and isinstance(value, _JSON_KINDS[kind][0])
         and (kind != "seed" or 0 <= value < 1 << 64)
-        and (kind != "number" or isinstance(value, int) or math.isfinite(value))
+        # NaN, +-inf and an integer beyond the float range fail the bound.
+        and (kind != "number" or abs(value) <= sys.float_info.max)
+        and (kind != "numbers" or all(_is_json(x, "number") for x in value))
     )
 
 
@@ -410,7 +412,7 @@ _CONFIG_SCHEMA = {
     "threshold.value": ("number", None),
     "consts": ("object", {}),
     **{f"consts.{name}": ("number", _UNSET) for name in _CONST_FLAGS},
-    "delta_grid": ("list", _REQUIRED),
+    "delta_grid": ("numbers", _REQUIRED),
     "p0": ("number", _REQUIRED),
     "trials": ("integer", _REQUIRED),
     "budget": ("integer", DEFAULT_SUBSET_BUDGET),
@@ -431,7 +433,7 @@ def _reject_unknown(doc: dict, prefix: str = "") -> None:
 def _read_config(doc: dict) -> dict:
     """Dotted path -> value of every _CONFIG_SCHEMA key, with defaults
     filled in: unknown keys are rejected first, then each entry is checked
-    against its JSON kind in table order."""
+    against its JSON kind in table order; numbers become floats."""
     _reject_unknown(doc)
     values = {}
     for path, (kind, default) in _CONFIG_SCHEMA.items():
@@ -446,6 +448,8 @@ def _read_config(doc: dict) -> dict:
             value = default
         elif not _is_json(value, kind):
             raise ConfigError(path, f"expected {_JSON_KINDS[kind][1]}, got {value!r}")
+        elif kind in ("number", "numbers"):
+            value = float(value) if kind == "number" else tuple(map(float, value))
         values[path] = value
     return values
 
@@ -455,7 +459,7 @@ def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an integer past 4,300 digits
             raise FormatError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(str(path), "must be a JSON object")
@@ -484,12 +488,10 @@ def load_config(path) -> ExperimentConfig:
         )
     except ParameterError as exc:
         raise ConfigError("consts", str(exc)) from exc
-    if not v["delta_grid"] or not all(_is_json(d, "number") for d in v["delta_grid"]):
-        raise ConfigError("delta_grid", "must be a nonempty list of numbers")
     return ExperimentConfig(
         shape=shape,
         p0=v["p0"],
-        delta_grid=tuple(float(d) for d in v["delta_grid"]),
+        delta_grid=v["delta_grid"],
         detector=detector,
         threshold=threshold,
         trials=v["trials"],

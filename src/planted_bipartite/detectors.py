@@ -13,11 +13,15 @@ Three statistics are implemented:
   and scores each by a table lookup; the empty-subgraph diagnostic runs it
   too.  Tables and subset enumerations are built once, cached read-only.
 
-Thresholds come either from closed-form expressions with configurable
-constants (ANALYTIC) or from the empirical (1 - alpha)-quantile of the
-statistic under null simulation (CALIBRATED, the default).  The composite
-detector dispatches among the tests according to the argmin branch of the
-rate R_tilde.
+Each axis-2 test is its axis-1 test on the transpose: the statistic on the
+transposed bits, the analytic threshold and truncation level on
+shape.swapped().  Thresholds come either from closed-form expressions with
+configurable constants (ANALYTIC) or from the empirical (1 - alpha)-quantile
+of the statistic under null simulation (CALIBRATED, the default).  The
+composite detector dispatches among the tests according to the argmin
+branch of the rate R_tilde.  Every detector, the composite included,
+decides one way: resolve_threshold gives the concrete kind and threshold h,
+and the test rejects when statistic(A, p0, kind) > h.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from . import binomial_kernel as bk, rng
-from .errors import BudgetError, ConfigError, ParameterError
+from .errors import BudgetError, ParameterError
 from .graph_model import AdjacencyMatrix, ProblemShape
 from .rates import Branch, RateConstants, log_binom, rate_bundle
 
@@ -54,6 +58,7 @@ _TRUNC_TAGS = {
     DetectorTag.MAX_TRUNC_AXIS2,
 }
 _MAX_TAGS = {DetectorTag.MAX_TRUNC_AXIS1, DetectorTag.MAX_TRUNC_AXIS2}
+_AXIS2_TAGS = {DetectorTag.TRUNC_DEGREE_AXIS2, DetectorTag.MAX_TRUNC_AXIS2}
 
 
 @dataclass(frozen=True)
@@ -97,13 +102,6 @@ class ThresholdSpec:
             raise ParameterError(f"calibration needs trials >= 100, got {self.trials}")
         if self.value is not None and math.isnan(self.value):
             raise ParameterError("threshold value must not be NaN")
-
-
-@dataclass(frozen=True)
-class TestDecision:
-    statistic: float
-    threshold: float
-    reject: bool
 
 
 def total_degree(A: AdjacencyMatrix, p0: float) -> float:
@@ -157,10 +155,7 @@ def _batch_total(bits: np.ndarray, p0: float) -> np.ndarray:
 def _contribution_table(n: int, p0: float, tau: float) -> np.ndarray:
     """f[c] = w(c) - nu_tau for counts c >= k_min and 0 below, c = 0..n:
     the column contribution of a count under kernel Bin(n, p0).  Cached, so
-    the array is read-only."""
-    _check_p0(p0)
-    if not 0.0 <= tau < math.inf:
-        raise ParameterError(f"tau must be finite and nonnegative, got {tau}")
+    the array is read-only; BennettKernel checks p0, DetectorKind tau."""
     kern = bk.BennettKernel(n, p0)
     k_min = bk.z_threshold_to_count(tau, kern)
     nu_tau = bk.nu(tau, kern)
@@ -240,16 +235,14 @@ def _batch_statistic(
     bits: np.ndarray, p0: float, kind: DetectorKind, budget: int
 ) -> np.ndarray:
     tag = kind.tag
+    if tag in _AXIS2_TAGS:
+        bits = bits.transpose(0, 2, 1)
     if tag is DetectorTag.TOTAL_DEGREE:
         return _batch_total(bits, p0)
-    if tag is DetectorTag.TRUNC_DEGREE_AXIS1:
-        return _batch_truncated(bits, p0, kind.tau)
-    if tag is DetectorTag.TRUNC_DEGREE_AXIS2:
-        return _batch_truncated(bits.transpose(0, 2, 1), p0, kind.tau)
-    if tag is DetectorTag.MAX_TRUNC_AXIS1:
+    if tag in _MAX_TAGS:
         return _batch_max_truncated(bits, p0, kind.tau, kind.k_scan, budget)
-    if tag is DetectorTag.MAX_TRUNC_AXIS2:
-        return _batch_max_truncated(bits.transpose(0, 2, 1), p0, kind.tau, kind.k_scan, budget)
+    if tag in _TRUNC_TAGS:
+        return _batch_truncated(bits, p0, kind.tau)
     raise ParameterError(f"statistic undefined for tag {tag}; resolve DELTA_STAR first")
 
 
@@ -278,6 +271,23 @@ def _trunc_threshold(n2: float, log_arg: float, log_term: float, consts: RateCon
     return consts.C_star * (math.sqrt(inner) + log_term)
 
 
+def _axis1_thresholds(
+    shape: ProblemShape, la: float, consts: RateConstants
+) -> tuple[float, float, float, float]:
+    """(h, h_max, tau, tau_max): the threshold and truncation level of the
+    axis-1 truncated degree test and of the axis-1 max truncated scan, with
+    la = log(2 / alpha).  On shape.swapped() these are the axis-2 values."""
+    lb = log_binom(shape.n1, shape.k1)
+    arg = shape.n2 / shape.k2**2
+    arg_max = arg * lb
+    return (
+        _trunc_threshold(shape.n2, arg, la, consts),
+        _trunc_threshold(shape.n2, arg_max, la + lb, consts),
+        math.sqrt(consts.C_tau * math.log1p(arg)),
+        math.sqrt(consts.C_tau * math.log1p(arg_max)),
+    )
+
+
 def analytic_thresholds(
     shape: ProblemShape,
     p0: float,
@@ -290,26 +300,12 @@ def analytic_thresholds(
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     _check_p0(p0)
-    n1, n2, k1, k2 = shape.n1, shape.n2, shape.k1, shape.k2
     la = math.log(2.0 / alpha)
     h2 = math.sqrt(4.0 * la)
-    lb1 = log_binom(n1, k1)
-    lb2 = log_binom(n2, k2)
-    arg1 = n2 / k2**2
-    arg2 = n1 / k1**2
-    arg3 = (n2 / k2**2) * lb1
-    arg4 = (n1 / k1**2) * lb2
+    h1, h3, tau1, tau3 = _axis1_thresholds(shape, la, consts)
+    h1p, h4, tau2, tau4 = _axis1_thresholds(shape.swapped(), la, consts)
     return AnalyticThresholds(
-        h1=_trunc_threshold(n2, arg1, la, consts),
-        h1p=_trunc_threshold(n1, arg2, la, consts),
-        h2=h2,
-        h2p=h2,
-        h3=_trunc_threshold(n2, arg3, la + lb1, consts),
-        h4=_trunc_threshold(n1, arg4, la + lb2, consts),
-        tau1=math.sqrt(consts.C_tau * math.log1p(arg1)),
-        tau2=math.sqrt(consts.C_tau * math.log1p(arg2)),
-        tau3=math.sqrt(consts.C_tau * math.log1p(arg3)),
-        tau4=math.sqrt(consts.C_tau * math.log1p(arg4)),
+        h1=h1, h1p=h1p, h2=h2, h2p=h2, h3=h3, h4=h4, tau1=tau1, tau2=tau2, tau3=tau3, tau4=tau4
     )
 
 
@@ -317,19 +313,16 @@ def delta_star_subtest(
     shape: ProblemShape, p0: float, consts: RateConstants = RateConstants()
 ) -> DetectorKind:
     """Resolve which sub-test the composite detector runs for this shape,
-    with its truncation level and scan size."""
-    at = analytic_thresholds(shape, p0, alpha=0.5, consts=consts)
+    with its truncation level and scan size.  MAX_TRUNC_2 and BRANCH_B run
+    the axis-1 choice of shape.swapped() on axis 2."""
     branch = rate_bundle(shape, consts).branch
-    if branch is Branch.MAX_TRUNC_1:
-        return DetectorKind(DetectorTag.MAX_TRUNC_AXIS1, tau=at.tau3, k_scan=shape.k1)
-    if branch is Branch.MAX_TRUNC_2:
-        return DetectorKind(DetectorTag.MAX_TRUNC_AXIS2, tau=at.tau4, k_scan=shape.k2)
-    if branch is Branch.BRANCH_A:
-        if shape.n2 / shape.k2**2 >= consts.c1:
-            return DetectorKind(DetectorTag.TRUNC_DEGREE_AXIS1, tau=at.tau1)
-        return DetectorKind(DetectorTag.TOTAL_DEGREE)
-    if shape.n1 / shape.k1**2 >= consts.c1:
-        return DetectorKind(DetectorTag.TRUNC_DEGREE_AXIS2, tau=at.tau2)
+    axis = 2 if branch in (Branch.MAX_TRUNC_2, Branch.BRANCH_B) else 1
+    oriented = shape.swapped() if axis == 2 else shape
+    at = analytic_thresholds(oriented, p0, alpha=0.5, consts=consts)
+    if branch in (Branch.MAX_TRUNC_1, Branch.MAX_TRUNC_2):
+        return DetectorKind(_axis_tag("MAX_TRUNC", axis), tau=at.tau3, k_scan=oriented.k1)
+    if oriented.n2 / oriented.k2**2 >= consts.c1:
+        return DetectorKind(_axis_tag("TRUNC_DEGREE", axis), tau=at.tau1)
     return DetectorKind(DetectorTag.TOTAL_DEGREE)
 
 
@@ -413,32 +406,3 @@ def resolve_threshold(
         DetectorTag.MAX_TRUNC_AXIS2: at.h4,
     }
     return kind, table[kind.tag]
-
-
-def run_test(
-    A: AdjacencyMatrix,
-    p0: float,
-    kind: DetectorKind,
-    threshold: float,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> TestDecision:
-    t = statistic(A, p0, kind, budget)
-    return TestDecision(statistic=t, threshold=threshold, reject=t > threshold)
-
-
-def run_delta_star(
-    A: AdjacencyMatrix,
-    shape: ProblemShape,
-    p0: float,
-    consts: RateConstants,
-    thresholds: dict[DetectorTag, float],
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> TestDecision:
-    """Composite detector: dispatch on the rate branch and run the selected
-    sub-test against its resolved threshold."""
-    if (A.n1, A.n2) != (shape.n1, shape.n2):
-        raise ParameterError(f"matrix is {A.n1}x{A.n2}, shape says {shape.n1}x{shape.n2}")
-    kind = delta_star_subtest(shape, p0, consts)
-    if kind.tag not in thresholds:
-        raise ConfigError("thresholds", f"no threshold resolved for {kind.tag.value}")
-    return run_test(A, p0, kind, thresholds[kind.tag], budget)

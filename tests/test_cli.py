@@ -46,6 +46,14 @@ class TestGen:
         assert code == 0
         assert read_matrix(out).bits.sum() >= 5
 
+    def test_null_refuses_delta(self, tmp_path, capsys):
+        out = tmp_path / "a.txt"
+        code, _, err = run(capsys, "gen", "--null", "--n1", "4", "--n2", "4", "--p0", "0.25",
+                           "--delta", "0.5", "--seed", "1", "--out", str(out))
+        assert code == 1
+        assert json.loads(err)["error"] == "usage"
+        assert not out.exists()
+
 
 class TestStat:
     def test_total_degree(self, tmp_path, capsys):
@@ -239,13 +247,95 @@ class TestSweep:
         assert code == 1
         assert "delta_grid" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("command", ["risk", "sweep"])
+    @pytest.mark.parametrize("tag,flag", [("MAX_TRUNC_AXIS1", "--k1"),
+                                          ("MAX_TRUNC_AXIS2", "--k2")])
+    def test_max_scan_needs_its_k(self, tmp_path, capsys, command, tag, flag):
+        """From flags, a max scan takes its size from --k1 on axis 1 and --k2
+        on axis 2, as in calibrate; the shape's default k (the whole axis)
+        is no scan size."""
+        out = tmp_path / "r.csv"
+        flags = {"--n1": "8", "--n2": "8", "--k1": "2", "--k2": "2", "--p0": "0.25",
+                 "--delta": "0.1", "--trials": "100", "--seed": "1", "--out": str(out),
+                 "--detector": tag, "--tau": "1", flag: None}
+        code, stdout, err = run(capsys, command, *_argv(flags))
+        assert (code, stdout) == (1, "")
+        assert f"requires a scan size ({flag})" in json.loads(err)["message"]
+        assert not out.exists()
+
+
+class TestConfigNumbers:
+    """Config numbers are read as floats: a JSON integer gives the output of
+    the float literal of the same value, and one that a float cannot hold is
+    a usage error naming its dotted path.  A file that the JSON parser
+    cannot read (bad UTF-8, an integer past Python's 4,300-digit limit) is
+    a format error."""
+
+    def _doc(self, number):
+        return {
+            **BASE_CONFIG, "delta_grid": [number(0), 0.5],
+            "detector": {"tag": "TRUNC_DEGREE_AXIS1", "tau": number(1)},
+            "threshold": {"value": number(10**20)},
+            "consts": {"c1": number(100), "C_tau": number(2), "C_star": number(3)},
+        }
+
+    def test_integers_read_as_floats(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"  # one path, so both runs share the experiment id
+        written = []
+        for name, number in (("int", int), ("float", float)):
+            path.write_text(json.dumps(self._doc(number)))
+            out = tmp_path / f"{name}.csv"
+            code, _, err = run(capsys, "sweep", "--config", str(path), "--out", str(out))
+            assert code == 0, err
+            written.append((out.read_bytes(), (tmp_path / f"{name}.csv.meta.json").read_bytes()))
+        assert written[0] == written[1]
+        assert b",1e+20," in written[0][0]
+
+    @pytest.mark.parametrize("path,entry", [
+        ("threshold.value", {"threshold": {"value": 10**400}}),
+        ("detector.tau", {"detector": {"tag": "TRUNC_DEGREE_AXIS1", "tau": 10**400}}),
+        ("delta_grid", {"delta_grid": [0.1, 10**400]}),
+        ("consts.c1", {"consts": {"c1": 10**400}}),
+    ], ids=["threshold.value", "detector.tau", "delta_grid", "consts.c1"])
+    def test_too_large_for_a_float(self, tmp_path, capsys, path, entry):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BASE_CONFIG, **entry}))
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "usage"
+        assert error["message"].startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("text", ['{"seed": 1' + "0" * 5000 + "}", b'{"p0": "\xff"}'],
+                             ids=["5000-digit-integer", "bad-utf-8"])
+    def test_unreadable_json_is_format_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text if isinstance(text, bytes) else text.encode())
+        code, out, err = run(capsys, "sweep", "--config", str(cfg))
+        assert (code, out) == (3, "")
+        assert json.loads(err)["error"] == "format"
+
 
 def _argv(flags: dict) -> list[str]:
-    return [tok for flag, value in flags.items() if value is not None for tok in (flag, value)]
+    """Each flag and its value; a value of None leaves the flag out, and
+    True gives the token alone (a store_true flag, or stat's matrix path)."""
+    return [tok for flag, value in flags.items() if value is not None
+            for tok in ((flag,) if value is True else (flag, value))]
 
+
+# The matrix file that the stat probes read; its rows and columns differ,
+# so axis 1 and axis 2 give different statistics.
+PROBE_MATRIX = ("8 8\n11010000\n01100100\n00011000\n10000011\n"
+                "01110000\n00001010\n11000001\n00100110\n")
 
 # A valid flag set of each command, which the probes below vary.
 PROBE_BASES = {
+    "gen": {"--n1": "8", "--n2": "8", "--k1": "4", "--k2": "4", "--p0": "0.25",
+            "--delta": "0.5", "--seed": "1", "--out": "g.txt"},
+    "stat": {"m.txt": True, "--p0": "0.25"},
+    "lb": {"--n1": "4", "--n2": "4", "--k1": "2", "--k2": "2", "--p0": "0.25",
+           "--delta": "0.25"},
     "calibrate": {"--n1": "16", "--n2": "16", "--k1": "4", "--k2": "4", "--p0": "0.25",
                   "--trials": "100", "--seed": "1"},
     "risk": {"--n1": "16", "--n2": "16", "--k1": "4", "--k2": "4", "--p0": "0.25",
@@ -292,7 +382,21 @@ _RATE_PROBES = {
     "--out": ({}, "o.txt", None),
     "--c-phi": ({}, None, "0.5"),
 }
+_STAT_MAX_SCAN = {"--detector": "MAX_TRUNC_AXIS1", "--tau": "1.0", "--k1": "3"}
 PROBES = {
+    # --null beside the base's --delta is a usage error.
+    "gen": {"--n1": ({}, "8", "9"), "--n2": ({}, "8", "9"), "--k1": ({}, "4", "3"),
+            "--k2": ({}, "4", "3"), "--p0": ({}, "0.25", "0.3"), "--delta": ({}, "0.5", None),
+            "--seed": ({}, "1", "2"), "--out": ({}, "g.txt", "h.txt"),
+            "--null": ({}, None, True)},
+    "stat": {"--p0": ({}, "0.25", "0.3"),
+             "--detector": ({"--tau": "1.0"}, "TRUNC_DEGREE_AXIS1", "TRUNC_DEGREE_AXIS2"),
+             "--tau": ({"--detector": "TRUNC_DEGREE_AXIS1"}, "0.5", "1.5"),
+             "--k1": (_STAT_MAX_SCAN, "3", "2"), "--budget": (_STAT_MAX_SCAN, None, "10"),
+             "--out": ({}, "o.txt", None)},
+    "lb": {"--n1": ({}, "4", "5"), "--n2": ({}, "4", "5"), "--k1": ({}, "2", "1"),
+           "--k2": ({}, "2", "1"), "--p0": ({}, "0.25", "0.3"), "--delta": ({}, "0.25", "0.3"),
+           "--out": ({}, "o.txt", None)},
     "calibrate": _CALIBRATE_PROBES,
     "risk": _RISK_PROBES,
     "sweep": {**_RISK_PROBES, "--delta": ({}, "0,0.3", "0,0.4"),
@@ -387,6 +491,7 @@ def _output(workdir, capsys, monkeypatch, argv) -> tuple:
     workdir.mkdir()
     for name, cfg in PROBE_CONFIGS.items():
         (workdir / name).write_text(json.dumps(cfg))
+    (workdir / "m.txt").write_text(PROBE_MATRIX)
     monkeypatch.chdir(workdir)
     result = run(capsys, *argv)
     files = {}
@@ -394,14 +499,14 @@ def _output(workdir, capsys, monkeypatch, argv) -> tuple:
         if path.name.endswith(".meta.json"):
             files[path.name] = json.loads(path.read_text())
             del files[path.name]["consts"]
-        elif path.name not in PROBE_CONFIGS:
+        elif path.name not in PROBE_CONFIGS and path.name != "m.txt":
             files[path.name] = path.read_text()
     return result, files
 
 
 class TestOptionProbes:
-    """Every option of the experiment commands changes the output: a probe
-    pair of runs that differ only in that option must differ."""
+    """Every option of every command changes the output: a probe pair of
+    runs that differ only in that option must differ."""
 
     @pytest.mark.parametrize("command,flag", [
         (command, flag) for command in PROBES for flag in _options(command)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from itertools import combinations
@@ -24,7 +25,6 @@ from planted_bipartite import (
     max_truncated_degree,
     nu,
     rate_bundle,
-    run_delta_star,
     sample_null,
     sample_planted,
     statistic,
@@ -287,6 +287,26 @@ class TestAnalyticThresholds:
             analytic_thresholds(ProblemShape(8, 8, 2, 2), 0.25, 1.5)
 
 
+class TestAxisDuality:
+    """Each axis-2 threshold and truncation level is bitwise the axis-1 one
+    of the swapped shape."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n1=st.integers(1, 10**6), n2=st.integers(1, 10**6),
+        f1=st.floats(0.0, 1.0), f2=st.floats(0.0, 1.0),
+        alpha=st.floats(1e-9, 0.999),
+        c=st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=3),
+    )
+    def test_axis2_is_axis1_on_swapped(self, n1, n2, f1, f2, alpha, c):
+        shape = ProblemShape(n1, n2, max(1, round(f1 * n1)), max(1, round(f2 * n2)))
+        consts = RateConstants(C_star=c[0], c_prime=c[1], C_tau=c[2])
+        at = analytic_thresholds(shape, 0.25, alpha, consts)
+        sw = analytic_thresholds(shape.swapped(), 0.25, alpha, consts)
+        assert (at.h1p, at.h4, at.tau2, at.tau4) == (sw.h1, sw.h3, sw.tau1, sw.tau3)
+        assert (at.h1, at.h3, at.tau1, at.tau3) == (sw.h1p, sw.h4, sw.tau2, sw.tau4)
+
+
 class TestCalibration:
     def test_single_trial(self):
         shape = ProblemShape(8, 8, 2, 2)
@@ -354,28 +374,41 @@ class TestDeltaStar:
         kind = delta_star_subtest(shape, 0.25, consts)
         assert kind.tag is DetectorTag.TOTAL_DEGREE
         A = sample_null(shape, 0.25, 21)
-        dec = run_delta_star(A, shape, 0.25, consts, {DetectorTag.TOTAL_DEGREE: 1.0})
-        assert dec.statistic == total_degree(A, 0.25)
-        assert dec.reject == (dec.statistic > 1.0)
+        spec = ThresholdSpec(ThresholdMode.ANALYTIC, alpha=0.1, value=1.0)
+        composite = DetectorKind(DetectorTag.DELTA_STAR)
+        assert resolve_threshold(composite, shape, 0.25, spec, consts) == (kind, 1.0)
+        assert statistic(A, 0.25, kind) == total_degree(A, 0.25)
 
     def test_symmetric_transpose_statistic(self):
-        shape = ProblemShape(12, 12, 3, 3)
-        consts = RateConstants()
-        kind = delta_star_subtest(shape, 0.25, consts)
-        A = sample_null(shape, 0.25, 8)
-        if kind.tag is DetectorTag.MAX_TRUNC_AXIS1:
-            mirror = DetectorKind(DetectorTag.MAX_TRUNC_AXIS2, tau=kind.tau, k_scan=kind.k_scan)
+        """On shape.swapped() the composite picks the axis-2 mirror of its
+        choice on shape, and the mirror's statistic on A.T is the choice's
+        on A.  A square shape is its own swap: each mirrored pair of rates
+        ties, the argmin takes axis 1, and both resolve to the same test."""
+        for dims, tag in [((12, 12, 3, 3), DetectorTag.TRUNC_DEGREE_AXIS1),
+                          ((20, 64, 5, 4), DetectorTag.MAX_TRUNC_AXIS1)]:
+            shape = ProblemShape(*dims)
+            kind = delta_star_subtest(shape, 0.25)
+            assert kind.tag is tag
+            mirror = dataclasses.replace(kind, tag=DetectorTag[tag.value.replace("1", "2")])
+            swapped = delta_star_subtest(shape.swapped(), 0.25)
+            assert swapped == (kind if shape == shape.swapped() else mirror)
+            A = sample_null(shape, 0.25, 8)
             assert statistic(A, 0.25, kind) == statistic(A.transpose(), 0.25, mirror)
 
     def test_monotone_rejection(self):
+        """On one calibration seed, a smaller alpha calibrates a threshold
+        that is no lower and rejects no more of the same null matrices."""
         shape = ProblemShape(16, 16, 4, 4)
-        A = sample_null(shape, 0.25, 3)
-        t = total_degree(A, 0.25)
-        for h_lo, h_hi in [(t - 1, t + 1), (-2.0, 2.0)]:
-            reject_hi = t > h_hi
-            reject_lo = t > h_lo
-            if reject_hi:
-                assert reject_lo
+        nulls = [sample_null(shape, 0.25, seed) for seed in range(200)]
+        thresholds, rejections = [], []
+        for alpha in (0.5, 0.2, 0.05):
+            spec = ThresholdSpec(ThresholdMode.CALIBRATED, alpha, trials=400, seed=3)
+            kind, h = resolve_threshold(DetectorKind(DetectorTag.DELTA_STAR), shape, 0.25, spec)
+            thresholds.append(h)
+            rejections.append(sum(statistic(A, 0.25, kind) > h for A in nulls))
+        assert thresholds == sorted(thresholds) and thresholds[0] < thresholds[-1]
+        assert rejections == sorted(rejections, reverse=True)
+        assert rejections[0] > rejections[-1]
 
     def test_resolve_threshold_analytic(self):
         shape = ProblemShape(16, 64, 4, 8)
