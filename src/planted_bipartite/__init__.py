@@ -8,19 +8,14 @@ analytic or calibrated thresholds, second-moment lower bounds, and a
 deterministic Monte Carlo harness.
 """
 
-from .binomial_kernel import BennettKernel, bennett_h, binomial_tail, gamma, nu, w_stat, z_threshold_to_count
+from .binomial_kernel import BennettKernel, binomial_tail, gamma, nu, w_stat, z_threshold_to_count
 from .detectors import (
-    AnalyticThresholds,
     DetectorKind,
     DetectorTag,
     ThresholdMode,
     ThresholdSpec,
-    analytic_thresholds,
     calibrate_threshold,
-    max_truncated_degree,
     statistic,
-    total_degree,
-    truncated_degree,
 )
 from .errors import (
     BracketError,
@@ -55,7 +50,6 @@ from .harness import (
 from .lower_bound import (
     SecondMomentResult,
     risk_lower_bound,
-    second_moment_bruteforce,
     second_moment_exact,
     second_moment_exp_bounds,
     second_moment_summary,
@@ -71,7 +65,6 @@ from .rates import (
     log_binom,
     phi,
     psi,
-    psi_appendix_variant,
     rate_bundle,
 )
 

@@ -24,19 +24,6 @@ from scipy.special import gammaln, logsumexp
 from .errors import EmptyConditionError, ParameterError
 
 
-def bennett_h(x: float) -> float:
-    """Bennett function h_B(x) = (1+x)log(1+x) - x, with h_B(-1) = 1."""
-    if x < -1.0:
-        # Absorb float dust from standardized ratios landing on -1.
-        if x >= -1.0 - 1e-9:
-            return 1.0
-        raise ParameterError(f"bennett_h requires x >= -1, got {x}")
-    if x == -1.0:
-        return 1.0
-    # log1p keeps precision near 0; x*log1p(x) - x would cancel badly.
-    return (1.0 + x) * math.log1p(x) - x
-
-
 @dataclass(frozen=True)
 class BennettKernel:
     """Immutable Bin(n, p0) context: mean, sigma, log-pmf table."""
@@ -125,18 +112,18 @@ def gamma(a: float, kernel: BennettKernel) -> float:
 
 def binomial_tail(k: int, n: int, p: float) -> float:
     """Exact P(Bin(n, p) >= k) for 0 <= k <= n+1, stable in log space."""
+    if n < 0:
+        raise ParameterError(f"n must be nonnegative, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ParameterError(f"p must lie in [0, 1], got {p}")
     if not 0 <= k <= n + 1:
         raise ParameterError(f"k={k} outside [0, {n + 1}]")
-    if k <= 0:
+    if k == 0:
         return 1.0
-    if k == n + 1:
+    if k == n + 1 or p == 0.0:
         return 0.0
-    if not 0.0 < p < 1.0:
-        if p == 0.0:
-            return 0.0
-        if p == 1.0:
-            return 1.0
-        raise ParameterError(f"p must lie in [0, 1], got {p}")
+    if p == 1.0:
+        return 1.0
     kern = BennettKernel(n, p)
     # Sum the side that is the smaller probability mass: direct summation
     # above the mean keeps deep tails exact in log space, the complement

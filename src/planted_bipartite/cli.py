@@ -288,7 +288,7 @@ def _sweep_config(args, grid) -> ExperimentConfig:
 def _run_sweep(cfg: ExperimentConfig, out_path, experiment_id: str) -> int:
     sweep = power_sweep(cfg)
     if out_path:
-        emit_results(result_rows(cfg, sweep, experiment_id), out_path, "CSV")
+        emit_results(result_rows(cfg, sweep, experiment_id), out_path)
         sidecar = {
             "experiment_id": experiment_id,
             "detector": sweep.kind.tag.value,

@@ -104,35 +104,6 @@ class ThresholdSpec:
             raise ParameterError("threshold value must not be NaN")
 
 
-def total_degree(A: AdjacencyMatrix, p0: float) -> float:
-    """t = sum_ij (A_ij - p0) / sqrt(n1 n2 p0 (1 - p0))."""
-    return statistic(A, p0, DetectorKind(DetectorTag.TOTAL_DEGREE))
-
-
-def truncated_degree(A: AdjacencyMatrix, p0: float, tau: float, axis: int = 1) -> float:
-    """Sum over columns j with standardized count >= tau of w(count_j) - nu_tau.
-
-    axis=1 sums each column over the n1 rows (kernel Bin(n1, p0)); axis=2
-    runs the same statistic on the transpose.
-    """
-    return statistic(A, p0, DetectorKind(_axis_tag("TRUNC_DEGREE", axis), tau=tau))
-
-
-def max_truncated_degree(
-    A: AdjacencyMatrix,
-    p0: float,
-    tau: float,
-    k_scan: int,
-    axis: int = 1,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> float:
-    """Exact maximum of the truncated-degree statistic over all k_scan-row
-    subsets (kernel Bin(k_scan, p0)); raises BudgetError rather than
-    approximating when there are more than `budget` subsets."""
-    kind = DetectorKind(_axis_tag("MAX_TRUNC", axis), tau=tau, k_scan=k_scan)
-    return statistic(A, p0, kind, budget)
-
-
 def _axis_tag(family: str, axis: int) -> DetectorTag:
     if axis not in (1, 2):
         raise ParameterError(f"axis must be 1 or 2, got {axis}")
@@ -246,67 +217,37 @@ def _batch_statistic(
     raise ParameterError(f"statistic undefined for tag {tag}; resolve DELTA_STAR first")
 
 
-@dataclass(frozen=True)
-class AnalyticThresholds:
-    """Closed-form thresholds and truncation levels for all sub-tests.
-
-    Numbered by test: 1/1p truncated degree axes 1/2, 2/2p total degree,
-    3/4 max truncated degree axes 1/2.
-    """
-
-    h1: float
-    h1p: float
-    h2: float
-    h2p: float
-    h3: float
-    h4: float
-    tau1: float
-    tau2: float
-    tau3: float
-    tau4: float
-
-
-def _trunc_threshold(n2: float, log_arg: float, log_term: float, consts: RateConstants) -> float:
-    inner = n2 * math.exp(-consts.c_prime * math.log1p(log_arg)) * log_term
-    return consts.C_star * (math.sqrt(inner) + log_term)
-
-
-def _axis1_thresholds(
-    shape: ProblemShape, la: float, consts: RateConstants
-) -> tuple[float, float, float, float]:
-    """(h, h_max, tau, tau_max): the threshold and truncation level of the
-    axis-1 truncated degree test and of the axis-1 max truncated scan, with
-    la = log(2 / alpha).  On shape.swapped() these are the axis-2 values."""
-    lb = log_binom(shape.n1, shape.k1)
+def truncation_levels(
+    shape: ProblemShape, consts: RateConstants = RateConstants()
+) -> tuple[float, float]:
+    """(tau, tau_max): the truncation levels of the axis-1 truncated degree
+    test and of the axis-1 max truncated scan.  On shape.swapped() these are
+    the axis-2 levels."""
     arg = shape.n2 / shape.k2**2
-    arg_max = arg * lb
     return (
-        _trunc_threshold(shape.n2, arg, la, consts),
-        _trunc_threshold(shape.n2, arg_max, la + lb, consts),
         math.sqrt(consts.C_tau * math.log1p(arg)),
-        math.sqrt(consts.C_tau * math.log1p(arg_max)),
+        math.sqrt(consts.C_tau * math.log1p(arg * log_binom(shape.n1, shape.k1))),
     )
 
 
-def analytic_thresholds(
-    shape: ProblemShape,
-    p0: float,
-    alpha: float,
-    consts: RateConstants = RateConstants(),
-) -> AnalyticThresholds:
-    """Threshold formulas with the configured constants C_star, c_prime,
-    C_tau.  The constants are existence-only in the theory; these values are
-    for formula-shape diagnostics, not exact Type I control."""
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_p0(p0)
+def _analytic_threshold(
+    tag: DetectorTag, shape: ProblemShape, alpha: float, consts: RateConstants
+) -> float:
+    """Closed-form threshold of a concrete test with the configured
+    constants C_star and c_prime; an axis-2 test takes the axis-1 formula on
+    shape.swapped().  The constants are existence-only in the theory; these
+    values are for formula-shape diagnostics, not exact Type I control."""
     la = math.log(2.0 / alpha)
-    h2 = math.sqrt(4.0 * la)
-    h1, h3, tau1, tau3 = _axis1_thresholds(shape, la, consts)
-    h1p, h4, tau2, tau4 = _axis1_thresholds(shape.swapped(), la, consts)
-    return AnalyticThresholds(
-        h1=h1, h1p=h1p, h2=h2, h2p=h2, h3=h3, h4=h4, tau1=tau1, tau2=tau2, tau3=tau3, tau4=tau4
-    )
+    if tag is DetectorTag.TOTAL_DEGREE:
+        return math.sqrt(4.0 * la)
+    if tag in _AXIS2_TAGS:
+        shape = shape.swapped()
+    arg, log_term = shape.n2 / shape.k2**2, la
+    if tag in _MAX_TAGS:
+        lb = log_binom(shape.n1, shape.k1)
+        arg, log_term = arg * lb, la + lb
+    inner = shape.n2 * math.exp(-consts.c_prime * math.log1p(arg)) * log_term
+    return consts.C_star * (math.sqrt(inner) + log_term)
 
 
 def delta_star_subtest(
@@ -314,15 +255,17 @@ def delta_star_subtest(
 ) -> DetectorKind:
     """Resolve which sub-test the composite detector runs for this shape,
     with its truncation level and scan size.  MAX_TRUNC_2 and BRANCH_B run
-    the axis-1 choice of shape.swapped() on axis 2."""
+    the axis-1 choice of shape.swapped() on axis 2.  The choice depends on
+    the shape and constants alone; p0 is only checked."""
     branch = rate_bundle(shape, consts).branch
+    _check_p0(p0)
     axis = 2 if branch in (Branch.MAX_TRUNC_2, Branch.BRANCH_B) else 1
     oriented = shape.swapped() if axis == 2 else shape
-    at = analytic_thresholds(oriented, p0, alpha=0.5, consts=consts)
+    tau, tau_max = truncation_levels(oriented, consts)
     if branch in (Branch.MAX_TRUNC_1, Branch.MAX_TRUNC_2):
-        return DetectorKind(_axis_tag("MAX_TRUNC", axis), tau=at.tau3, k_scan=oriented.k1)
+        return DetectorKind(_axis_tag("MAX_TRUNC", axis), tau=tau_max, k_scan=oriented.k1)
     if oriented.n2 / oriented.k2**2 >= consts.c1:
-        return DetectorKind(_axis_tag("TRUNC_DEGREE", axis), tau=at.tau1)
+        return DetectorKind(_axis_tag("TRUNC_DEGREE", axis), tau=tau)
     return DetectorKind(DetectorTag.TOTAL_DEGREE)
 
 
@@ -397,12 +340,5 @@ def resolve_threshold(
     if spec.mode is ThresholdMode.CALIBRATED:
         h = calibrate_threshold(kind, shape, p0, spec.alpha, spec.trials, spec.seed, consts, budget)
         return kind, h
-    at = analytic_thresholds(shape, p0, spec.alpha, consts)
-    table = {
-        DetectorTag.TOTAL_DEGREE: at.h2,
-        DetectorTag.TRUNC_DEGREE_AXIS1: at.h1,
-        DetectorTag.TRUNC_DEGREE_AXIS2: at.h1p,
-        DetectorTag.MAX_TRUNC_AXIS1: at.h3,
-        DetectorTag.MAX_TRUNC_AXIS2: at.h4,
-    }
-    return kind, table[kind.tag]
+    _check_p0(p0)
+    return kind, _analytic_threshold(kind.tag, shape, spec.alpha, consts)

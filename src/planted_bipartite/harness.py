@@ -6,17 +6,16 @@ level, evaluates rate bundles over shape grids, and runs the empty-subgraph
 diagnostics through the detectors' subset scan.  Everything is a pure
 function of (config, seed): per-trial seeds are derived from the experiment
 seed and trial index, so results are identical for any batch size, and the
-same uniforms drive every point of a delta grid (common random numbers).  Trials arrive in chunks of at most
-rng.BATCH_BYTES of uniforms, so memory does not grow with the trial count.
-The threshold and the Type I error are computed once per sweep and once
-per bisection, and `SweepResult` carries the resolved detector and
-threshold.
+same uniforms drive every point of a delta grid (common random numbers).
+Trials arrive in chunks of at most rng.BATCH_BYTES of uniforms, so memory
+does not grow with the trial count.  The threshold and the Type I error are
+computed once per sweep and once per bisection, and `SweepResult` carries
+the resolved detector and threshold.  Result rows are written as CSV only.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field, fields
 
@@ -291,24 +290,11 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def emit_results(table: list[ResultRow], path, fmt: str = "CSV") -> None:
-    """Write result rows with 17-significant-digit floats; CSV columns are
-    fixed, JSON mirrors the field names."""
-    fmt = fmt.upper()
-    if fmt == "CSV":
-        with open(path, "w", newline="", encoding="ascii") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_COLUMNS)
-            for row in table:
-                writer.writerow([_fmt(getattr(row, c)) for c in CSV_COLUMNS])
-    elif fmt == "JSON":
-        payload = [
-            {c: (_fmt(getattr(row, c)) if isinstance(getattr(row, c), float) else getattr(row, c))
-             for c in CSV_COLUMNS}
-            for row in table
-        ]
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        raise ParameterError(f"unknown output format {fmt!r}")
+def emit_results(table: list[ResultRow], path) -> None:
+    """Write result rows as CSV in the fixed CSV_COLUMNS order, with
+    17-significant-digit floats."""
+    with open(path, "w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        for row in table:
+            writer.writerow([_fmt(getattr(row, c)) for c in CSV_COLUMNS])

@@ -9,9 +9,10 @@ where U and V are the hypergeometric overlaps of two independent uniform
 supports on each axis.  The minimax risk is then at least
 1 - (1/2) sqrt(E_0[L^2] - 1).  The module also computes the looser
 moment-generating-function bounds E[exp(mu^2 U V)] (hypergeometric, and with
-binomial domination) so the slack in the chain is visible, a brute-force
-cross-check over all support pairs, and the exact total variation distance
-by enumerating every binary matrix on tiny instances.
+binomial domination) so the slack in the chain is visible, and the exact
+total variation distance by enumerating every binary matrix on tiny
+instances.  The brute-force second moment over all support pairs, which
+checks the overlap sums, lives with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import BudgetError, ParameterError
 from .graph_model import ProblemShape
 from .rates import log_binom
 
-BRUTEFORCE_BUDGET = 10**8
 TV_BUDGET_BITS = 20
 
 
@@ -85,36 +85,6 @@ def second_moment_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     return _exp_moment(u, v, math.log1p(mu2))
 
 
-def second_moment_bruteforce(shape: ProblemShape, p0: float, delta: float) -> float:
-    """Average of (1 + mu^2)^(|K1 cap K1'| |K2 cap K2'|) over all ordered
-    pairs of supports, enumerated explicitly."""
-    mu2 = _check_signal(p0, delta)
-    c1 = math.comb(shape.n1, shape.k1)
-    c2 = math.comb(shape.n2, shape.k2)
-    if c1 * c1 * c2 * c2 > BRUTEFORCE_BUDGET:
-        raise BudgetError(
-            f"{c1}^2 * {c2}^2 support pairs exceed budget {BRUTEFORCE_BUDGET}"
-        )
-    subsets1 = [frozenset(s) for s in combinations(range(shape.n1), shape.k1)]
-    subsets2 = [frozenset(s) for s in combinations(range(shape.n2), shape.k2)]
-    base = 1.0 + mu2
-    # Overlap histograms on each axis; the double sum factorizes through them.
-    hist1 = np.zeros(shape.k1 + 1)
-    for a in subsets1:
-        for b in subsets1:
-            hist1[len(a & b)] += 1.0
-    hist2 = np.zeros(shape.k2 + 1)
-    for a in subsets2:
-        for b in subsets2:
-            hist2[len(a & b)] += 1.0
-    total = 0.0
-    for u in range(shape.k1 + 1):
-        for v in range(shape.k2 + 1):
-            if hist1[u] and hist2[v]:
-                total += hist1[u] * hist2[v] * base ** (u * v)
-    return total / (c1 * c1 * c2 * c2)
-
-
 def second_moment_exp_bounds(
     shape: ProblemShape, p0: float, delta: float
 ) -> tuple[float, float]:
@@ -141,8 +111,8 @@ def _binom_log_pmf(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def risk_lower_bound(second_moment_value: float) -> float:
-    """1 - (1/2) sqrt(E_0[L^2] - 1), clamped to [0, 1]."""
-    if second_moment_value < 1.0 - 1e-12:
+    """1 - (1/2) sqrt(E_0[L^2] - 1), clamped to [0, 1]; NaN is refused."""
+    if not second_moment_value >= 1.0 - 1e-12:
         raise ParameterError(f"second moment must be >= 1, got {second_moment_value}")
     excess = max(0.0, second_moment_value - 1.0)
     return min(1.0, max(0.0, 1.0 - 0.5 * math.sqrt(excess)))

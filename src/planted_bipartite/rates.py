@@ -103,14 +103,6 @@ def phi(k1: int, k2: int, n1: int, n2: int, consts: RateConstants) -> float:
     return (n1 / k1**2) * math.log1p(n2 / k2**2)
 
 
-def psi_appendix_variant(k1: int, k2: int, n1: int, n2: int) -> float:
-    """Alternative psi used in the rate-simplification analysis; exposed for
-    cross-validation only.  Returns 0 when k1 = n1."""
-    if k1 == n1:
-        return 0.0
-    return math.log1p((n2 * k1 / k2**2) * math.log(n1 / k1)) / k1
-
-
 def rate_bundle(shape: ProblemShape, consts: RateConstants = RateConstants()) -> RateBundle:
     """All six rate components, R, R_tilde, and the argmin branch of R_tilde.
 

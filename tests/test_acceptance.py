@@ -19,8 +19,6 @@ from planted_bipartite import (
     ProblemShape,
     ThresholdMode,
     ThresholdSpec,
-    analytic_thresholds,
-    bennett_h,
     binomial_tail,
     bisect_delta_star,
     calibrate_threshold,
@@ -31,7 +29,6 @@ from planted_bipartite import (
     power_sweep,
     rate_bundle,
     risk_lower_bound,
-    second_moment_bruteforce,
     second_moment_exact,
     second_moment_exp_bounds,
     tv_exact,
@@ -40,7 +37,8 @@ from planted_bipartite import (
 )
 from planted_bipartite import rng
 from planted_bipartite.cli import dispatch
-from planted_bipartite.detectors import null_statistics
+from planted_bipartite.detectors import null_statistics, truncation_levels
+from oracles import bennett_h, second_moment_bruteforce
 
 
 @contextmanager
@@ -128,14 +126,14 @@ def test_a3_type_one_control():
             (
                 DetectorKind(
                     DetectorTag.TRUNC_DEGREE_AXIS1,
-                    tau=analytic_thresholds(big, 0.25, alpha).tau1,
+                    tau=truncation_levels(big)[0],
                 ),
                 big,
             ),
             (
                 DetectorKind(
                     DetectorTag.MAX_TRUNC_AXIS1,
-                    tau=analytic_thresholds(small, 0.25, alpha).tau3,
+                    tau=truncation_levels(small)[1],
                     k_scan=3,
                 ),
                 small,

@@ -8,13 +8,13 @@ from planted_bipartite import (
     BennettKernel,
     EmptyConditionError,
     ParameterError,
-    bennett_h,
     binomial_tail,
     gamma,
     nu,
     w_stat,
     z_threshold_to_count,
 )
+from oracles import bennett_h
 
 
 class TestBennettH:
@@ -152,6 +152,15 @@ class TestBinomialTail:
             binomial_tail(9, 7, 0.3)
         with pytest.raises(ParameterError):
             binomial_tail(-1, 7, 0.3)
+
+    @pytest.mark.parametrize("k,n,p", [
+        (0, 10, 5.0), (0, 10, -0.5), (0, 10, math.nan), (11, 10, math.nan),
+        (5, 10, math.nan), (0, -1, 0.3), (1, -2, 0.3),
+    ])
+    def test_arguments_checked_before_edges(self, k, n, p):
+        # k = 0 and k = n + 1 have fixed answers, but only for a valid n and p.
+        with pytest.raises(ParameterError):
+            binomial_tail(k, n, p)
 
     def test_exact_vs_integer_arithmetic(self):
         # exact rational oracle at p = 1/4

@@ -20,16 +20,12 @@ from planted_bipartite import (
     SignalConfig,
     ThresholdMode,
     ThresholdSpec,
-    analytic_thresholds,
     calibrate_threshold,
-    max_truncated_degree,
     nu,
     rate_bundle,
     sample_null,
     sample_planted,
     statistic,
-    total_degree,
-    truncated_degree,
     w_stat,
     z_threshold_to_count,
 )
@@ -40,67 +36,81 @@ from planted_bipartite.detectors import (
     empirical_quantile,
     null_statistics,
     resolve_threshold,
+    truncation_levels,
 )
 from planted_bipartite.rates import Branch
+
+TOTAL = DetectorKind(DetectorTag.TOTAL_DEGREE)
+TRUNC1, TRUNC2 = DetectorTag.TRUNC_DEGREE_AXIS1, DetectorTag.TRUNC_DEGREE_AXIS2
+MAX1, MAX2 = DetectorTag.MAX_TRUNC_AXIS1, DetectorTag.MAX_TRUNC_AXIS2
 
 
 def _mat(rows):
     return AdjacencyMatrix(np.array(rows, dtype=np.uint8))
 
 
+def _analytic(kind, shape, alpha, consts=RateConstants()):
+    """The ANALYTIC threshold resolve_threshold gives a concrete kind."""
+    spec = ThresholdSpec(ThresholdMode.ANALYTIC, alpha)
+    resolved, h = resolve_threshold(kind, shape, 0.25, spec, consts)
+    assert resolved == kind
+    return h
+
+
 class TestTotalDegree:
     def test_centered(self):
-        assert total_degree(_mat([[1, 1], [0, 0]]), 0.5) == pytest.approx(0.0, abs=1e-12)
+        assert statistic(_mat([[1, 1], [0, 0]]), 0.5, TOTAL) == pytest.approx(0.0, abs=1e-12)
 
     def test_all_zeros(self):
-        v = total_degree(_mat([[0, 0], [0, 0]]), 0.25)
+        v = statistic(_mat([[0, 0], [0, 0]]), 0.25, TOTAL)
         assert v == pytest.approx(-1 / math.sqrt(0.75), rel=1e-12)
 
     def test_all_ones(self):
-        v = total_degree(_mat([[1, 1], [1, 1]]), 0.25)
+        v = statistic(_mat([[1, 1], [1, 1]]), 0.25, TOTAL)
         assert v == pytest.approx(3 / math.sqrt(0.75), rel=1e-12)
 
     def test_p0_domain(self):
         with pytest.raises(ParameterError):
-            total_degree(_mat([[0]]), 0.0)
+            statistic(_mat([[0]]), 0.0, TOTAL)
 
     def test_matches_closed_form(self):
         for seed, (n1, n2) in enumerate([(1, 1), (3, 7), (16, 16), (40, 9)]):
             for p0 in (0.1, 0.25, 0.5):
                 A = sample_null(ProblemShape(n1, n2, 1, 1), p0, seed)
                 want = (int(A.bits.sum()) - n1 * n2 * p0) / math.sqrt(n1 * n2 * p0 * (1 - p0))
-                assert total_degree(A, p0) == want
+                assert statistic(A, p0, TOTAL) == want
 
 
 class TestAxis:
     @pytest.mark.parametrize("axis", [0, 3, -1])
     def test_axis_domain(self, axis):
+        # Only axes 1 and 2 name a tag.
         A = sample_null(ProblemShape(4, 4, 2, 2), 0.25, 1)
         with pytest.raises(ParameterError):
-            truncated_degree(A, 0.25, 1.0, axis=axis)
+            statistic(A, 0.25, DetectorKind(detectors._axis_tag("TRUNC_DEGREE", axis), tau=1.0))
         with pytest.raises(ParameterError):
-            max_truncated_degree(A, 0.25, 1.0, k_scan=2, axis=axis)
+            kind = DetectorKind(detectors._axis_tag("MAX_TRUNC", axis), tau=1.0, k_scan=2)
+            statistic(A, 0.25, kind)
 
     def test_axis2_scans_the_transpose(self):
         A = sample_null(ProblemShape(5, 8, 2, 2), 0.3, 4)
-        assert max_truncated_degree(A, 0.3, 0.5, k_scan=3, axis=2) == max_truncated_degree(
-            A.transpose(), 0.3, 0.5, k_scan=3, axis=1
+        assert statistic(A, 0.3, DetectorKind(MAX2, tau=0.5, k_scan=3)) == statistic(
+            A.transpose(), 0.3, DetectorKind(MAX1, tau=0.5, k_scan=3)
         )
 
 
 class TestTruncatedDegree:
     def test_all_zeros(self):
         A = AdjacencyMatrix(np.zeros((4, 6), dtype=np.uint8))
-        assert truncated_degree(A, 0.25, 1.0) == 0.0
+        assert statistic(A, 0.25, DetectorKind(TRUNC1, tau=1.0)) == 0.0
 
     def test_single_full_column(self):
         bits = np.zeros((4, 3), dtype=np.uint8)
         bits[:, 0] = 1
         k = BennettKernel(4, 0.25)
         expect = w_stat(4, k) - nu(1.0, k)
-        assert truncated_degree(AdjacencyMatrix(bits), 0.25, 1.0) == pytest.approx(
-            expect, rel=1e-12
-        )
+        got = statistic(AdjacencyMatrix(bits), 0.25, DetectorKind(TRUNC1, tau=1.0))
+        assert got == pytest.approx(expect, rel=1e-12)
         assert expect == pytest.approx(4.605154, abs=1e-6)
 
     def test_null_centering(self):
@@ -112,21 +122,21 @@ class TestTruncatedDegree:
 
     def test_transpose_duality(self):
         A = sample_null(ProblemShape(7, 11, 2, 2), 0.3, 5)
-        assert truncated_degree(A, 0.3, 0.8, axis=2) == truncated_degree(
-            A.transpose(), 0.3, 0.8, axis=1
+        assert statistic(A, 0.3, DetectorKind(TRUNC2, tau=0.8)) == statistic(
+            A.transpose(), 0.3, DetectorKind(TRUNC1, tau=0.8)
         )
 
 
 class TestMaxTruncatedDegree:
     def test_k_scan_full_equals_truncated(self):
         A = sample_null(ProblemShape(6, 9, 2, 2), 0.25, 3)
-        assert max_truncated_degree(A, 0.25, 1.0, k_scan=6) == pytest.approx(
-            truncated_degree(A, 0.25, 1.0), rel=1e-12
+        assert statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=6)) == pytest.approx(
+            statistic(A, 0.25, DetectorKind(TRUNC1, tau=1.0)), rel=1e-12
         )
 
     def test_all_zeros(self):
         A = AdjacencyMatrix(np.zeros((5, 4), dtype=np.uint8))
-        assert max_truncated_degree(A, 0.25, 1.0, k_scan=2) == 0.0
+        assert statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=2)) == 0.0
 
     def _brute_force(self, A, p0, tau, k_scan):
         kern = BennettKernel(k_scan, p0)
@@ -142,14 +152,14 @@ class TestMaxTruncatedDegree:
     def test_brute_force_agreement(self):
         for seed in range(30):
             A = sample_null(ProblemShape(6, 5, 2, 2), 0.35, seed)
-            got = max_truncated_degree(A, 0.35, 0.7, k_scan=2)
+            got = statistic(A, 0.35, DetectorKind(MAX1, tau=0.7, k_scan=2))
             assert got == pytest.approx(self._brute_force(A, 0.35, 0.7, 2), rel=1e-12, abs=1e-12)
 
     def test_planted_block_example(self):
         bits = np.zeros((4, 3), dtype=np.uint8)
         bits[0:2, 0] = 1
         A = AdjacencyMatrix(bits)
-        got = max_truncated_degree(A, 0.25, 1.0, k_scan=2)
+        got = statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=2))
         assert got == pytest.approx(self._brute_force(A, 0.25, 1.0, 2), rel=1e-12)
 
     def test_max_dominance_at_planted_support(self):
@@ -161,12 +171,12 @@ class TestMaxTruncatedDegree:
         nv = nu(1.0, kern)
         counts = A.bits[list(sup.K1)].sum(axis=0)
         inner = sum(w_stat(int(c), kern) - nv for c in counts if c >= kmin)
-        assert max_truncated_degree(A, 0.2, 1.0, k_scan=3) >= inner - 1e-12
+        assert statistic(A, 0.2, DetectorKind(MAX1, tau=1.0, k_scan=3)) >= inner - 1e-12
 
     def test_budget_error(self):
         A = sample_null(ProblemShape(30, 4, 2, 2), 0.25, 1)
         with pytest.raises(BudgetError):
-            max_truncated_degree(A, 0.25, 1.0, k_scan=15, budget=1000)
+            statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=15), budget=1000)
 
 
 def _reference_truncated(bits, p0, tau, k_scan=None):
@@ -241,14 +251,14 @@ class TestScanExactness:
         batch = detectors._batch_max_truncated(
             np.stack([A.bits for A in mats]), 0.25, 1.0, k_scan, 10**6
         )
-        single = [max_truncated_degree(A, 0.25, 1.0, k_scan) for A in mats]
+        single = [statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=k_scan)) for A in mats]
         assert _bit_equal(single, batch)
 
     def test_scan_memory_is_bounded(self):
         A = sample_null(ProblemShape(20, 64, 5, 4), 0.25, 2)
         tracemalloc.start()
         try:
-            max_truncated_degree(A, 0.25, 1.0, k_scan=5)
+            statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -259,7 +269,7 @@ class TestScanExactness:
         A = sample_null(ProblemShape(400, 4, 2, 2), 0.25, 3)
         tracemalloc.start()
         try:
-            max_truncated_degree(A, 0.25, 1.0, k_scan=2)
+            statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -268,28 +278,28 @@ class TestScanExactness:
 
 class TestAnalyticThresholds:
     def test_h2(self):
-        at = analytic_thresholds(ProblemShape(64, 64, 8, 8), 0.25, 0.2)
-        assert at.h2 == pytest.approx(math.sqrt(4 * math.log(10)), rel=1e-12)
-        assert at.h2p == at.h2
+        h = _analytic(TOTAL, ProblemShape(64, 64, 8, 8), 0.2)
+        assert h == pytest.approx(math.sqrt(4 * math.log(10)), rel=1e-12)
 
     def test_tau1(self):
         consts = RateConstants(C_tau=3.0)
-        at = analytic_thresholds(ProblemShape(50, 100, 5, 10), 0.25, 0.1, consts)
-        assert at.tau1 == pytest.approx(math.sqrt(3 * math.log(2)), rel=1e-12)
+        tau, _ = truncation_levels(ProblemShape(50, 100, 5, 10), consts)
+        assert tau == pytest.approx(math.sqrt(3 * math.log(2)), rel=1e-12)
 
     def test_h3_monotone_in_logbinom(self):
-        a = analytic_thresholds(ProblemShape(20, 64, 5, 8), 0.25, 0.1)
-        b = analytic_thresholds(ProblemShape(10, 64, 5, 8), 0.25, 0.1)
-        assert a.h3 > b.h3
+        kind = DetectorKind(MAX1, tau=1.0, k_scan=5)
+        a = _analytic(kind, ProblemShape(20, 64, 5, 8), 0.1)
+        b = _analytic(kind, ProblemShape(10, 64, 5, 8), 0.1)
+        assert a > b
 
     def test_alpha_domain(self):
         with pytest.raises(ParameterError):
-            analytic_thresholds(ProblemShape(8, 8, 2, 2), 0.25, 1.5)
+            _analytic(TOTAL, ProblemShape(8, 8, 2, 2), 1.5)
 
 
 class TestAxisDuality:
-    """Each axis-2 threshold and truncation level is bitwise the axis-1 one
-    of the swapped shape."""
+    """Each axis-2 ANALYTIC threshold is bitwise the axis-1 one of the
+    swapped shape."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -301,10 +311,13 @@ class TestAxisDuality:
     def test_axis2_is_axis1_on_swapped(self, n1, n2, f1, f2, alpha, c):
         shape = ProblemShape(n1, n2, max(1, round(f1 * n1)), max(1, round(f2 * n2)))
         consts = RateConstants(C_star=c[0], c_prime=c[1], C_tau=c[2])
-        at = analytic_thresholds(shape, 0.25, alpha, consts)
-        sw = analytic_thresholds(shape.swapped(), 0.25, alpha, consts)
-        assert (at.h1p, at.h4, at.tau2, at.tau4) == (sw.h1, sw.h3, sw.tau1, sw.tau3)
-        assert (at.h1, at.h3, at.tau1, at.tau3) == (sw.h1p, sw.h4, sw.tau2, sw.tau4)
+        for axis2, axis1 in [
+            (DetectorKind(TRUNC2, tau=1.0), DetectorKind(TRUNC1, tau=1.0)),
+            (DetectorKind(MAX2, tau=1.0, k_scan=1), DetectorKind(MAX1, tau=1.0, k_scan=1)),
+        ]:
+            h2 = _analytic(axis2, shape, alpha, consts)
+            h1 = _analytic(axis1, shape.swapped(), alpha, consts)
+            assert h2.hex() == h1.hex()
 
 
 class TestCalibration:
@@ -377,7 +390,7 @@ class TestDeltaStar:
         spec = ThresholdSpec(ThresholdMode.ANALYTIC, alpha=0.1, value=1.0)
         composite = DetectorKind(DetectorTag.DELTA_STAR)
         assert resolve_threshold(composite, shape, 0.25, spec, consts) == (kind, 1.0)
-        assert statistic(A, 0.25, kind) == total_degree(A, 0.25)
+        assert statistic(A, 0.25, kind) == statistic(A, 0.25, TOTAL)
 
     def test_symmetric_transpose_statistic(self):
         """On shape.swapped() the composite picks the axis-2 mirror of its

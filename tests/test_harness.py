@@ -334,7 +334,7 @@ class TestEmitResults:
 
     def test_empty_table_header_only(self, tmp_path):
         p = tmp_path / "out.csv"
-        emit_results([], p, "CSV")
+        emit_results([], p)
         lines = p.read_text().strip().split("\n")
         assert len(lines) == 1
         assert lines[0].startswith("experiment_id,n1,n2,")
@@ -344,7 +344,7 @@ class TestEmitResults:
 
         rows = self._rows()
         p = tmp_path / "out.csv"
-        emit_results(rows, p, "CSV")
+        emit_results(rows, p)
         with open(p) as fh:
             got = list(csv.DictReader(fh))
         for orig, rec in zip(rows, got):
@@ -352,22 +352,8 @@ class TestEmitResults:
             assert float(rec["risk"]) == orig.risk
             assert int(rec["trials"]) == orig.trials
 
-    def test_json_mirror(self, tmp_path):
-        import json
-
-        rows = self._rows()
-        p = tmp_path / "out.json"
-        emit_results(rows, p, "JSON")
-        data = json.loads(p.read_text())
-        assert len(data) == len(rows)
-        assert set(data[0]) == {
-            "experiment_id", "n1", "n2", "k1", "k2", "p0", "delta", "detector",
-            "threshold_mode", "threshold", "trials", "seed", "type1", "se1",
-            "type2", "se2", "risk",
-        }
-
     def test_byte_identical_rerun(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_results(self._rows(), p1, "CSV")
-        emit_results(self._rows(), p2, "CSV")
+        emit_results(self._rows(), p1)
+        emit_results(self._rows(), p2)
         assert p1.read_bytes() == p2.read_bytes()

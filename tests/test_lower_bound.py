@@ -12,13 +12,13 @@ from planted_bipartite import (
     ParameterError,
     ProblemShape,
     risk_lower_bound,
-    second_moment_bruteforce,
     second_moment_exact,
     second_moment_exp_bounds,
     second_moment_summary,
     tv_exact,
 )
 from planted_bipartite.rates import log_binom
+from oracles import second_moment_bruteforce
 
 
 class TestSecondMomentExact:
@@ -135,6 +135,12 @@ class TestRiskLowerBound:
 
     def test_clamped(self):
         assert risk_lower_bound(10.0) == 0.0
+        assert risk_lower_bound(math.inf) == 0.0
+
+    def test_nan_refused(self):
+        # max(0.0, nan) is 0.0, so NaN used to read as "no test beats chance".
+        with pytest.raises(ParameterError):
+            risk_lower_bound(math.nan)
 
 
 class TestSummary:

@@ -13,9 +13,9 @@ from planted_bipartite import (
     log_binom,
     phi,
     psi,
-    psi_appendix_variant,
     rate_bundle,
 )
+from oracles import psi_appendix_variant
 
 
 class TestLogBinom:
