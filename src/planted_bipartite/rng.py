@@ -115,7 +115,11 @@ def _uniform_grid(
     # fmix64's first step z ^= z >> 33 is the row's own: (r ^ (c + 1)) >> 33
     # equals r >> 33 while c + 1 < 2^33.
     rows ^= rows >> np.uint64(33)
-    z = np.bitwise_xor(rows[..., None], np.arange(1, n2 + 1, dtype=np.uint64), out=out)
+    # Copying the rows and xoring the columns in place is faster than one
+    # broadcast xor, which numpy walks as n1 inner loops of length n2.
+    z = np.empty(rows.shape + (n2,), dtype=np.uint64) if out is None else out
+    z[...] = rows[..., None]
+    z ^= np.arange(1, n2 + 1, dtype=np.uint64)
     scratch = np.empty_like(z) if scratch is None else scratch
     for m in (_M1, _M2):
         z *= np.uint64(m)

@@ -16,8 +16,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# The composite detector runs a max scan of k_scan = 3 rows here.
 BASE_CONFIG = {
-    "shape": {"n1": 8, "n2": 8, "k1": 2, "k2": 2},
+    "shape": {"n1": 12, "n2": 16, "k1": 3, "k2": 3},
     "p0": 0.25, "delta_grid": [0.1], "trials": 100, "seed": 1,
 }
 
@@ -127,9 +128,9 @@ class TestCalibrate:
     def test_axis2_scan_size_is_k2(self, capsys, k1, k2):
         code, out, _ = run(capsys, "calibrate", "--n1", "8", "--n2", "12", "--k1", str(k1),
                            "--k2", str(k2), "--p0", "0.25", "--detector", "MAX_TRUNC_AXIS2",
-                           "--tau", "1", "--trials", "200", "--seed", "1")
+                           "--tau", "0.5", "--trials", "200", "--seed", "1")
         assert code == 0
-        kind = detectors.DetectorKind(detectors.DetectorTag.MAX_TRUNC_AXIS2, tau=1.0, k_scan=k2)
+        kind = detectors.DetectorKind(detectors.DetectorTag.MAX_TRUNC_AXIS2, tau=0.5, k_scan=k2)
         expected = detectors.calibrate_threshold(
             kind, ProblemShape(8, 12, k1, k2), 0.25, 0.1, 200, 1
         )
@@ -353,8 +354,8 @@ _ANALYTIC = {"--threshold-mode": "ANALYTIC"}
 _CALIBRATE_PROBES = {
     "--n1": ({}, "16", "18"),
     "--n2": ({}, "16", "18"),
-    "--k1": ({}, "4", "2"),
-    "--k2": ({}, "4", "2"),
+    "--k1": ({}, "4", "3"),
+    "--k2": ({}, "4", "5"),
     "--p0": ({}, "0.25", "0.3"),
     "--alpha": ({}, "0.1", "0.3"),
     "--trials": ({}, "100", "150"),
@@ -382,7 +383,7 @@ _RATE_PROBES = {
     "--out": ({}, "o.txt", None),
     "--c-phi": ({}, None, "0.5"),
 }
-_STAT_MAX_SCAN = {"--detector": "MAX_TRUNC_AXIS1", "--tau": "1.0", "--k1": "3"}
+_STAT_MAX_SCAN = {"--detector": "MAX_TRUNC_AXIS1", "--tau": "0.5", "--k1": "3"}
 PROBES = {
     # --null beside the base's --delta is a usage error.
     "gen": {"--n1": ({}, "8", "9"), "--n2": ({}, "8", "9"), "--k1": ({}, "4", "3"),
@@ -527,7 +528,7 @@ class TestOptionProbes:
         """The `--k2` probe above runs the composite detector.  Under
         MAX_TRUNC_AXIS2, --k2 is the scan size: it changes the output, and
         risk and sweep record it as k_scan."""
-        base = {**PROBE_BASES[command], "--detector": "MAX_TRUNC_AXIS2", "--tau": "1.0"}
+        base = {**PROBE_BASES[command], "--detector": "MAX_TRUNC_AXIS2", "--tau": "0.5"}
         outputs = {
             k2: _output(tmp_path / k2, capsys, monkeypatch, [command, *_argv({**base, "--k2": k2})])
             for k2 in ("4", "2")
@@ -548,7 +549,7 @@ CONFIG_PROBE_BASE = {
     "shape": {"n1": 16, "n2": 16, "k1": 4, "k2": 4}, "p0": 0.25, "delta_grid": [0.3],
     "trials": 100, "seed": 2, "threshold": {"trials": 100},
 }
-_CONFIG_MAX_SCAN = {"detector.tag": "MAX_TRUNC_AXIS1", "detector.tau": 1.0}
+_CONFIG_MAX_SCAN = {"detector.tag": "MAX_TRUNC_AXIS1", "detector.tau": 0.5}
 # Per optional config key: (extra entries, value a, value b), by dotted
 # path; None leaves the key out.
 CONFIG_PROBES = {
@@ -715,9 +716,9 @@ class TestUnreadDetectorValues:
         assert "tau" in error["message"] or "k_scan" in error["message"]
 
     @pytest.mark.parametrize("tag,flags", [
-        ("TRUNC_DEGREE_AXIS1", ["--tau", "1"]),
-        ("MAX_TRUNC_AXIS1", ["--tau", "1", "--k1", "1"]),
-        ("MAX_TRUNC_AXIS2", ["--tau", "1", "--k1", "1"]),
+        ("TRUNC_DEGREE_AXIS1", ["--tau", "0.5"]),
+        ("MAX_TRUNC_AXIS1", ["--tau", "0.5", "--k1", "2"]),
+        ("MAX_TRUNC_AXIS2", ["--tau", "0.5", "--k1", "2"]),
     ], ids=["trunc-axis1", "max-axis1", "max-axis2"])
     def test_stat_reads_what_it_takes(self, tmp_path, capsys, tag, flags):
         code, out, _ = run(capsys, "stat", _matrix(tmp_path), "--p0", "0.25",
@@ -756,6 +757,26 @@ class TestSeedRange:
         code, out, _ = run(capsys, "sweep", "--config", str(path))
         assert code == 0
         assert out.startswith("delta,type1,type2,risk\n")
+
+
+class TestSingleCountTruncation:
+    """Where the composite detector's max scan passes only the full count of
+    its k_scan rows, its statistic would be constant: the run exits 1 and
+    writes nothing.  At the first shape it used to report threshold 0 and
+    miss an all-ones 3x6 block on every trial."""
+
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--n1", "16", "--n2", "128", "--k1", "3", "--k2", "6", "--p0", "0.25",
+         "--delta", "0.75", "--trials", "200", "--seed", "1"],
+        ["sweep", "--n1", "16", "--n2", "64", "--k1", "2", "--k2", "4", "--p0", "0.2",
+         "--delta", "0,0.4,0.8", "--trials", "400", "--seed", "1"],
+    ], ids=["risk", "sweep"])
+    def test_refused(self, tmp_path, capsys, argv):
+        out = tmp_path / "r.csv"
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert "would be constant" in json.loads(err)["message"]
+        assert not out.exists()
 
 
 class TestUsage:

@@ -13,6 +13,7 @@ from planted_bipartite import (
     BudgetError,
     DetectorKind,
     DetectorTag,
+    EmptyConditionError,
     ParameterError,
     PlantedSupport,
     ProblemShape,
@@ -136,7 +137,7 @@ class TestMaxTruncatedDegree:
 
     def test_all_zeros(self):
         A = AdjacencyMatrix(np.zeros((5, 4), dtype=np.uint8))
-        assert statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=2)) == 0.0
+        assert statistic(A, 0.25, DetectorKind(MAX1, tau=0.5, k_scan=2)) == 0.0
 
     def _brute_force(self, A, p0, tau, k_scan):
         kern = BennettKernel(k_scan, p0)
@@ -152,15 +153,15 @@ class TestMaxTruncatedDegree:
     def test_brute_force_agreement(self):
         for seed in range(30):
             A = sample_null(ProblemShape(6, 5, 2, 2), 0.35, seed)
-            got = statistic(A, 0.35, DetectorKind(MAX1, tau=0.7, k_scan=2))
-            assert got == pytest.approx(self._brute_force(A, 0.35, 0.7, 2), rel=1e-12, abs=1e-12)
+            got = statistic(A, 0.35, DetectorKind(MAX1, tau=0.3, k_scan=2))
+            assert got == pytest.approx(self._brute_force(A, 0.35, 0.3, 2), rel=1e-12, abs=1e-12)
 
     def test_planted_block_example(self):
         bits = np.zeros((4, 3), dtype=np.uint8)
         bits[0:2, 0] = 1
         A = AdjacencyMatrix(bits)
-        got = statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=2))
-        assert got == pytest.approx(self._brute_force(A, 0.25, 1.0, 2), rel=1e-12)
+        got = statistic(A, 0.25, DetectorKind(MAX1, tau=0.5, k_scan=2))
+        assert got == pytest.approx(self._brute_force(A, 0.25, 0.5, 2), rel=1e-12)
 
     def test_max_dominance_at_planted_support(self):
         shape = ProblemShape(8, 8, 3, 3)
@@ -218,9 +219,10 @@ class TestScanExactness:
     )
     def test_matches_reference(self, rows, cols, trials, k_frac, p0, tau, axis, seed):
         k_scan = 1 + round(k_frac * (rows - 1))
-        # nu_tau needs a count at or above tau (EmptyConditionError otherwise).
+        # The table needs a count below n at or above tau (EmptyConditionError
+        # otherwise).
         for k in (k_scan, rows):
-            assume(z_threshold_to_count(tau, BennettKernel(k, p0)) <= k)
+            assume(z_threshold_to_count(tau, BennettKernel(k, p0)) < k)
         oriented = (np.random.default_rng(seed).random((trials, rows, cols)) < p0).astype(np.uint8)
         # axis 2 scans the second matrix axis: store the transpose.
         bits = oriented if axis == 1 else np.ascontiguousarray(oriented.transpose(0, 2, 1))
@@ -269,11 +271,140 @@ class TestScanExactness:
         A = sample_null(ProblemShape(400, 4, 2, 2), 0.25, 3)
         tracemalloc.start()
         try:
-            statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=2))
+            statistic(A, 0.25, DetectorKind(MAX1, tau=0.5, k_scan=2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+class TestContributionTable:
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 40), p0=st.floats(0.01, 0.99), tau=st.floats(0.0, 6.0))
+    def test_single_count_refused(self, n, p0, tau):
+        """A truncation that passes only the count n is refused: there f would
+        be 0 up to a rounding residue and the statistic constant.  Any other
+        table scores the all-ones count above 0."""
+        k_min = z_threshold_to_count(tau, BennettKernel(n, p0))
+        try:
+            f = detectors._contribution_table(n, p0, tau)
+        except EmptyConditionError:
+            assert k_min >= n
+            return
+        assert k_min < n and f[n] > 0
+
+
+class TestCandidatePass:
+    """The candidate pass gives the full enumeration's doubles bit for bit,
+    whether it runs (cost 0) or the chunk is scanned in full (infinite
+    cost), for any block size."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        rows=st.integers(2, 9),
+        cols=st.integers(1, 30),
+        trials=st.integers(1, 6),
+        k_frac=st.floats(0.0, 1.0),
+        p0=st.sampled_from([0.1, 0.25, 0.5]),
+        tau=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        axis=st.sampled_from([1, 2]),
+        planted=st.integers(0, 6),
+        tied=st.booleans(),
+        block=st.sampled_from([1, 3, 64, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_scan(
+        self, rows, cols, trials, k_frac, p0, tau, axis, planted, tied, block, seed
+    ):
+        k_scan = 1 + round(k_frac * (rows - 1))
+        assume(z_threshold_to_count(tau, BennettKernel(k_scan, p0)) < k_scan)
+        oriented = (np.random.default_rng(seed).random((trials, rows, cols)) < p0).astype(np.uint8)
+        # Dense planted blocks in the first trials; a repeated row ties the
+        # maxima of the subsets that swap it for its copy.
+        oriented[:planted, : k_scan + 1, : cols // 2 + 1] = 1
+        if tied:
+            oriented[:, -1] = oriented[:, 0]
+        bits = oriented if axis == 1 else np.ascontiguousarray(oriented.transpose(0, 2, 1))
+        kind = DetectorKind(MAX1 if axis == 1 else MAX2, tau=tau, k_scan=k_scan)
+        expect = _reference_truncated(oriented, p0, tau, k_scan)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:  # `block` candidates or subsets per block
+                mp.setattr(rng, "BATCH_BYTES", 8 * cols * block)
+            for cost in (0, math.inf):
+                mp.setattr(detectors, "_CANDIDATE_COST", cost)
+                assert _bit_equal(expect, _batch_statistic(bits, p0, kind, 10**6))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.integers(1, 7),
+        cols=st.integers(1, 12),
+        trials=st.integers(1, 5),
+        k_frac=st.floats(0.0, 1.0),
+        f_values=st.lists(st.sampled_from([-1.0, -0.25, 0.0, 0.5, 3.0]), min_size=8, max_size=8),
+        density=st.sampled_from([0.3, 0.7, 0.95]),
+        block=st.sampled_from([1, 5, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_any_table(self, rows, cols, trials, k_frac, f_values, density, block, seed):
+        """Tables of any sign pattern: f = 0, f > 0 below k, and tables whose
+        best candidate scores <= 0, so its trial is rescanned."""
+        k = 1 + round(k_frac * (rows - 1))
+        f = np.array(f_values[: k + 1])
+        bits = (np.random.default_rng(seed).random((trials, rows, cols)) < density).astype(np.uint8)
+        subsets = detectors._subset_indices(rows, k, 10**6)
+        expect = detectors._scan_max(bits, f, subsets)
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(rng, "BATCH_BYTES", 8 * cols * block)
+            mp.setattr(detectors, "_CANDIDATE_COST", 0)
+            assert _bit_equal(expect, detectors._candidate_max(bits, f, subsets))
+
+    def test_positive_below_k_scans_in_full(self, monkeypatch):
+        # Rows {0, 2} hold no all-ones column yet score 4 x 3.0; the one
+        # candidate, rows {0, 1}, scores 0.5 + 3.0.
+        bits = np.array([[[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1]]], dtype=np.uint8)
+        monkeypatch.setattr(detectors, "_CANDIDATE_COST", 0)
+        got = detectors._candidate_max(
+            bits, np.array([0.0, 3.0, 0.5]), detectors._subset_indices(3, 2, 10**6)
+        )
+        assert got.tolist() == [12.0]
+
+    def test_rescans_trials_without_a_positive_candidate(self, monkeypatch):
+        # Trial 0's one candidate, rows {0, 1}, scores 0.5 - 1 (column 1 has
+        # one of its two rows); trial 1's candidates score 1.0.
+        bits = np.array([[[1, 1], [1, 0], [0, 0]], [[1, 1], [1, 1], [1, 1]]], dtype=np.uint8)
+        f = np.array([0.0, -1.0, 0.5])
+        rescanned = []
+        scan = detectors._scan_max
+        monkeypatch.setattr(detectors, "_CANDIDATE_COST", 0)
+        monkeypatch.setattr(
+            detectors, "_scan_max", lambda b, *a: rescanned.append(b.copy()) or scan(b, *a)
+        )
+        got = detectors._candidate_max(bits, f, detectors._subset_indices(3, 2, 10**6))
+        assert got.tolist() == [-0.5, 1.0]
+        assert len(rescanned) == 1 and np.array_equal(rescanned[0], bits[:1])
+
+    def test_chunk_memory_is_bounded(self, monkeypatch):
+        # One null chunk of the (20, 64, 5, 4) calibration: 51 trials and
+        # about 49,000 candidates, 25 MB as one (candidates, n2) score array.
+        shape = ProblemShape(20, 64, 5, 4)
+        assert rng.BATCH_BYTES // (8 * 20 * 64) == 51
+        bits = np.stack([sample_null(shape, 0.25, s).bits for s in range(51)])
+        tau = truncation_levels(shape)[1]
+        detectors._batch_max_truncated(bits, 0.25, tau, 5, 10**6)  # fill the table caches
+        ran = []
+        best = detectors._best_candidates
+        monkeypatch.setattr(
+            detectors, "_best_candidates", lambda b, *a: ran.append(len(b)) or best(b, *a)
+        )
+        tracemalloc.start()
+        try:
+            detectors._batch_max_truncated(bits, 0.25, tau, 5, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ran == [51]
+        assert peak < 3 * rng.BATCH_BYTES
 
 
 class TestAnalyticThresholds:
