@@ -8,15 +8,15 @@ Three statistics are implemented:
   standardized count exceeds tau (kernel Bin(n1, p0) for axis 1);
 - max truncated degree: the same column statistic computed from row subsets
   of size k_scan (kernel Bin(k_scan, p0)), maximized exactly over all
-  subsets.  One kernel, _scan_max, enumerates every subset: it forms
-  subset column counts by BLAS products in (trials, subsets, columns)
-  blocks within rng.BATCH_BYTES and scores each by a table lookup; the
-  empty-subgraph diagnostic runs it too.  When k_scan is the only count
-  with a positive score, a subset with no all-ones column scores <= 0, so
-  _candidate_max first scores only the subsets inside some column's ones
-  and enumerates in full just the trials whose best such subset scores
-  <= 0; each score is the same double either way.  Tables and subset
-  enumerations are built once, cached read-only.
+  subsets.  One kernel, _score_subsets, forms every subset's column counts
+  by adding gathered rows, in blocks within rng.BATCH_BYTES, and scores
+  each by a table lookup.  _scan_max offers it every row of every trial;
+  the empty-subgraph diagnostic runs that too.  When k_scan is the only
+  count with a positive score, a subset with no all-ones column scores
+  <= 0, so _candidate_max first offers only each column's ones and
+  enumerates in full just the trials whose best such subset scores <= 0;
+  each score is the same double either way.  Tables and subset
+  enumerations are built once, when first needed, cached read-only.
 
 A truncation level whose count threshold k_min reaches the kernel's n is
 refused with EmptyConditionError: only the count n would pass, nu_tau would
@@ -167,7 +167,10 @@ def _batch_truncated(bits: np.ndarray, p0: float, tau: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _subset_indices(n: int, k: int, budget: int) -> np.ndarray:
-    """(S, k) read-only row indices of all k-subsets of [n], lexicographic."""
+    """(S, k) read-only row indices of all k-subsets of [n], lexicographic;
+    more than `budget` of them is a BudgetError."""
+    if budget < 1:
+        raise ParameterError(f"subset budget must be at least 1, got {budget}")
     count = math.comb(n, k)
     if count > budget:
         raise BudgetError(f"{count} subsets of size {k} from {n} exceed budget {budget}")
@@ -177,100 +180,90 @@ def _subset_indices(n: int, k: int, budget: int) -> np.ndarray:
     return idx
 
 
+def _score_subsets(
+    flat: np.ndarray, owner: np.ndarray, rows: np.ndarray, subsets: np.ndarray,
+    f: np.ndarray, best: np.ndarray,
+) -> None:
+    """The one kernel that forms subset counts.  Group g of rows (G, m)
+    offers m rows of flat (R, n2); each of the subsets (S, k) of them scores
+    sum_j f[count_j], where count_j adds up column j of its k rows, and
+    best[owner[g]] is raised to the group's best score.
+
+    A block of (group, subset) pairs holds at most rng.BATCH_BYTES of row
+    indices (k each) or of float64 scores (n2 each), and each score is the
+    same contiguous n2-term sum of np.take(f, counts).
+    """
+    k = subsets.shape[1]
+    cells = max(1, rng.BATCH_BYTES // (8 * max(flat.shape[1], k)))
+    for s in range(0, len(subsets), cells):
+        block = subsets[s : s + cells]
+        per = max(1, cells // len(block))
+        for g in range(0, len(rows), per):
+            idx = rows[g : g + per][:, block]
+            counts = np.take(flat, idx[..., 0], axis=0)
+            for i in range(1, k):
+                counts += np.take(flat, idx[..., i], axis=0)
+            scores = np.take(f, counts.astype(np.intp)).sum(axis=-1)
+            np.maximum.at(best, owner[g : g + per], scores.max(axis=1))
+
+
 def _scan_max(bits: np.ndarray, f: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """bits (T, n, n2), column scores f (k + 1,), subsets (S, k); returns
     (T,): per trial, the maximum over the row subsets of sum_j f[count_j],
     where count_j is the number of ones in column j over the subset's rows.
-
-    Each run's float32 indicator rows (subsets, n) and each block of
-    (trials, subsets, n2) counts fit rng.BATCH_BYTES, so many subsets split
-    the subset axis and few subsets batch many trials into one BLAS matmul.
-    float32 products are exact: counts are at most n.
-    """
+    Each trial offers all its rows to _score_subsets."""
     T, n, n2 = bits.shape
-    cells = max(1, rng.BATCH_BYTES // (8 * n2))
-    block_subsets = max(1, min(len(subsets), cells, rng.BATCH_BYTES // (4 * n)))
-    block_trials = max(1, cells // block_subsets)
-    b = bits.astype(np.float32)
-    out = np.full(T, -np.inf)
-    for s in range(0, len(subsets), block_subsets):
-        idx = subsets[s : s + block_subsets]
-        rows = np.zeros((len(idx), n), dtype=np.float32)
-        np.put_along_axis(rows, idx, 1.0, axis=1)
-        for lo in range(0, T, block_trials):
-            block = slice(lo, min(lo + block_trials, T))
-            counts = np.matmul(rows, b[block]).astype(np.intp)
-            np.maximum(out[block], np.take(f, counts).sum(axis=-1).max(axis=1), out=out[block])
-    return out
+    flat = np.ascontiguousarray(bits, dtype=np.min_scalar_type(n)).reshape(T * n, n2)
+    best = np.full(T, -np.inf)
+    _score_subsets(flat, np.arange(T), np.arange(T * n).reshape(T, n), subsets, f, best)
+    return best
 
 
-# Scoring one candidate in _best_candidates costs about this many times
-# scoring one (trial, subset) pair in _scan_max.  Measured ratios (numpy
-# 2.4.6, 2-vCPU Xeon VM, null trials at p0 0.25 and the tau_max of
-# (n1, n2, k, 4)): 0.7-0.9 at (n1, n2, k) = (16, 256, 4), 1.2-1.3 at
-# (12, 64, 3), 1.2-1.4 at (20, 64, 5), and 2.4-3.6 on chunks with a few
-# thousand candidates, where fixed costs dominate.
-_CANDIDATE_COST = 1.5
+def _candidate_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
+    """_scan_max of bits (T, n, n2) over all C(n, k) subsets, k = len(f) - 1,
+    bit for bit, scoring first only the candidate subsets: those inside the
+    ones of some column.
 
-
-def _candidate_max(bits: np.ndarray, f: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """_scan_max(bits, f, subsets), bit for bit, scoring first only the
-    candidate subsets: those inside the ones of some column.
-
-    When k = len(f) - 1 is the only count with f > 0, a subset with no
-    all-ones column sums terms <= 0, so a trial whose best candidate scores
-    above 0 has found its maximum; every other trial is rescanned in full.
-    A chunk is scanned in full outright when f has another shape, or when
-    its candidates, sum_j C(o_j, k) over its column sums o_j, at
-    _CANDIDATE_COST subset scores each, cost at least its T C(n, k)
-    subset scores.
+    When k is the only count with f > 0, a subset with no all-ones column
+    sums terms <= 0, so a trial whose best candidate scores above 0 has
+    found its maximum; every other trial is enumerated in full.  Both passes
+    score with one kernel, so a chunk takes the candidate pass exactly when
+    its candidates, sum_j C(o_j, k) over its column sums o_j, are fewer than
+    its T C(n, k) subsets.  The C(n, k) table, and so the check against
+    `budget`, is built only for a full enumeration.
     """
+    T, n, _ = bits.shape
     k = len(f) - 1
-    if not f[k] > 0 or (f[:k] > 0).any():
-        return _scan_max(bits, f, subsets)
-    counts = _column_counts(bits)
-    columns = np.bincount(counts.ravel(), minlength=k + 1)
-    candidates = sum(int(g) * math.comb(o, k) for o, g in enumerate(columns) if o >= k)
-    if _CANDIDATE_COST * candidates >= len(bits) * len(subsets):
-        return _scan_max(bits, f, subsets)
-    out = _best_candidates(bits, counts, f)
+    out = np.full(T, -np.inf)
+    if f[k] > 0 and not (f[:k] > 0).any():
+        counts = _column_counts(bits)
+        columns = np.bincount(counts.ravel(), minlength=k + 1)
+        candidates = sum(int(g) * math.comb(o, k) for o, g in enumerate(columns) if o >= k)
+        if candidates < T * math.comb(n, k):
+            out = _best_candidates(bits, counts, f, budget)
     rescan = np.flatnonzero(~(out > 0))
     if len(rescan):
-        out[rescan] = _scan_max(bits[rescan], f, subsets)
+        out[rescan] = _scan_max(bits[rescan], f, _subset_indices(n, k, budget))
     return out
 
 
-def _best_candidates(bits: np.ndarray, counts: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _best_candidates(
+    bits: np.ndarray, counts: np.ndarray, f: np.ndarray, budget: int
+) -> np.ndarray:
     """Per trial of bits (T, n, n2) with column counts (T, n2), the maximum
     of sum_j f[count_j] over the k-row subsets, k = len(f) - 1, that lie
     inside the ones of some column; -inf for a trial with no such subset.
-
-    Columns with o ones are taken together: their ones' rows index the
-    C(o, k) table of _subset_indices, and each candidate's counts are k
-    gathered rows added up.  Every block of candidates holds at most
-    rng.BATCH_BYTES of float64 scores, like _scan_max's blocks, and each
-    score is the same contiguous n2-row sum of np.take(f, counts).
-    """
+    Columns with o ones are offered together to _score_subsets: each its
+    ones' rows, with the C(o, k) table of _subset_indices, at most `budget`
+    subsets."""
     T, n, n2 = bits.shape
     k = len(f) - 1
-    cells = max(1, rng.BATCH_BYTES // (8 * n2))
     flat = np.ascontiguousarray(bits, dtype=counts.dtype).reshape(T * n, n2)
     best = np.full(T, -np.inf)
     for o in np.unique(counts[counts >= k]).tolist():
         trial, col = np.nonzero(counts == o)
-        ones = np.nonzero(bits[trial, :, col])[1].reshape(len(trial), o)
-        ones += (trial * n)[:, None]
-        combos = _subset_indices(o, k, math.comb(o, k))
-        for c in range(0, len(combos), cells):
-            block = combos[c : c + cells]
-            per = max(1, cells // len(block))
-            for g in range(0, len(trial), per):
-                rows = ones[g : g + per][:, block]
-                cand = np.take(flat, rows[..., 0], axis=0)
-                for i in range(1, k):
-                    cand += np.take(flat, rows[..., i], axis=0)
-                scores = np.take(f, cand.astype(np.intp)).sum(axis=-1)
-                np.maximum.at(best, trial[g : g + per], scores.max(axis=1))
+        ones = np.nonzero(bits[trial, :, col])[1].reshape(len(trial), o) + (trial * n)[:, None]
+        _score_subsets(flat, trial, ones, _subset_indices(o, k, budget), f, best)
     return best
 
 
@@ -281,8 +274,7 @@ def _batch_max_truncated(
     n1 = bits.shape[1]
     if k_scan > n1:
         raise ParameterError(f"k_scan={k_scan} exceeds row count {n1}")
-    f = _contribution_table(k_scan, p0, tau)
-    return _candidate_max(bits, f, _subset_indices(n1, k_scan, budget))
+    return _candidate_max(bits, _contribution_table(k_scan, p0, tau), budget)
 
 
 def statistic(

@@ -143,6 +143,24 @@ class TestCalibrate:
         assert code == 1
         assert "(--k2)" in json.loads(err)["message"]
 
+    # The composite runs MAX_TRUNC_AXIS1 with k_scan 5 here: C(50, 5) =
+    # 2,118,760 row subsets, above the default budget, but f is positive
+    # only at count 5, so every trial's maximum is among its candidates.
+    _SCAN_50 = ["--n1", "50", "--n2", "50", "--k1", "5", "--k2", "5", "--p0", "0.25",
+                "--trials", "4", "--seed", "1"]
+
+    def test_budget_checked_only_for_full_enumeration(self, capsys):
+        code, out, err = run(capsys, "calibrate", *self._SCAN_50)
+        assert code == 0, err
+        assert out.startswith("threshold ")
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_is_usage_error(self, capsys, budget):
+        code, out, err = run(capsys, "calibrate", *self._SCAN_50, "--budget", budget)
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "usage" and "budget" in error["message"]
+
 
 class TestSweep:
     def test_flag_sweep_csv(self, tmp_path, capsys):
@@ -384,6 +402,9 @@ _RATE_PROBES = {
     "--c-phi": ({}, None, "0.5"),
 }
 _STAT_MAX_SCAN = {"--detector": "MAX_TRUNC_AXIS1", "--tau": "0.5", "--k1": "3"}
+# At tau 0, f is positive at counts 2 and 3 of Bin(3, 0.25), so the scan
+# enumerates all C(8, 3) = 56 subsets and a budget of 10 is exceeded.
+_STAT_FULL_SCAN = {**_STAT_MAX_SCAN, "--tau": "0"}
 PROBES = {
     # --null beside the base's --delta is a usage error.
     "gen": {"--n1": ({}, "8", "9"), "--n2": ({}, "8", "9"), "--k1": ({}, "4", "3"),
@@ -393,7 +414,7 @@ PROBES = {
     "stat": {"--p0": ({}, "0.25", "0.3"),
              "--detector": ({"--tau": "1.0"}, "TRUNC_DEGREE_AXIS1", "TRUNC_DEGREE_AXIS2"),
              "--tau": ({"--detector": "TRUNC_DEGREE_AXIS1"}, "0.5", "1.5"),
-             "--k1": (_STAT_MAX_SCAN, "3", "2"), "--budget": (_STAT_MAX_SCAN, None, "10"),
+             "--k1": (_STAT_MAX_SCAN, "3", "2"), "--budget": (_STAT_FULL_SCAN, None, "10"),
              "--out": ({}, "o.txt", None)},
     "lb": {"--n1": ({}, "4", "5"), "--n2": ({}, "4", "5"), "--k1": ({}, "2", "1"),
            "--k2": ({}, "2", "1"), "--p0": ({}, "0.25", "0.3"), "--delta": ({}, "0.25", "0.3"),

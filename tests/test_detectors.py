@@ -203,7 +203,7 @@ def _bit_equal(a, b):
 
 
 class TestScanExactness:
-    """The blocked BLAS scan and the table-lookup truncated statistic give
+    """The blocked subset scan and the table-lookup truncated statistic give
     the same doubles as the reference formula, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
@@ -267,7 +267,9 @@ class TestScanExactness:
         assert peak < 16 * 2**20
 
     def test_subset_rows_memory_is_bounded(self):
-        # 79,800 row pairs: a full (S, n1) float32 subset matrix is 125 MB.
+        # 79,800 row pairs: the scan holds the cached (S, 2) index table,
+        # 1.3 MB, and blocks of gathered rows and scores within
+        # rng.BATCH_BYTES, never an array that grows with S times n2.
         A = sample_null(ProblemShape(400, 4, 2, 2), 0.25, 3)
         tracemalloc.start()
         try:
@@ -276,6 +278,24 @@ class TestScanExactness:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_index_blocks_count_k(self):
+        # Two columns of 20 and 19 ones share 15 rows: 201,552 candidates of
+        # 8 rows each.  Blocks sized from n2 = 2 alone would take 32,768
+        # candidates, whose (32,768, 8) row indices are four BATCH_BYTES.
+        bits = np.zeros((24, 2), dtype=np.uint8)
+        bits[:20, 0] = 1
+        bits[5:, 1] = 1
+        kind = DetectorKind(MAX1, tau=4.0, k_scan=8)
+        statistic(AdjacencyMatrix(bits), 0.25, kind)  # fill the table caches
+        tracemalloc.start()
+        try:
+            got = statistic(AdjacencyMatrix(bits), 0.25, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == 7.896525271141634 == 2 * detectors._contribution_table(8, 0.25, 4.0)[8]
+        assert peak < 3 * rng.BATCH_BYTES
 
 
 class TestContributionTable:
@@ -296,8 +316,21 @@ class TestContributionTable:
 
 class TestCandidatePass:
     """The candidate pass gives the full enumeration's doubles bit for bit,
-    whether it runs (cost 0) or the chunk is scanned in full (infinite
-    cost), for any block size."""
+    for any block size, and every candidate score above 0 is its trial's
+    maximum when k_scan is the only count with f > 0."""
+
+    @staticmethod
+    def _check(bits, f, expect):
+        """_candidate_max and _scan_max give `expect`; so does every best
+        candidate above 0 when only f[k] is positive."""
+        k = len(f) - 1
+        assert _bit_equal(expect, detectors._candidate_max(bits, f, 10**6))
+        subsets = detectors._subset_indices(bits.shape[1], k, 10**6)
+        assert _bit_equal(expect, detectors._scan_max(bits, f, subsets))
+        if f[k] > 0 and not (f[:k] > 0).any():
+            counts = detectors._column_counts(bits)
+            best = detectors._best_candidates(bits, counts, f, 10**6)
+            assert _bit_equal(expect[best > 0], best[best > 0])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -330,9 +363,8 @@ class TestCandidatePass:
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:  # `block` candidates or subsets per block
                 mp.setattr(rng, "BATCH_BYTES", 8 * cols * block)
-            for cost in (0, math.inf):
-                mp.setattr(detectors, "_CANDIDATE_COST", cost)
-                assert _bit_equal(expect, _batch_statistic(bits, p0, kind, 10**6))
+            assert _bit_equal(expect, _batch_statistic(bits, p0, kind, 10**6))
+            self._check(oriented, detectors._contribution_table(k_scan, p0, tau), expect)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -347,41 +379,47 @@ class TestCandidatePass:
     )
     def test_any_table(self, rows, cols, trials, k_frac, f_values, density, block, seed):
         """Tables of any sign pattern: f = 0, f > 0 below k, and tables whose
-        best candidate scores <= 0, so its trial is rescanned."""
+        best candidate scores <= 0, so its trial is rescanned; the unblocked
+        scan is the reference."""
         k = 1 + round(k_frac * (rows - 1))
         f = np.array(f_values[: k + 1])
         bits = (np.random.default_rng(seed).random((trials, rows, cols)) < density).astype(np.uint8)
-        subsets = detectors._subset_indices(rows, k, 10**6)
-        expect = detectors._scan_max(bits, f, subsets)
+        expect = detectors._scan_max(bits, f, detectors._subset_indices(rows, k, 10**6))
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 mp.setattr(rng, "BATCH_BYTES", 8 * cols * block)
-            mp.setattr(detectors, "_CANDIDATE_COST", 0)
-            assert _bit_equal(expect, detectors._candidate_max(bits, f, subsets))
+            self._check(bits, f, expect)
 
-    def test_positive_below_k_scans_in_full(self, monkeypatch):
+    def test_positive_below_k_scans_in_full(self):
         # Rows {0, 2} hold no all-ones column yet score 4 x 3.0; the one
         # candidate, rows {0, 1}, scores 0.5 + 3.0.
         bits = np.array([[[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1]]], dtype=np.uint8)
-        monkeypatch.setattr(detectors, "_CANDIDATE_COST", 0)
-        got = detectors._candidate_max(
-            bits, np.array([0.0, 3.0, 0.5]), detectors._subset_indices(3, 2, 10**6)
-        )
+        got = detectors._candidate_max(bits, np.array([0.0, 3.0, 0.5]), 10**6)
         assert got.tolist() == [12.0]
 
     def test_rescans_trials_without_a_positive_candidate(self, monkeypatch):
-        # Trial 0's one candidate, rows {0, 1}, scores 0.5 - 1 (column 1 has
-        # one of its two rows); trial 1's candidates score 1.0.
-        bits = np.array([[[1, 1], [1, 0], [0, 0]], [[1, 1], [1, 1], [1, 1]]], dtype=np.uint8)
+        # Three candidates against 2 x C(4, 2) = 12 subsets, so the pass
+        # runs.  Trial 0's one candidate, rows {0, 1}, scores 0.5 - 1
+        # (column 1 has one of its two rows), and its full scan finds 0 at
+        # rows {2, 3}; trial 1's two candidates score 1.0.
+        bits = np.array([[[1, 1], [1, 0], [0, 0], [0, 0]],
+                         [[1, 1], [1, 1], [0, 0], [0, 0]]], dtype=np.uint8)
         f = np.array([0.0, -1.0, 0.5])
-        rescanned = []
-        scan = detectors._scan_max
-        monkeypatch.setattr(detectors, "_CANDIDATE_COST", 0)
+        rescanned, ran = [], []
+        scan, best = detectors._scan_max, detectors._best_candidates
+
+        def best_candidates(*args):
+            out = best(*args)
+            ran.append(out.tolist())
+            return out
+
         monkeypatch.setattr(
             detectors, "_scan_max", lambda b, *a: rescanned.append(b.copy()) or scan(b, *a)
         )
-        got = detectors._candidate_max(bits, f, detectors._subset_indices(3, 2, 10**6))
-        assert got.tolist() == [-0.5, 1.0]
+        monkeypatch.setattr(detectors, "_best_candidates", best_candidates)
+        got = detectors._candidate_max(bits, f, 10**6)
+        assert ran == [[-0.5, 1.0]]
+        assert got.tolist() == [0.0, 1.0]
         assert len(rescanned) == 1 and np.array_equal(rescanned[0], bits[:1])
 
     def test_chunk_memory_is_bounded(self, monkeypatch):
