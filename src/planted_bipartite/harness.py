@@ -34,7 +34,9 @@ from .detectors import (
 from .errors import BracketError, ConfigError, ParameterError
 from .graph_model import ProblemShape
 from .rates import RateBundle, RateConstants, log_binom, rate_bundle
-from .rng import TAG_ALT, TAG_COLS, TAG_NULL, TAG_ROWS, below, sample_subset, trial_uniforms
+from .rng import (
+    TAG_ALT, TAG_COLS, TAG_NULL, TAG_ROWS, below, sample_subsets, trial_blocks, trial_uniforms,
+)
 
 
 @dataclass(frozen=True)
@@ -93,20 +95,20 @@ def _planted_accept_count(
     kind: DetectorKind, shape: ProblemShape, p0: float, deltas: list[float], threshold: float,
     trials: int, seed: int, budget: int,
 ) -> list[int]:
-    """Planted trials accepted at each of `deltas`.  Each chunk's uniforms
-    and supports are drawn once; only the block's cut changes."""
+    """Planted trials accepted at each of `deltas`.  Each block's supports
+    and each chunk's uniforms are drawn once; only the block's cut changes."""
     counts = [0] * len(deltas)
     cuts = [below(p0 + delta) for delta in deltas]
-    for seeds, x in trial_uniforms(seed, TAG_ALT, shape.n1, shape.n2, trials):
-        supports = [(sample_subset(s, TAG_ROWS, shape.n1, shape.k1),
-                     sample_subset(s, TAG_COLS, shape.n2, shape.k2)) for s in seeds.tolist()]
-        rows, cols = (np.array(K, dtype=np.intp) for K in zip(*supports))
-        block = (np.arange(len(supports))[:, None, None], rows[:, :, None], cols[:, None, :])
-        m = np.full(x.shape, below(p0), dtype=np.uint64)
-        for i, cut in enumerate(cuts):
-            m[block] = cut
-            stats = _batch_statistic((x < m).view(np.uint8), p0, kind, budget)
-            counts[i] += int((stats <= threshold).sum())
+    for seeds, chunks in trial_blocks(seed, TAG_ALT, shape.n1, shape.n2, trials):
+        rows = sample_subsets(seeds, TAG_ROWS, shape.n1, shape.k1)
+        cols = sample_subsets(seeds, TAG_COLS, shape.n2, shape.k2)
+        for part, x in chunks:
+            block = (np.arange(len(x))[:, None, None], rows[part, :, None], cols[part, None, :])
+            m = np.full(x.shape, below(p0), dtype=np.uint64)
+            for i, cut in enumerate(cuts):
+                m[block] = cut
+                stats = _batch_statistic((x < m).view(np.uint8), p0, kind, budget)
+                counts[i] += int((stats <= threshold).sum())
     return counts
 
 

@@ -14,6 +14,15 @@ u = x / 2^53 in [0, 1).  An edge is the event u < p, decided on the word as
 x < below(p) with below(p) = ceil(p * 2^53): x * 2^-53 is exact, scaling by
 a power of two is exact, and an integer lies below a real exactly when it
 lies below the real's ceiling.  Only this module knows the word width.
+
+Trials come in blocks (`trial_blocks`): a block's edge-stream bases and row
+hashes are mixed once, and each chunk's words from its slice of them.
+Supports come from `sample_subsets`, a partial Fisher-Yates shuffle run for
+a whole block of trials at once.  Each trial keeps a table of the at most 2k
+positions that its k steps touch, not a list of n, so a draw costs
+O(k log k) whatever n is; its range reduction is exact in 32-bit limbs for
+n < 2^32.  Every word and every support is a pure function of (seed, trial
+index), so no blocking changes a bit.
 """
 
 from __future__ import annotations
@@ -27,6 +36,8 @@ from .errors import ParameterError
 _MASK = (1 << 64) - 1
 _M1 = 0xFF51AFD7ED558CCD
 _M2 = 0xC4CEB9FE1A85EC53
+_32 = np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 # Domain-separation tags: independent streams off one user seed.
 TAG_EDGE = 0x9E3779B97F4A7C15
@@ -37,8 +48,9 @@ TAG_ALT = 0x85EBCA77C2B2AE63
 TAG_CAL = 0xD6E8FEB86659FD93
 
 # Bytes per batch, 8 per uniform word.  Every trial chunk and every subset
-# block is sized from this one budget (below a 2 MiB L2 cache), so memory
-# does not grow with the trial count.
+# block is sized from this one budget (below a 2 MiB L2 cache), and a trial
+# block's row hashes from an eighth of it, so memory does not grow with the
+# trial count.
 BATCH_BYTES = 512 * 1024
 
 
@@ -85,36 +97,42 @@ def _mix64_array(x: np.ndarray) -> np.ndarray:
     return z
 
 
+def _derive(seeds: np.ndarray, tag: int) -> np.ndarray:
+    """derive_seed(s, tag) for every seed s of a uint64 array."""
+    return _mix64_array(_mix64_array(seeds) ^ np.uint64(tag))
+
+
 def cell_uniforms(seed: int, n1: int, n2: int) -> np.ndarray:
     """(n1, n2) array of uniform words in [0, 2^53); entry (r, c) depends
     only on (seed, r, c)."""
-    return _uniform_grid(np.array(derive_seed(seed, TAG_EDGE), dtype=np.uint64), n1, n2)
+    base = np.array(derive_seed(seed, TAG_EDGE), dtype=np.uint64)
+    return _mix_columns(_row_hashes(base, n1, n2), n2)
 
 
-def batch_cell_uniforms(
-    seeds: np.ndarray, n1: int, n2: int, out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """(T, n1, n2) uniform words for a batch of per-trial seeds (uint64).
-    `out` and `scratch`, uint64 arrays of that shape, let a caller reuse
-    memory across batches; the words are written into `out`."""
-    bases = _mix64_array(_mix64_array(seeds.astype(np.uint64)) ^ np.uint64(TAG_EDGE & _MASK))
-    return _uniform_grid(bases, n1, n2, out, scratch)
+def batch_cell_uniforms(seeds: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """(T, n1, n2) uniform words for a batch of per-trial seeds (uint64)."""
+    return _mix_columns(_row_hashes(_derive(seeds, TAG_EDGE), n1, n2), n2)
 
 
-def _uniform_grid(
-    bases: np.ndarray, n1: int, n2: int, out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Words of shape bases.shape + (n1, n2): cell (r, c) of the matrix with
-    edge-stream base b is the top 53 bits of fmix64(fmix64(b ^ (r + 1)) ^
-    (c + 1)).  The grid is mixed in place in `out` with one scratch array."""
+def _row_hashes(bases: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Row hashes of shape bases.shape + (n1,) for grids of n2 columns:
+    cell (r, c) of the matrix with edge-stream base b is the top 53 bits of
+    fmix64(h ^ (c + 1)) with h = fmix64(b ^ (r + 1)), and the row hash is h
+    after fmix64's first step h ^= h >> 33, which is the row's own: (h ^
+    (c + 1)) >> 33 equals h >> 33 while c + 1 < 2^33."""
     if n2 >= 1 << 33:
         raise ParameterError(f"n2={n2} must be below 2^33")
     rows = _mix64_array(bases[..., None] ^ np.arange(1, n1 + 1, dtype=np.uint64))
-    # fmix64's first step z ^= z >> 33 is the row's own: (r ^ (c + 1)) >> 33
-    # equals r >> 33 while c + 1 < 2^33.
     rows ^= rows >> np.uint64(33)
+    return rows
+
+
+def _mix_columns(
+    rows: np.ndarray, n2: int, out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """Words of shape rows.shape + (n2,) from row hashes, mixed in place in
+    `out` with one scratch array."""
     # Copying the rows and xoring the columns in place is faster than one
     # broadcast xor, which numpy walks as n1 inner loops of length n2.
     z = np.empty(rows.shape + (n2,), dtype=np.uint64) if out is None else out
@@ -129,30 +147,100 @@ def _uniform_grid(
     return z
 
 
-def trial_uniforms(seed: int, tag: int, n1: int, n2: int, trials: int):
-    """Yield (trial_seeds, words) for trials 1..trials of the (seed, tag)
-    stream, as many trials per chunk as BATCH_BYTES of 8-byte uniform words
-    hold (at least one).  Trial i has seed derive_seed(seed, tag) + i
-    (mod 2^64), so its words do not depend on the chunking.  Every chunk's
-    words are written into one buffer, so each chunk overwrites the last."""
+def trial_blocks(seed: int, tag: int, n1: int, n2: int, trials: int):
+    """Yield (seeds, chunks) for trials 1..trials of the (seed, tag) stream,
+    one block of trials at a time.  Trial i has seed derive_seed(seed, tag)
+    + i (mod 2^64), so its words do not depend on the blocking.
+
+    A chunk holds as many trials as BATCH_BYTES of 8-byte uniform words hold
+    (at least one); a block holds whole chunks, as many as keep its row
+    hashes within BATCH_BYTES // 8 (at least one chunk).  A block's edge
+    bases and row hashes are mixed once, and `chunks` yields (part, words):
+    the slice `part` of the block's seeds and those trials' (t, n1, n2)
+    words.  Every chunk's words are written into one buffer, so each chunk
+    overwrites the last; read a block's chunks before the next block."""
     base = np.uint64(derive_seed(seed, tag))
     chunk = max(1, BATCH_BYTES // (8 * n1 * n2))
-    out, scratch = np.empty((2, min(chunk, max(trials, 0)), n1, n2), dtype=np.uint64)
-    for lo in range(0, trials, chunk):
-        seeds = base + np.arange(lo + 1, min(lo + chunk, trials) + 1, dtype=np.uint64)
-        t = len(seeds)
-        yield seeds, batch_cell_uniforms(seeds, n1, n2, out[:t], scratch[:t])
+    block = chunk * max(1, BATCH_BYTES // (64 * n1 * chunk))
+    buffers = None
+    for lo in range(0, trials, block):
+        seeds = base + np.arange(lo + 1, min(lo + block, trials) + 1, dtype=np.uint64)
+        rows = _row_hashes(_derive(seeds, TAG_EDGE), n1, n2)
+        if buffers is None:
+            buffers = np.empty((2, min(chunk, trials), n1, n2), dtype=np.uint64)
+        yield seeds, _chunks(rows, chunk, n2, *buffers)
+
+
+def _chunks(rows: np.ndarray, chunk: int, n2: int, out: np.ndarray, scratch: np.ndarray):
+    """(part, words) for each run of `chunk` trials of a block's row hashes."""
+    for lo in range(0, len(rows), chunk):
+        part = slice(lo, lo + chunk)
+        t = len(rows[part])
+        yield part, _mix_columns(rows[part], n2, out[:t], scratch[:t])
+
+
+def trial_uniforms(seed: int, tag: int, n1: int, n2: int, trials: int):
+    """Yield (trial_seeds, words) for trials 1..trials of the (seed, tag)
+    stream, chunk by chunk of `trial_blocks`."""
+    for seeds, chunks in trial_blocks(seed, tag, n1, n2, trials):
+        for part, words in chunks:
+            yield seeds[part], words
+
+
+def sample_subsets(seeds: np.ndarray, tag: int, n: int, k: int) -> np.ndarray:
+    """(T, k) sorted intp indices for T seeds (uint64): row t is the uniform
+    k-subset of {0, ..., n-1} that sample_subset(seeds[t], tag, n, k)
+    draws.  The T shuffles run at once.  n must lie below 2^32 and k in
+    [0, n] (ParameterError)."""
+    return _shuffle(_derive(np.asarray(seeds, dtype=np.uint64), tag), n, k)
 
 
 def sample_subset(seed: int, tag: int, n: int, k: int) -> tuple[int, ...]:
     """Uniform k-subset of {0, ..., n-1} via a partial Fisher-Yates shuffle
     driven by the (seed, tag) counter stream: draw i is
-    derive_seed(seed, tag, i).  Returns sorted indices."""
-    idx = list(range(n))
-    h = derive_seed(seed, tag)
+    derive_seed(seed, tag, i).  Returns sorted indices; the one-seed case
+    of sample_subsets."""
+    base = np.array([derive_seed(seed, tag)], dtype=np.uint64)
+    return tuple(_shuffle(base, n, k)[0].tolist())
+
+
+def _shuffle(bases: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The first k entries of a partial Fisher-Yates shuffle of 0..n-1 for
+    each stream base h, sorted: step i swaps positions i and j = i + the
+    high 64 bits of r * (n - i), with draw r = fmix64(h ^ i).  The steps of
+    all bases run at once, and a shuffle touches only positions 0..k-1 and
+    its k targets j, so each keeps a table of those 2k positions instead
+    of a list of n: a draw costs O(k log k), whatever n is."""
+    if not 0 <= n < 1 << 32:
+        raise ParameterError(f"n={n} must lie in [0, 2^32)")
+    if not 0 <= k <= n:
+        raise ParameterError(f"k={k} must lie in [0, n] for n={n}")
+    t = len(bases)
+    draws = _mix64_array(bases[:, None] ^ np.arange(k, dtype=np.uint64))
+    # Multiply-shift range reduction; bias is O(2^-64), negligible here.
+    # With r = hi 2^32 + lo and m = n - i < 2^32, the high 64 bits of r * m
+    # are (hi m + (lo m >> 32)) >> 32, and no product or sum overflows.
+    m = np.arange(n, n - k, -1, dtype=np.uint64)
+    j = ((draws >> _32) * m + (((draws & _LOW32) * m) >> _32)) >> _32
+    steps = np.arange(k)
+    positions = np.concatenate([np.broadcast_to(steps, (t, k)), j.astype(np.intp) + steps], axis=1)
+    # Key s < k is step s's own position, key k + s its target.  Sorted, the
+    # keys are the table: the first copy of each position holds its value,
+    # at the start the position itself.  slot[s] is the flat index of key
+    # s's first copy, so step i reads slots i and k + i.
+    order = np.argsort(positions, axis=1)
+    table = np.take_along_axis(positions, order, axis=1)
+    first = np.zeros_like(table)
+    first[:, 1:] = np.where(table[:, 1:] != table[:, :-1], np.arange(1, 2 * k), 0)
+    np.maximum.accumulate(first, axis=1, out=first)
+    first += np.arange(t)[:, None] * (2 * k)
+    slot = np.empty((2 * k, t), dtype=np.intp)
+    np.put_along_axis(slot.T, order, first, axis=1)
+    flat = table.ravel()
+    out = np.empty((k, t), dtype=np.intp)
+    # Position i is final after step i: only the target keeps a value.
     for i in range(k):
-        r = mix64(h ^ i)
-        # Multiply-shift range reduction; bias is O(2^-64), negligible here.
-        j = i + ((r * (n - i)) >> 64)
-        idx[i], idx[j] = idx[j], idx[i]
-    return tuple(sorted(idx[:k]))
+        moved = flat[slot[i]]
+        out[i] = flat[slot[k + i]]
+        flat[slot[k + i]] = moved
+    return np.sort(out.T, axis=1)

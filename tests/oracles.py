@@ -2,9 +2,9 @@
 
 Each is the direct form of a quantity the package computes another way:
 the Bennett function that the kernel w is built from, the appendix variant
-of psi used to bracket the rate, and the second moment of the likelihood
-ratio by enumerating every pair of supports.  The tests compare the
-package against them.
+of psi used to bracket the rate, the second moment of the likelihood ratio
+by enumerating every pair of supports, and the support sampler as a scalar
+partial Fisher-Yates shuffle.  The tests compare the package against them.
 """
 
 import math
@@ -15,6 +15,7 @@ import numpy as np
 from planted_bipartite.errors import BudgetError, ParameterError
 from planted_bipartite.graph_model import ProblemShape
 from planted_bipartite.lower_bound import _check_signal
+from planted_bipartite.rng import derive_seed
 
 BRUTEFORCE_BUDGET = 10**8
 
@@ -38,6 +39,19 @@ def psi_appendix_variant(k1: int, k2: int, n1: int, n2: int) -> float:
     if k1 == n1:
         return 0.0
     return math.log1p((n2 * k1 / k2**2) * math.log(n1 / k1)) / k1
+
+
+def sample_subset_reference(seed: int, tag: int, n: int, k: int) -> tuple[int, ...]:
+    """Sorted first k entries of a partial Fisher-Yates shuffle of
+    0, ..., n-1, one swap at a time in Python integers: step i swaps
+    positions i and i + ((r * (n - i)) >> 64) with r = derive_seed(seed,
+    tag, i).  A position that no step has touched holds its own index, so a
+    dict of the touched ones stands for the list, and n may reach 2^32."""
+    idx: dict[int, int] = {}
+    for i in range(k):
+        j = i + ((derive_seed(seed, tag, i) * (n - i)) >> 64)
+        idx[i], idx[j] = idx.get(j, j), idx.get(i, i)
+    return tuple(sorted(idx[i] for i in range(k)))
 
 
 def second_moment_bruteforce(shape: ProblemShape, p0: float, delta: float) -> float:

@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from planted_bipartite import (
     AdjacencyMatrix,
@@ -20,6 +20,8 @@ from planted_bipartite import (
 )
 from planted_bipartite import rng
 from planted_bipartite.rng import batch_cell_uniforms, cell_uniforms
+
+from oracles import sample_subset_reference
 
 
 class TestTypes:
@@ -212,35 +214,47 @@ class TestSampling:
             sample_planted(shape, SignalConfig(0.2, 0.1), PlantedSupport((0, 5), (0, 1)), 1)
 
 
+# (n, k): n up to 300 with any k in [0, n], or n up to 2^32 - 1 with k <= 20.
+_SUBSET_SIZES = st.one_of(
+    st.integers(1, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    st.integers(0, 20).flatmap(lambda k: st.tuples(st.integers(max(k, 1), 2**32 - 1), st.just(k))),
+)
+
+
 class TestUniformSupport:
     def test_full_support_unique(self):
         shape = ProblemShape(3, 2, 3, 2)
         _, sup = sample_planted_uniform_support(shape, SignalConfig(0.2, 0.1), 4)
         assert sup.K1 == (0, 1, 2) and sup.K2 == (0, 1)
 
-    def test_single_index_uniform(self):
-        shape = ProblemShape(4, 2, 1, 1)
-        counts = Counter()
-        n = 40_000
-        for seed in range(n):
+    @staticmethod
+    def _batched_rows(shape: ProblemShape, trials: int) -> np.ndarray:
+        """Row supports of sample_planted_uniform_support for seeds
+        0..trials-1, drawn in one batch; a few seeds are checked against the
+        sampler itself."""
+        rows = rng.sample_subsets(np.arange(trials, dtype=np.uint64), rng.TAG_ROWS,
+                                  shape.n1, shape.k1)
+        for seed in (0, 1, 977, trials - 1):
             _, sup = sample_planted_uniform_support(shape, SignalConfig(0.2, 0.1), seed)
-            counts[sup.K1[0]] += 1
+            assert sup.K1 == tuple(rows[seed].tolist())
+        return rows
+
+    def test_single_index_uniform(self):
+        n = 40_000
+        rows = self._batched_rows(ProblemShape(4, 2, 1, 1), n)
+        counts = Counter(rows[:, 0].tolist())
         se = math.sqrt(0.25 * 0.75 / n)
         for i in range(4):
             assert abs(counts[i] / n - 0.25) <= 4 * se
 
     def test_pair_subsets_uniform(self):
-        shape = ProblemShape(4, 2, 2, 1)
-        counts = Counter()
         n = 30_000
-        for seed in range(n):
-            _, sup = sample_planted_uniform_support(shape, SignalConfig(0.2, 0.1), seed)
-            counts[sup.K1] += 1
+        rows = self._batched_rows(ProblemShape(4, 2, 2, 1), n)
+        counts = Counter(map(tuple, rows.tolist()))
         se = math.sqrt((1 / 6) * (5 / 6) / n)
         assert len(counts) == 6
         for key, c in counts.items():
             assert abs(c / n - 1 / 6) <= 4 * se
-
 
     def test_draws_follow_the_seed_stream(self):
         """Draw i of sample_subset is derive_seed(seed, tag, i): the
@@ -255,6 +269,39 @@ class TestUniformSupport:
                 j = i + ((rng.derive_seed(seed, rng.TAG_ROWS, i) * (n - i)) >> 64)
                 idx[i], idx[j] = idx[j], idx[i]
             assert rng.sample_subset(seed, rng.TAG_ROWS, n, k) == tuple(sorted(idx[:k]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(nk=_SUBSET_SIZES, block=st.sampled_from([1, 16, 500]),
+           base=st.one_of(st.integers(0, 1000), st.integers(2**64 - 1000, 2**64 - 1)))
+    @example(nk=(300, 300), block=500, base=2**64 - 10)
+    @example(nk=(2**32 - 1, 20), block=16, base=2**64 - 5)
+    def test_batch_rows_are_the_reference(self, nk, block, base):
+        """Row t of sample_subsets is the scalar shuffle of seed t, for seeds
+        near 0 and near 2^64, where base + t wraps."""
+        n, k = nk
+        seeds = [(base + t) % 2**64 for t in range(block)]
+        got = rng.sample_subsets(np.array(seeds, dtype=np.uint64), rng.TAG_COLS, n, k)
+        assert got.shape == (block, k) and got.dtype == np.intp
+        assert [tuple(row) for row in got.tolist()] == [
+            sample_subset_reference(s, rng.TAG_COLS, n, k) for s in seeds]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 1), (64, 16), (10**6, 10), (2**32 - 1, 20)])
+    def test_single_is_the_batch_of_one(self, seed, n, k):
+        one = rng.sample_subset(seed, rng.TAG_ROWS, n, k)
+        assert one == tuple(rng.sample_subsets([seed], rng.TAG_ROWS, n, k)[0])
+        assert one == sample_subset_reference(seed, rng.TAG_ROWS, n, k)
+
+    @pytest.mark.parametrize("n, k, name", [
+        (2**32, 1, "n=4294967296"), (3, 5, "k=5"), (5, -2, "k=-2"), (-1, 0, "n=-1")],
+        ids=["n=2^32", "k>n", "k<0", "n<0"])
+    def test_limits_refused(self, n, k, name):
+        """n below 2^32 bounds the 32-bit limb product; k outside [0, n]
+        was an IndexError (k > n) or a silent 3-subset (k = -2)."""
+        with pytest.raises(ParameterError, match=name):
+            rng.sample_subset(1, rng.TAG_ROWS, n, k)
+        with pytest.raises(ParameterError, match=name):
+            rng.sample_subsets(np.arange(3, dtype=np.uint64), rng.TAG_ROWS, n, k)
 
 
 class TestIO:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -322,6 +323,64 @@ class TestTrialPipeline:
         for j, bits in enumerate(seen, start=1):
             A, _ = sample_planted_uniform_support(shape, SignalConfig(p0, delta), base + j)
             assert np.array_equal(bits, A.bits), j
+
+    @pytest.mark.parametrize("budget, blocks", [
+        (2400, [(3, [1, 1, 1])] * 33 + [(2, [1, 1])]),
+        (3840, [(4, [2, 2])] * 25 + [(1, [1])]),
+    ], ids=["1-trial-chunks", "2-trial-chunks"])
+    def test_blocks_do_not_change_results(self, monkeypatch, budget, blocks):
+        """Small chunks in blocks of several chunks, the last block cut
+        short, give the words, null statistics, planted bits and accept
+        counts of the default sizes, where the 101 trials are one chunk."""
+        shape, p0, seed, trials = ProblemShape(12, 20, 3, 5), 0.25, 8, 101
+        kind = DetectorKind(DetectorTag.TRUNC_DEGREE_AXIS1, tau=1.0)
+        seen = []
+        original = harness._batch_statistic
+
+        def record(bits, *args):
+            seen.append(bits.copy())
+            return original(bits, *args)
+
+        monkeypatch.setattr(harness, "_batch_statistic", record)
+
+        def run():
+            sizes = [(len(seeds), [len(seeds[part]) for part, _ in chunks])
+                     for seeds, chunks in rng.trial_blocks(seed, rng.TAG_ALT, 12, 20, trials)]
+            words = np.concatenate([x.copy() for _, x in
+                                    rng.trial_uniforms(seed, rng.TAG_CAL, 12, 20, trials)])
+            stats = detectors.null_statistics(kind, shape, p0, trials, seed)
+            seen.clear()
+            counts = harness._planted_accept_count(
+                kind, shape, p0, [0.0, 0.5], float(np.median(stats)), trials, seed, 10**6)
+            # Each chunk is scored at both deltas in turn: regroup by delta.
+            return sizes, words, stats, np.concatenate(seen[0::2] + seen[1::2]), counts
+
+        sizes, words, stats, bits, counts = run()
+        assert sizes == [(trials, [trials])]
+        monkeypatch.setattr(rng, "BATCH_BYTES", budget)
+        small = run()
+        assert small[0] == blocks
+        assert np.array_equal(small[1], words)
+        assert np.array_equal(small[2].view(np.uint64), stats.view(np.uint64))
+        assert np.array_equal(small[3], bits)
+        assert small[4] == counts
+
+    @pytest.mark.parametrize("n, trials", [(256, 40), (64, 300)])
+    def test_planted_pass_memory_is_bounded(self, n, trials):
+        """A planted pass holds a chunk of words and its scratch, the chunk's
+        cut matrix, its bits and the block's row hashes and supports: 4.15
+        BATCH_BYTES at 256^2 and 4.20 at 64^2.  With supports drawn a trial
+        at a time and no block, the pass peaked at 4.01 and 4.03."""
+        shape = ProblemShape(n, n, 16, 16)
+        kind = DetectorKind(DetectorTag.TRUNC_DEGREE_AXIS1, tau=1.0)
+        harness._planted_accept_count(kind, shape, 0.25, [0.0, 0.3], 0.0, 2, 3, 10**6)
+        tracemalloc.start()
+        try:
+            harness._planted_accept_count(kind, shape, 0.25, [0.0, 0.3], 0.0, trials, 3, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * rng.BATCH_BYTES
 
 
 class TestEmitResults:
