@@ -8,12 +8,13 @@ flags, risk and sweep calibrate on max(--trials, 100) null trials seeded by
 --seed.  `sweep --config` reads the experiment from a JSON file alone: only
 --seed, which replaces the config's `seed`, and --out may be given beside
 it; _CONFIG_SCHEMA lists every config key, its JSON kind and default, and
-its numbers are read as floats.  The tau and scan size given (`stat --k1`,
-`detector.k_scan`, or from flags --k1 on axis 1 and --k2 on axis 2) go to
-DetectorKind, which refuses one that no statistic reads.  gen, calibrate
-and risk require --seed, `gen --null` refuses --delta, and the streams
-reject a seed outside [0, 2^64).  Exit codes: 0 success, 1 usage error,
-2 budget exceeded, 3 I/O error, each reported as one JSON line on stderr.
+its numbers are read as floats.  The tau, scan size (`stat --k1`,
+`detector.k_scan`, or from flags --k1 on axis 1 and --k2 on axis 2) and
+subset budget given go to DetectorKind, which refuses one that no statistic
+reads.  gen, calibrate and risk require --seed, `gen --null` refuses
+--delta, and the streams reject a seed outside [0, 2^64).  Exit codes: 0
+success, 1 usage error, 2 budget exceeded, 3 I/O error, each reported as
+one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from . import lower_bound
 from .detectors import (
     _MAX_TAGS,
     _TRUNC_TAGS,
-    DEFAULT_SUBSET_BUDGET,
     DetectorKind,
     DetectorTag,
     ThresholdMode,
@@ -121,7 +121,7 @@ def _add_trial_flags(p, trials, required=True, risk=True):
     p.add_argument("--seed", type=int, required=required)
     p.add_argument("--detector", default="DELTA_STAR")
     p.add_argument("--tau", type=float)
-    p.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
+    p.add_argument("--budget", type=int)
     p.add_argument("--out")
     _add_const_flags(p, _RISK_CONSTS if risk else _DISPATCH_CONSTS)
     if risk:
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--detector", default="TOTAL_DEGREE")
     s.add_argument("--tau", type=float)
     s.add_argument("--k1", type=int, help="scan size for max tests on either axis")
-    s.add_argument("--budget", type=int, default=DEFAULT_SUBSET_BUDGET)
+    s.add_argument("--budget", type=int)
     s.add_argument("--out")
 
     c = sub.add_parser("calibrate", help="empirical null quantile threshold")
@@ -197,10 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _detector_kind(name: str, tau, scans: dict) -> DetectorKind:
-    """Detector `name` at truncation `tau`; `scans` maps a tag to its scan
-    size and the option or key naming it.  DetectorKind gets both as given
-    and refuses a tau or k_scan that the tag's statistic does not read."""
+def _detector_kind(name: str, tau, scans: dict, budget) -> DetectorKind:
+    """Detector `name` at truncation `tau` within subset `budget`; `scans`
+    maps a tag to its scan size and the option or key naming it.
+    DetectorKind gets all three as given and refuses a tau, k_scan or budget
+    that the tag's statistic does not read."""
     try:
         tag = DetectorTag[name.upper().replace("-", "_")]
     except KeyError:
@@ -210,15 +211,16 @@ def _detector_kind(name: str, tau, scans: dict) -> DetectorKind:
         raise ParameterError(f"detector {tag.value} requires --tau")
     if k_scan is None and tag in _MAX_TAGS:
         raise ParameterError(f"detector {tag.value} requires a scan size ({source})")
-    return DetectorKind(tag, tau=tau, k_scan=k_scan)
+    return DetectorKind(tag, tau=tau, k_scan=k_scan, budget=budget)
 
 
 def _flag_detector(args) -> DetectorKind:
-    """--detector and --tau.  A max scan takes --k1 rows on axis 1 and --k2
-    columns on axis 2; from flags, no other detector has a scan size."""
+    """--detector, --tau and --budget.  A max scan takes --k1 rows on axis 1
+    and --k2 columns on axis 2; from flags, no other detector has a scan
+    size."""
     scans = {DetectorTag.MAX_TRUNC_AXIS1: (args.k1, "--k1"),
              DetectorTag.MAX_TRUNC_AXIS2: (args.k2, "--k2")}
-    return _detector_kind(args.detector, args.tau, scans)
+    return _detector_kind(args.detector, args.tau, scans, args.budget)
 
 
 def _shape_from(args) -> ProblemShape:
@@ -249,8 +251,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_stat(args) -> int:
     A = read_matrix(args.matrix)
-    kind = _detector_kind(args.detector, args.tau, dict.fromkeys(DetectorTag, (args.k1, "--k1")))
-    value = statistic(A, args.p0, kind, args.budget)
+    scans = dict.fromkeys(DetectorTag, (args.k1, "--k1"))
+    value = statistic(A, args.p0, _detector_kind(args.detector, args.tau, scans, args.budget))
     _emit_text(f"statistic {_fmt(value)}\n", args.out)
     return EXIT_OK
 
@@ -259,8 +261,7 @@ def _cmd_calibrate(args) -> int:
     shape = _shape_from(args)
     kind = _flag_detector(args)
     h = calibrate_threshold(
-        kind, shape, args.p0, args.alpha, args.trials, args.seed,
-        _consts_from(args), args.budget,
+        kind, shape, args.p0, args.alpha, args.trials, args.seed, _consts_from(args)
     )
     _emit_text(f"threshold {_fmt(h)}\n", args.out)
     return EXIT_OK
@@ -281,7 +282,6 @@ def _sweep_config(args, grid) -> ExperimentConfig:
         trials=args.trials,
         seed=args.seed,
         consts=_consts_from(args),
-        budget=args.budget,
     )
 
 
@@ -415,7 +415,7 @@ _CONFIG_SCHEMA = {
     "delta_grid": ("numbers", _REQUIRED),
     "p0": ("number", _REQUIRED),
     "trials": ("integer", _REQUIRED),
-    "budget": ("integer", DEFAULT_SUBSET_BUDGET),
+    "budget": ("integer", None),
 }
 
 
@@ -471,7 +471,9 @@ def load_config(path) -> ExperimentConfig:
     except ParameterError as exc:
         raise ConfigError("shape", str(exc)) from exc
     scan = (v["detector.k_scan"], "detector.k_scan")
-    detector = _detector_kind(v["detector.tag"], v["detector.tau"], dict.fromkeys(DetectorTag, scan))
+    detector = _detector_kind(
+        v["detector.tag"], v["detector.tau"], dict.fromkeys(DetectorTag, scan), v["budget"]
+    )
     try:
         threshold = ThresholdSpec(
             mode=ThresholdMode[v["threshold.mode"]],
@@ -497,7 +499,6 @@ def load_config(path) -> ExperimentConfig:
         trials=v["trials"],
         seed=v["seed"],
         consts=consts,
-        budget=v["budget"],
     )
 
 

@@ -30,14 +30,18 @@ of the statistic under null simulation (CALIBRATED, the default).  The
 composite detector dispatches among the tests according to the argmin
 branch of the rate R_tilde.  Every detector, the composite included,
 decides one way: resolve_threshold gives the concrete kind and threshold h,
-and the test rejects when statistic(A, p0, kind) > h.
+and the test rejects when statistic(A, p0, kind) > h.  A DetectorKind
+carries what its statistic reads: tau for the truncated tests, and k_scan
+and the subset budget for the max scans; DELTA_STAR may carry a budget,
+which goes to the sub-test it resolves to.  A value that the statistic does
+not read is refused when the kind is built.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import chain, combinations
 
@@ -73,18 +77,25 @@ _AXIS2_TAGS = {DetectorTag.TRUNC_DEGREE_AXIS2, DetectorTag.MAX_TRUNC_AXIS2}
 @dataclass(frozen=True)
 class DetectorKind:
     """A statistic selector: which test, at what truncation, scanning what
-    subset size.  DELTA_STAR carries no parameters; its sub-test and tau are
-    resolved from the shape and constants at run time."""
+    subset size within what subset budget.  A max test built without a
+    budget scans within DEFAULT_SUBSET_BUDGET subsets.  DELTA_STAR carries
+    at most a budget; its sub-test and tau are resolved from the shape and
+    constants at run time, and its budget is handed to that sub-test."""
 
     tag: DetectorTag
     tau: float | None = None
     k_scan: int | None = None
+    budget: int | None = None
 
     def __post_init__(self):
         if (self.tau is not None) != (self.tag in _TRUNC_TAGS):
             raise ParameterError(f"tau must be given exactly for truncated tests, tag={self.tag}")
         if (self.k_scan is not None) != (self.tag in _MAX_TAGS):
             raise ParameterError(f"k_scan must be given exactly for max tests, tag={self.tag}")
+        if self.budget is not None and self.tag not in _MAX_TAGS | {DetectorTag.DELTA_STAR}:
+            raise ParameterError(f"a subset budget is read only by max tests, tag={self.tag}")
+        if self.budget is not None and self.budget < 1:
+            raise ParameterError(f"subset budget must be at least 1, got {self.budget}")
         if self.tau is not None and not 0.0 <= self.tau < math.inf:
             raise ParameterError(f"tau must be finite and nonnegative, got {self.tau}")
         if self.k_scan is not None and self.k_scan < 1:
@@ -277,25 +288,19 @@ def _batch_max_truncated(
     return _candidate_max(bits, _contribution_table(k_scan, p0, tau), budget)
 
 
-def statistic(
-    A: AdjacencyMatrix,
-    p0: float,
-    kind: DetectorKind,
-    budget: int = DEFAULT_SUBSET_BUDGET,
-) -> float:
+def statistic(A: AdjacencyMatrix, p0: float, kind: DetectorKind) -> float:
     """Evaluate the selected statistic on one matrix."""
-    return float(_batch_statistic(A.bits[None, :, :], p0, kind, budget)[0])
+    return float(_batch_statistic(A.bits[None, :, :], p0, kind)[0])
 
 
-def _batch_statistic(
-    bits: np.ndarray, p0: float, kind: DetectorKind, budget: int
-) -> np.ndarray:
+def _batch_statistic(bits: np.ndarray, p0: float, kind: DetectorKind) -> np.ndarray:
     tag = kind.tag
     if tag in _AXIS2_TAGS:
         bits = bits.transpose(0, 2, 1)
     if tag is DetectorTag.TOTAL_DEGREE:
         return _batch_total(bits, p0)
     if tag in _MAX_TAGS:
+        budget = DEFAULT_SUBSET_BUDGET if kind.budget is None else kind.budget
         return _batch_max_truncated(bits, p0, kind.tau, kind.k_scan, budget)
     if tag in _TRUNC_TAGS:
         return _batch_truncated(bits, p0, kind.tau)
@@ -357,9 +362,10 @@ def delta_star_subtest(
 def resolve_kind(
     kind: DetectorKind, shape: ProblemShape, p0: float, consts: RateConstants
 ) -> DetectorKind:
-    """Replace DELTA_STAR by its concrete sub-test; other kinds pass through."""
+    """Replace DELTA_STAR by its concrete sub-test, which takes its budget;
+    other kinds pass through."""
     if kind.tag is DetectorTag.DELTA_STAR:
-        return delta_star_subtest(shape, p0, consts)
+        return replace(delta_star_subtest(shape, p0, consts), budget=kind.budget)
     return kind
 
 
@@ -369,7 +375,6 @@ def null_statistics(
     p0: float,
     trials: int,
     seed: int,
-    budget: int = DEFAULT_SUBSET_BUDGET,
     tag: int = rng.TAG_CAL,
 ) -> np.ndarray:
     """Statistic values over `trials` independent null draws of the
@@ -377,7 +382,7 @@ def null_statistics(
     derived seeds; order-deterministic."""
     cut = rng.below(p0)
     chunks = [
-        _batch_statistic((x < cut).view(np.uint8), p0, kind, budget)
+        _batch_statistic((x < cut).view(np.uint8), p0, kind)
         for _, x in rng.trial_uniforms(seed, tag, shape.n1, shape.n2, trials)
     ]
     return np.concatenate(chunks) if chunks else np.empty(0)
@@ -398,7 +403,6 @@ def calibrate_threshold(
     trials: int,
     seed: int,
     consts: RateConstants = RateConstants(),
-    budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> float:
     """Empirical (1 - alpha)-quantile of the statistic under the null."""
     if not 0.0 < alpha < 1.0:
@@ -406,7 +410,7 @@ def calibrate_threshold(
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
     kind = resolve_kind(kind, shape, p0, consts)
-    values = null_statistics(kind, shape, p0, trials, seed, budget)
+    values = null_statistics(kind, shape, p0, trials, seed)
     return empirical_quantile(values, alpha)
 
 
@@ -416,14 +420,13 @@ def resolve_threshold(
     p0: float,
     spec: ThresholdSpec,
     consts: RateConstants = RateConstants(),
-    budget: int = DEFAULT_SUBSET_BUDGET,
 ) -> tuple[DetectorKind, float]:
     """Resolve (concrete kind, threshold value) for a detector selection."""
     kind = resolve_kind(kind, shape, p0, consts)
     if spec.value is not None:
         return kind, spec.value
     if spec.mode is ThresholdMode.CALIBRATED:
-        h = calibrate_threshold(kind, shape, p0, spec.alpha, spec.trials, spec.seed, consts, budget)
+        h = calibrate_threshold(kind, shape, p0, spec.alpha, spec.trials, spec.seed, consts)
         return kind, h
     _check_p0(p0)
     return kind, _analytic_threshold(kind.tag, shape, spec.alpha, consts)

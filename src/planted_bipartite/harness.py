@@ -50,7 +50,6 @@ class ExperimentConfig:
     seed: int
     eta: float = 0.5
     consts: RateConstants = field(default_factory=RateConstants)
-    budget: int = DEFAULT_SUBSET_BUDGET
 
     def __post_init__(self):
         if not 0.0 < self.p0 < 1.0:
@@ -84,19 +83,19 @@ def _proportion_se(p: float, n: int) -> float:
 
 
 def _null_reject_count(
-    kind: DetectorKind, shape: ProblemShape, p0: float, threshold: float,
-    trials: int, seed: int, budget: int,
+    kind: DetectorKind, shape: ProblemShape, p0: float, threshold: float, trials: int, seed: int
 ) -> int:
-    stats = null_statistics(kind, shape, p0, trials, seed, budget, tag=TAG_NULL)
+    stats = null_statistics(kind, shape, p0, trials, seed, tag=TAG_NULL)
     return int((stats > threshold).sum())
 
 
 def _planted_accept_count(
     kind: DetectorKind, shape: ProblemShape, p0: float, deltas: list[float], threshold: float,
-    trials: int, seed: int, budget: int,
+    trials: int, seed: int,
 ) -> list[int]:
     """Planted trials accepted at each of `deltas`.  Each block's supports
-    and each chunk's uniforms are drawn once; only the block's cut changes."""
+    and each chunk's uniforms and null bits are drawn once; at each delta
+    only the k1 x k2 planted cells of the bits are compared again."""
     counts = [0] * len(deltas)
     cuts = [below(p0 + delta) for delta in deltas]
     for seeds, chunks in trial_blocks(seed, TAG_ALT, shape.n1, shape.n2, trials):
@@ -104,10 +103,10 @@ def _planted_accept_count(
         cols = sample_subsets(seeds, TAG_COLS, shape.n2, shape.k2)
         for part, x in chunks:
             block = (np.arange(len(x))[:, None, None], rows[part, :, None], cols[part, None, :])
-            m = np.full(x.shape, below(p0), dtype=np.uint64)
+            bits = (x < below(p0)).view(np.uint8)
             for i, cut in enumerate(cuts):
-                m[block] = cut
-                stats = _batch_statistic((x < m).view(np.uint8), p0, kind, budget)
+                bits[block] = x[block] < cut
+                stats = _batch_statistic(bits, p0, kind)
                 counts[i] += int((stats <= threshold).sum())
     return counts
 
@@ -115,11 +114,9 @@ def _planted_accept_count(
 def _resolve(cfg: ExperimentConfig) -> tuple[DetectorKind, float, int]:
     """(concrete kind, threshold, null rejections over cfg.trials): the
     delta-independent part of a risk estimate."""
-    kind, threshold = resolve_threshold(
-        cfg.detector, cfg.shape, cfg.p0, cfg.threshold, cfg.consts, cfg.budget
-    )
+    kind, threshold = resolve_threshold(cfg.detector, cfg.shape, cfg.p0, cfg.threshold, cfg.consts)
     return kind, threshold, _null_reject_count(
-        kind, cfg.shape, cfg.p0, threshold, cfg.trials, cfg.seed, cfg.budget
+        kind, cfg.shape, cfg.p0, threshold, cfg.trials, cfg.seed
     )
 
 
@@ -127,9 +124,7 @@ def _evaluate(cfg: ExperimentConfig, resolved: tuple, deltas: list[float]) -> li
     """Risk estimates at each of `deltas` for a config resolved by _resolve."""
     kind, threshold, r1 = resolved
     n = cfg.trials
-    accepts = _planted_accept_count(
-        kind, cfg.shape, cfg.p0, deltas, threshold, n, cfg.seed, cfg.budget
-    )
+    accepts = _planted_accept_count(kind, cfg.shape, cfg.p0, deltas, threshold, n, cfg.seed)
     se1 = _proportion_se(r1 / n, n)
     return [RiskEstimate(r1 / n, r2 / n, se1, _proportion_se(r2 / n, n), n) for r2 in accepts]
 

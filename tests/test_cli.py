@@ -710,8 +710,9 @@ _RISK_16 = ["--n1", "16", "--n2", "16", "--k1", "4", "--k2", "4", "--p0", "0.25"
 
 
 class TestUnreadDetectorValues:
-    """A tau or scan size that the detector's statistic does not read is a
-    usage error naming it; it used to be dropped without a word."""
+    """A tau, scan size or subset budget that the detector's statistic does
+    not read is a usage error naming it; it used to be dropped without a
+    word."""
 
     @pytest.mark.parametrize("argv,config", [
         *[([command, *base, "--detector", tag, "--tau", "5"], None)
@@ -735,6 +736,43 @@ class TestUnreadDetectorValues:
         error = json.loads(err)
         assert error["error"] == "usage"
         assert "tau" in error["message"] or "k_scan" in error["message"]
+
+    @pytest.mark.parametrize("argv,config", [
+        *[([command, *base, "--detector", tag, *tau, "--budget", "100"], None)
+          for command, base in (("calibrate", _CAL_16), ("risk", _RISK_16), ("sweep", _RISK_16))
+          for tag, tau in (("TOTAL_DEGREE", []), ("TRUNC_DEGREE_AXIS1", ["--tau", "0.5"]))],
+        (["calibrate", *_CAL_16, "--detector", "TOTAL_DEGREE", "--budget", "0"], None),
+        (["stat", None, "--p0", "0.25", "--detector", "TOTAL_DEGREE", "--budget", "-3"], None),
+        ([], {"detector": "TOTAL_DEGREE", "budget": 100}),
+        # The composite resolves to the total degree test at 64x64, k = 16.
+        (["calibrate", "--n1", "64", "--n2", "64", "--k1", "16", "--k2", "16", "--p0", "0.25",
+          "--trials", "100", "--seed", "1", "--budget", "5"], None),
+    ], ids=["calibrate-total", "calibrate-trunc", "risk-total", "risk-trunc", "sweep-total",
+            "sweep-trunc", "calibrate-total-budget-0", "stat-total-budget-negative",
+            "config-total", "calibrate-delta-star-degree-test"])
+    def test_budget_refused(self, tmp_path, capsys, argv, config):
+        """A subset budget is read only by a max scan: on any other detector,
+        the composite's degree tests included, it is a usage error."""
+        argv = [_matrix(tmp_path) if a is None else a for a in argv]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({**BASE_CONFIG, **config}))
+            argv = ["sweep", "--config", str(path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "usage"
+        assert "budget" in error["message"]
+
+    def test_budget_reaches_composite_max_scan(self, capsys):
+        """Where the composite runs MAX_TRUNC_AXIS1 (k_scan 5 of 20 rows), a
+        budget of 5 subsets is read by its scan and exceeded."""
+        code, out, err = run(capsys, "calibrate", "--n1", "20", "--n2", "64", "--k1", "5",
+                             "--k2", "4", "--p0", "0.25", "--trials", "64", "--seed", "0",
+                             "--budget", "5")
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "budget"
 
     @pytest.mark.parametrize("tag,flags", [
         ("TRUNC_DEGREE_AXIS1", ["--tau", "0.5"]),

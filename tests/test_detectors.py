@@ -176,8 +176,8 @@ class TestMaxTruncatedDegree:
 
     def test_budget_error(self):
         A = sample_null(ProblemShape(30, 4, 2, 2), 0.25, 1)
-        with pytest.raises(BudgetError):
-            statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=15), budget=1000)
+        with pytest.raises(BudgetError, match="exceed budget 1000$"):
+            statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=15, budget=1000))
 
 
 def _reference_truncated(bits, p0, tau, k_scan=None):
@@ -230,9 +230,9 @@ class TestScanExactness:
             (DetectorTag.TRUNC_DEGREE_AXIS1, DetectorTag.MAX_TRUNC_AXIS1) if axis == 1
             else (DetectorTag.TRUNC_DEGREE_AXIS2, DetectorTag.MAX_TRUNC_AXIS2)
         )
-        got = _batch_statistic(bits, p0, DetectorKind(scan, tau=tau, k_scan=k_scan), 10**6)
+        got = _batch_statistic(bits, p0, DetectorKind(scan, tau=tau, k_scan=k_scan))
         assert _bit_equal(_reference_truncated(oriented, p0, tau, k_scan), got)
-        got = _batch_statistic(bits, p0, DetectorKind(trunc, tau=tau), 10**6)
+        got = _batch_statistic(bits, p0, DetectorKind(trunc, tau=tau))
         assert _bit_equal(_reference_truncated(oriented, p0, tau), got)
 
     def test_multi_block_matches_reference(self):
@@ -363,7 +363,7 @@ class TestCandidatePass:
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:  # `block` candidates or subsets per block
                 mp.setattr(rng, "BATCH_BYTES", 8 * cols * block)
-            assert _bit_equal(expect, _batch_statistic(bits, p0, kind, 10**6))
+            assert _bit_equal(expect, _batch_statistic(bits, p0, kind))
             self._check(oriented, detectors._contribution_table(k_scan, p0, tau), expect)
 
     @settings(max_examples=150, deadline=None)
@@ -602,6 +602,44 @@ class TestDeltaStar:
 
 
 class TestKindValidation:
+    def test_budget_default(self):
+        """A max test built without a budget scans within
+        DEFAULT_SUBSET_BUDGET subsets."""
+        A = sample_null(ProblemShape(30, 4, 2, 2), 0.25, 1)
+        with pytest.raises(BudgetError, match=f"exceed budget {detectors.DEFAULT_SUBSET_BUDGET}$"):
+            statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=15))
+
+    @pytest.mark.parametrize("tag,tau,k_scan,budget", [
+        (DetectorTag.TOTAL_DEGREE, None, None, 100),
+        (TRUNC1, 1.0, None, 100),
+        (TRUNC2, 1.0, None, 10**6),
+        (MAX1, 1.0, 3, 0),
+        (MAX2, 1.0, 3, -3),
+        (DetectorTag.DELTA_STAR, None, None, 0),
+    ])
+    def test_budget_refused(self, tag, tau, k_scan, budget):
+        """A budget is refused on a test that does not scan, and below 1."""
+        with pytest.raises(ParameterError, match="budget"):
+            DetectorKind(tag, tau=tau, k_scan=k_scan, budget=budget)
+
+    def test_budget_handed_to_composite_subtest(self):
+        """DELTA_STAR hands its budget to the sub-test it resolves to, and a
+        degree sub-test refuses it."""
+        consts = RateConstants()
+        scan_shape = ProblemShape(20, 64, 5, 4)  # MAX_TRUNC_AXIS1
+        sub = delta_star_subtest(scan_shape, 0.25, consts)
+        composite = DetectorKind(DetectorTag.DELTA_STAR, budget=5)
+        got = detectors.resolve_kind(composite, scan_shape, 0.25, consts)
+        assert got == dataclasses.replace(sub, budget=5) and got.tag is MAX1
+        plain = detectors.resolve_kind(DetectorKind(DetectorTag.DELTA_STAR), scan_shape, 0.25, consts)
+        assert plain == sub and plain.budget is None
+        degree_shape = ProblemShape(64, 64, 16, 16)  # TOTAL_DEGREE
+        with pytest.raises(ParameterError, match="budget"):
+            detectors.resolve_kind(composite, degree_shape, 0.25, consts)
+        spec = ThresholdSpec(ThresholdMode.ANALYTIC, alpha=0.1)
+        with pytest.raises(ParameterError, match="budget"):
+            resolve_threshold(composite, degree_shape, 0.25, spec, consts)
+
     def test_tau_required(self):
         with pytest.raises(ParameterError):
             DetectorKind(DetectorTag.TRUNC_DEGREE_AXIS1)
