@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -139,7 +140,11 @@ def _number_list(kind):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: each parse
+    starts from a fresh namespace, so nothing of one parse reaches the
+    next."""
     parser = _Parser(prog="planted-bipartite", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import rng
-from .binomial_kernel import BennettKernel
+from .binomial_kernel import BennettKernel, logsumexp
 from .errors import BudgetError, ParameterError
 from .graph_model import ProblemShape
 from .rates import log_binom
@@ -137,12 +136,13 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
 
     The matrices are walked in blocks of rows of their bit matrix: the
     largest power of two rows (at least 64) whose float64 bits fit
-    rng.BATCH_BYTES.  Each block's bits and their complement are built once
-    and every support is evaluated on them, so only the null and mixture
-    probability vectors (2^(n1 n2) floats each) are whole.  The result does
-    not depend on the block size: each matrix's log-probability is one
-    matrix-vector product row, the supports are added in one fixed order,
-    and the final sum runs over the whole vectors.
+    rng.BATCH_BYTES.  One block of bits and its complement is built once,
+    each block rewrites in place only its high bit columns, which are
+    constant down the block, and every support is evaluated on it.  So only
+    the null and mixture probability vectors (2^(n1 n2) floats each) are
+    whole.  The result does not depend on the block size: each matrix's
+    log-probability is one matrix-vector product row, the supports are added
+    in one fixed order, and the final sum runs over the whole vectors.
     """
     _check_signal(p0, delta)
     cells = shape.n1 * shape.n2
@@ -188,13 +188,20 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     # numpy computes a one-row product with a dot kernel, so shorter blocks
     # could change the last bits.
     rows = min(total, 1 << max(6, (rng.BATCH_BYTES // (8 * cells)).bit_length() - 1))
+    # Row i of the block at lo is matrix lo + i, and lo is a multiple of
+    # rows: its low log2(rows) bits are those of i in every block, and the
+    # rest are lo's, the same on every row.  So the block is built once and
+    # only those constant columns are rewritten, in place.
+    low = rows.bit_length() - 1
     shifts = np.arange(cells)
+    on = ((np.arange(rows)[:, None] >> shifts) & 1).astype(np.float64)
+    off = 1.0 - on
     prob0 = np.empty(total)
     prob_mix = np.zeros(total)
     for lo in range(0, total, rows):
-        codes = np.arange(lo, lo + rows, dtype=np.int64)
-        on = ((codes[:, None] >> shifts) & 1).astype(np.float64)
-        off = 1.0 - on
+        high = ((lo >> shifts[low:]) & 1).astype(np.float64)
+        on[:, low:] = high
+        off[:, low:] = 1.0 - high
         prob0[lo : lo + rows] = matrix_probs(on, off, null)
         block = prob_mix[lo : lo + rows]
         for vectors in supports:

@@ -1,9 +1,15 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+import scipy
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp as scipy_logsumexp
 
+from planted_bipartite import binomial_kernel
 from planted_bipartite import (
     BennettKernel,
     EmptyConditionError,
@@ -222,3 +228,58 @@ class TestKernelInvariants:
                     base = k.sigma * a * math.log1p(a / k.sigma)
                     c_bar = max(c_bar, nu(a, k) / base, gamma(a, k) / (base * a * math.log1p(a / k.sigma)))
         assert c_bar < 40.0
+
+
+# scipy 1.17 computes logsumexp by the steps that binomial_kernel.logsumexp
+# ports, so there the two agree bit for bit.  An older scipy (CI's Python
+# 3.10 job installs one) may take log(sum(exp(a - max))) + max in one pass;
+# against it the port is held to a few rounding errors, 1e-13 relative and
+# absolute.
+_SCIPY_BITWISE = tuple(int(p) for p in scipy.__version__.split(".")[:2]) >= (1, 17)
+
+
+@st.composite
+def _log_terms(draw):
+    """1-D and 2-D arrays of magnitudes up to 1e3, with ties at the maximum,
+    some -inf entries, all -inf, or some +inf."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=2, max_side=12))
+    a = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))).copy()
+    flat = a.reshape(-1)
+    cells = st.lists(st.integers(0, flat.size - 1), max_size=4)
+    flat[draw(cells)] = flat.max()
+    special = draw(st.sampled_from(["none", "-inf", "all -inf", "+inf"]))
+    if special == "all -inf":
+        flat[:] = -math.inf
+    elif special != "none":
+        flat[draw(cells)] = float(special)
+    return a
+
+
+class TestLogsumexp:
+    @settings(max_examples=400)
+    @given(_log_terms())
+    def test_matches_scipy(self, a):
+        got, want = binomial_kernel.logsumexp(a), float(scipy_logsumexp(a))
+        if _SCIPY_BITWISE:
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), (got, want)
+        else:
+            assert math.isclose(got, want, rel_tol=1e-13, abs_tol=1e-13), (got, want)
+
+    def test_edges(self):
+        lse = binomial_kernel.logsumexp
+        assert lse(np.array([0.0, 0.0])) == math.log(2.0)
+        assert lse(np.full((2, 3), -math.inf)) == -math.inf
+        assert lse(np.array([1.0, math.inf, -math.inf])) == math.inf
+
+
+def test_src_imports_only_gammaln_from_scipy():
+    """The package takes one name from scipy, gammaln."""
+    names = set()
+    for path in sorted(Path(binomial_kernel.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+                names |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Import):
+                names |= {(path.name, alias.name) for alias in node.names
+                          if alias.name.split(".")[0] == "scipy"}
+    assert names and {name for _, name in names} == {"gammaln"}, sorted(names)

@@ -2,6 +2,10 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +200,25 @@ class TestSweep:
         assert code == 0
         assert len(out.strip().split("\n")) == 4
         assert len(calls) == 1
+
+    def test_parser_reused_across_dispatches(self, tmp_path, capsys, monkeypatch):
+        """dispatch reuses one parser per process.  A flag sweep and then a
+        config sweep in one process print what each prints in a fresh
+        process: the flags one parse records in `given` do not reach the
+        next, where the config sweep would refuse them."""
+        (tmp_path / "cfg.json").write_text(json.dumps(BASE_CONFIG))
+        monkeypatch.chdir(tmp_path)
+        flags = ["sweep", "--n1", "12", "--n2", "16", "--k1", "3", "--k2", "3", "--p0", "0.25",
+                 "--delta", "0.1", "--trials", "100", "--seed", "1"]
+        config = ["sweep", "--config", "cfg.json"]
+        assert build_parser() is build_parser()
+        in_process = [run(capsys, *argv) for argv in (flags, config)]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        fresh = [subprocess.run([sys.executable, "-m", "planted_bipartite.cli", *argv],
+                                capture_output=True, text=True, env=env, check=False)
+                 for argv in (flags, config)]
+        assert in_process == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+        assert in_process[0][0] == 0 and in_process[0][1] == in_process[1][1]
 
     def test_config_file(self, tmp_path, capsys):
         cfg = {
@@ -835,6 +858,35 @@ class TestSingleCountTruncation:
         code, stdout, err = run(capsys, *argv, "--out", str(out))
         assert (code, stdout) == (1, "")
         assert "would be constant" in json.loads(err)["message"]
+        assert not out.exists()
+
+
+class TestCompositeRefusal:
+    """A refusal of the sub-test that DELTA_STAR resolves to keeps its type
+    and exit code, and says that the composite resolved to that test."""
+
+    def test_budget_on_degree_subtest(self, capsys):
+        code, out, err = run(capsys, "calibrate", "--n1", "64", "--n2", "64", "--k1", "16",
+                             "--k2", "16", "--p0", "0.25", "--trials", "100", "--seed", "1",
+                             "--budget", "5")
+        assert (code, out) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "usage"
+        assert error["message"].startswith(
+            "DELTA_STAR resolved to TOTAL_DEGREE (branch BRANCH_A) on this shape: "
+            "a subset budget is read only by max tests, tag=TOTAL_DEGREE")
+
+    def test_single_count_truncation(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code, stdout, err = run(capsys, "risk", "--n1", "16", "--n2", "128", "--k1", "3",
+                                "--k2", "6", "--p0", "0.25", "--delta", "0.75", "--trials",
+                                "200", "--seed", "1", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        error = json.loads(err)
+        assert error["error"] == "error"
+        assert error["message"].startswith(
+            "DELTA_STAR resolved to MAX_TRUNC_AXIS1 (branch MAX_TRUNC_1) on this shape: "
+            "tau=1.776786971918233 leaves only counts >= 3 of n=3")
         assert not out.exists()
 
 

@@ -81,6 +81,18 @@ class TestTotalDegree:
                 want = (int(A.bits.sum()) - n1 * n2 * p0) / math.sqrt(n1 * n2 * p0 * (1 - p0))
                 assert statistic(A, p0, TOTAL) == want
 
+    @pytest.mark.parametrize("n1,n2", [(255, 257), (256, 256), (300, 300)])
+    def test_narrow_sum_at_dtype_boundary(self, n1, n2):
+        """Totals are summed in the narrowest unsigned type that holds
+        n1 * n2: 65,535 cells fit uint16, 65,536 and 90,000 need uint32.
+        All ones is the largest total; both match the int64 sum bit for
+        bit."""
+        bits = np.ones((2, n1, n2), dtype=np.uint8)
+        bits[1, 0, 0] = 0
+        sums = bits.reshape(2, -1).sum(axis=1, dtype=np.int64)
+        want = (sums - n1 * n2 * 0.25) / math.sqrt(n1 * n2 * 0.25 * 0.75)
+        assert _bit_equal(detectors._batch_total(bits, 0.25), want)
+
 
 class TestAxis:
     @pytest.mark.parametrize("axis", [0, 3, -1])
