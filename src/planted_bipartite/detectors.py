@@ -10,13 +10,15 @@ Three statistics are implemented:
   of size k_scan (kernel Bin(k_scan, p0)), maximized exactly over all
   subsets.  One kernel, _score_subsets, forms every subset's column counts
   by adding gathered rows, in blocks within rng.BATCH_BYTES, and scores
-  each by a table lookup.  _scan_max offers it every row of every trial;
+  them by a table lookup.  _scan_max offers it every row of every trial;
   the empty-subgraph diagnostic runs that too.  When k_scan is the only
-  count with a positive score, a subset with no all-ones column scores
-  <= 0, so _candidate_max first offers only each column's ones and
-  enumerates in full just the trials whose best such subset scores <= 0;
-  each score is the same double either way.  Tables and subset
-  enumerations are built once, when first needed, cached read-only.
+  count with a positive score, a subset scores at most f[k_scan] times its
+  all-ones columns.  So _candidate_max first offers only each column's
+  ones and enumerates in full just the trials whose best such subset
+  scores <= 0, and the kernel sums floats only for subsets whose bound,
+  plus a margin for rounding, reaches the best score so far; the maximum
+  is the same double either way.  Tables and subset enumerations are built
+  once, when first needed, cached read-only.
 
 A truncation level whose count threshold k_min reaches the kernel's n is
 refused with EmptyConditionError: only the count n would pass, nu_tau would
@@ -196,6 +198,13 @@ def _subset_indices(n: int, k: int, budget: int) -> np.ndarray:
     return idx
 
 
+def _only_full_scores(f: np.ndarray) -> bool:
+    """Whether k = len(f) - 1 is the only count with f > 0: then a subset
+    scores at most f[k] times its number of all-ones columns."""
+    k = len(f) - 1
+    return bool(f[k] > 0) and not (f[:k] > 0).any()
+
+
 def _score_subsets(
     flat: np.ndarray, owner: np.ndarray, rows: np.ndarray, subsets: np.ndarray,
     f: np.ndarray, best: np.ndarray,
@@ -206,11 +215,28 @@ def _score_subsets(
     best[owner[g]] is raised to the group's best score.
 
     A block of (group, subset) pairs holds at most rng.BATCH_BYTES of row
-    indices (k each) or of float64 scores (n2 each), and each score is the
-    same contiguous n2-term sum of np.take(f, counts).
+    indices (k each) or of float64 scores (n2 each).  Each score is the same
+    contiguous n2-term sum of f[counts], looked up on the narrow count dtype.
+
+    When k is the only count with f > 0, a subset with b all-ones columns
+    (one counts == k compare, summed in integers) sums exactly to at most
+    f[k] b.  In any summation order, its computed sum exceeds the exact one
+    by at most (n2 - 1) u / (1 - (n2 - 1) u) times sum_j |f[count_j]| <=
+    n2 max|f|, u = eps / 2; rounding f[k] b and adding the margin costs at
+    most 2 u n2 max|f| + u margin more.  The margin 4 n2^2 eps max|f| =
+    8 u n2^2 max|f| covers both while n2 u is small.  So in each block a
+    group first scores its subset with the most all-ones columns into
+    best[owner], then scores only the subsets whose f[k] b + margin reaches
+    best[owner].  Every pruned subset's computed score lies below
+    best[owner] and could not have raised it, so best ends as the same
+    double as when every subset is scored.  Any other table scores every
+    subset.
     """
     k = subsets.shape[1]
-    cells = max(1, rng.BATCH_BYTES // (8 * max(flat.shape[1], k)))
+    n2 = flat.shape[1]
+    cells = max(1, rng.BATCH_BYTES // (8 * max(n2, k)))
+    bounded = _only_full_scores(f)
+    margin = 4.0 * n2 * n2 * np.finfo(np.float64).eps * float(np.abs(f).max())
     for s in range(0, len(subsets), cells):
         block = subsets[s : s + cells]
         per = max(1, cells // len(block))
@@ -219,8 +245,15 @@ def _score_subsets(
             counts = np.take(flat, idx[..., 0], axis=0)
             for i in range(1, k):
                 counts += np.take(flat, idx[..., i], axis=0)
-            scores = np.take(f, counts.astype(np.intp)).sum(axis=-1)
-            np.maximum.at(best, owner[g : g + per], scores.max(axis=1))
+            who = owner[g : g + per]
+            if not bounded:
+                np.maximum.at(best, who, f[counts].sum(axis=-1).max(axis=1))
+                continue
+            full = (counts == k).sum(axis=-1, dtype=np.min_scalar_type(n2))
+            top = counts[np.arange(len(who)), full.argmax(axis=1)]
+            np.maximum.at(best, who, f[top].sum(axis=-1))
+            group, sub = np.nonzero(f[k] * full + margin >= best[who][:, None])
+            np.maximum.at(best, who[group], f[counts[group, sub]].sum(axis=-1))
 
 
 def _scan_max(bits: np.ndarray, f: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -251,7 +284,7 @@ def _candidate_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
     T, n, _ = bits.shape
     k = len(f) - 1
     out = np.full(T, -np.inf)
-    if f[k] > 0 and not (f[:k] > 0).any():
+    if _only_full_scores(f):
         counts = _column_counts(bits)
         columns = np.bincount(counts.ravel(), minlength=k + 1)
         candidates = sum(int(g) * math.comb(o, k) for o, g in enumerate(columns) if o >= k)

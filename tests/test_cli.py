@@ -147,6 +147,17 @@ class TestCalibrate:
         assert code == 1
         assert "(--k2)" in json.loads(err)["message"]
 
+    def test_threshold_where_candidates_do_not_prune(self, capsys):
+        # The composite scans 4 of 16 rows over 256 columns: about as many
+        # candidates per trial as C(16, 4) = 1,820 subsets, so most of the
+        # work is the all-ones-column bound of the subset kernel.  The
+        # threshold is pinned to the value of the kernel that summed every
+        # subset.
+        code, out, err = run(capsys, "calibrate", "--n1", "16", "--n2", "256", "--k1", "4",
+                             "--k2", "8", "--p0", "0.25", "--trials", "100", "--seed", "1")
+        assert code == 0, err
+        assert out.split() == ["threshold", "19.057577859123636"]
+
     # The composite runs MAX_TRUNC_AXIS1 with k_scan 5 here: C(50, 5) =
     # 2,118,760 row subsets, above the default budget, but f is positive
     # only at count 5, so every trial's maximum is among its candidates.

@@ -210,6 +210,15 @@ def _reference_truncated(bits, p0, tau, k_scan=None):
     return contrib.sum(axis=2).max(axis=1)
 
 
+def _reference_scan(bits, f):
+    """Unpruned reference scan with table f: every k-row subset of each
+    trial, k = len(f) - 1, scores sum_j f[count_j], all in one pass."""
+    k = len(f) - 1
+    subsets = np.array(list(combinations(range(bits.shape[1]), k)), dtype=np.intp)
+    counts = bits[:, subsets].sum(axis=2)
+    return f[counts].sum(axis=-1).max(axis=1)
+
+
 def _bit_equal(a, b):
     return np.array_equal(np.asarray(a, np.float64).view(np.uint64), b.view(np.uint64))
 
@@ -256,6 +265,20 @@ class TestScanExactness:
         bits[3, 15:, ::2] = 1
         got = detectors._batch_max_truncated(bits, 0.25, 1.3, 5, 10**6)
         assert _bit_equal(_reference_truncated(bits, 0.25, 1.3, 5), got)
+
+    def test_composite_null_trials_where_candidates_do_not_prune(self):
+        # The first two calibration trials of `calibrate --n1 16 --n2 256
+        # --k1 4 --k2 8 --p0 0.25 --seed 1`, whose composite scans 4 rows.
+        shape = ProblemShape(16, 256, 4, 8)
+        composite = DetectorKind(DetectorTag.DELTA_STAR)
+        kind = detectors.resolve_kind(composite, shape, 0.25, RateConstants())
+        assert (kind.tag, kind.k_scan) == (MAX1, 4)
+        cut = rng.below(0.25)
+        bits = np.concatenate(
+            [(x < cut).view(np.uint8) for _, x in rng.trial_uniforms(1, rng.TAG_CAL, 16, 256, 2)]
+        )
+        got = null_statistics(kind, shape, 0.25, 2, 1)
+        assert _bit_equal(_reference_truncated(bits, 0.25, kind.tau, 4), got)
 
     @pytest.mark.parametrize("n1,k_scan,trials", [(20, 5, 3), (12, 3, 9)])
     def test_batch_equals_single_trials(self, n1, k_scan, trials):
@@ -327,9 +350,12 @@ class TestContributionTable:
 
 
 class TestCandidatePass:
-    """The candidate pass gives the full enumeration's doubles bit for bit,
-    for any block size, and every candidate score above 0 is its trial's
-    maximum when k_scan is the only count with f > 0."""
+    """The candidate pass and the full enumeration give the unpruned
+    reference's doubles bit for bit, for any block size, and every candidate
+    score above 0 is its trial's maximum when k_scan is the only count with
+    f > 0.  Such tables also bound each subset's score by its all-ones
+    columns, so both passes sum floats only for subsets that can reach the
+    incumbent."""
 
     @staticmethod
     def _check(bits, f, expect):
@@ -396,11 +422,92 @@ class TestCandidatePass:
         k = 1 + round(k_frac * (rows - 1))
         f = np.array(f_values[: k + 1])
         bits = (np.random.default_rng(seed).random((trials, rows, cols)) < density).astype(np.uint8)
-        expect = detectors._scan_max(bits, f, detectors._subset_indices(rows, k, 10**6))
+        expect = _reference_scan(bits, f)
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 mp.setattr(rng, "BATCH_BYTES", 8 * cols * block)
             self._check(bits, f, expect)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        rows=st.integers(2, 8),
+        cols=st.integers(8, 40),
+        trials=st.integers(1, 3),
+        k_frac=st.floats(0.0, 1.0),
+        ones=st.floats(0.2, 1.0),
+        top=st.sampled_from([1.0, 0.5, 3.0, 0.1, 2.7, 4.1, 3.3760390267047]),
+        below=st.sampled_from([0.0, -2.0**-52, -2.0**-44, -1e-3, -0.5]),
+        block=st.sampled_from([2, 3, 7, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_ties_and_near_ties(
+        self, rows, cols, trials, k_frac, ones, top, below, block, seed
+    ):
+        """Only f[k] > 0, and every row holds the same number of ones, so
+        many subsets have as many all-ones columns as the incumbent: their
+        bounds tie its bound, or its score where f[k] sums exactly.  Their
+        pairwise sums of the same copies of f[k] differ in the last bits,
+        and f[k - 1] < 0 within the margin moves a score below its bound
+        by less than the margin."""
+        k = 1 + round(k_frac * (rows - 1))
+        gen = np.random.default_rng(seed)
+        m = max(1, round(ones * cols))
+        bits = np.zeros((trials, rows, cols), dtype=np.uint8)
+        for t in range(trials):
+            for r in range(rows):
+                bits[t, r, gen.permutation(cols)[:m]] = 1
+        f = np.zeros(k + 1)
+        f[k] = top
+        f[k - 1] = below * top
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(rng, "BATCH_BYTES", 8 * cols * block)
+            self._check(bits, f, _reference_scan(bits, f))
+
+    def test_near_tie_above_the_rounded_bound(self):
+        # Two rows of seven ones each, scored with f[1] = 4.1: the bound
+        # 7 x 4.1 rounds to 28.699999999999996, row 0 (the first with the
+        # most all-ones columns, so the incumbent) sums to 28.7 and row 1 to
+        # 28.700000000000003.  Only the margin keeps row 1 from the pruning.
+        bits = np.zeros((1, 2, 24), dtype=np.uint8)
+        bits[0, 0, [3, 5, 6, 13, 19, 21, 23]] = 1
+        bits[0, 1, [6, 7, 9, 14, 15, 21, 23]] = 1
+        f = np.array([0.0, 4.1])
+        assert 7 * 4.1 < 28.7 < 28.700000000000003
+        expect = _reference_scan(bits, f)
+        assert expect.tolist() == [28.700000000000003]
+        self._check(bits, f, expect)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        o=st.integers(3, 9),
+        extra=st.integers(0, 3),
+        cols=st.integers(1, 20),
+        trials=st.integers(1, 3),
+        k_frac=st.floats(0.0, 1.0),
+        below=st.lists(st.sampled_from([-1.0, -0.25, 0.0]), min_size=8, max_size=8),
+        top=st.sampled_from([0.5, 3.0, 4.1]),
+        block_frac=st.floats(0.0, 1.0),
+        density=st.sampled_from([0.3, 0.7, 0.95]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_column_table_split_across_blocks(
+        self, o, extra, cols, trials, k_frac, below, top, block_frac, density, seed
+    ):
+        """Column 0 of trial 0 holds exactly o ones, and its C(o, k) candidate
+        table spans several blocks, so the incumbent of its first block
+        prunes the later ones."""
+        k = 1 + round(k_frac * (o - 2))
+        block = 1 + round(block_frac * (math.comb(o, k) - 2))
+        assert block < math.comb(o, k)
+        bits = (
+            np.random.default_rng(seed).random((trials, o + extra, cols)) < density
+        ).astype(np.uint8)
+        bits[0, :, 0] = np.arange(o + extra) < o
+        f = np.array(below[:k] + [top])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rng, "BATCH_BYTES", 8 * max(cols, k) * block)
+            self._check(bits, f, _reference_scan(bits, f))
 
     def test_positive_below_k_scans_in_full(self):
         # Rows {0, 2} hold no all-ones column yet score 4 x 3.0; the one
