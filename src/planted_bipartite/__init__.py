@@ -42,7 +42,6 @@ from .harness import (
     RiskEstimate,
     bisect_delta_star,
     emit_results,
-    empty_subgraph_diagnostic,
     estimate_risk,
     phase_diagram,
     power_sweep,

@@ -10,15 +10,14 @@ Three statistics are implemented:
   of size k_scan (kernel Bin(k_scan, p0)), maximized exactly over all
   subsets.  One kernel, _score_subsets, forms every subset's column counts
   by adding gathered rows, in blocks within rng.BATCH_BYTES, and scores
-  them by a table lookup.  _scan_max offers it every row of every trial;
-  the empty-subgraph diagnostic runs that too.  When k_scan is the only
-  count with a positive score, a subset scores at most f[k_scan] times its
-  all-ones columns.  So _candidate_max first offers only each column's
-  ones and enumerates in full just the trials whose best such subset
-  scores <= 0, and the kernel sums floats only for subsets whose bound,
-  plus a margin for rounding, reaches the best score so far; the maximum
-  is the same double either way.  Tables and subset enumerations are built
-  once, when first needed, cached read-only.
+  them by a table lookup.  _scan_max offers it every row of every trial.
+  When k_scan is the only count with a positive score, a subset scores at
+  most f[k_scan] times its all-ones columns.  So _candidate_max first
+  offers only each column's ones and enumerates in full just the trials
+  whose best such subset scores <= 0, and the kernel sums floats only for
+  subsets whose bound, plus a margin for rounding, reaches the best score
+  so far; the maximum is the same double either way.  Tables and subset
+  enumerations are built once, when first needed, cached read-only.
 
 A truncation level whose count threshold k_min reaches the kernel's n is
 refused with EmptyConditionError: only the count n would pass, nu_tau would
@@ -187,8 +186,6 @@ def _batch_truncated(bits: np.ndarray, p0: float, tau: float) -> np.ndarray:
 def _subset_indices(n: int, k: int, budget: int) -> np.ndarray:
     """(S, k) read-only row indices of all k-subsets of [n], lexicographic;
     more than `budget` of them is a BudgetError."""
-    if budget < 1:
-        raise ParameterError(f"subset budget must be at least 1, got {budget}")
     count = math.comb(n, k)
     if count > budget:
         raise BudgetError(f"{count} subsets of size {k} from {n} exceed budget {budget}")

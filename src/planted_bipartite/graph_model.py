@@ -66,9 +66,6 @@ class AdjacencyMatrix:
     def n2(self) -> int:
         return self.bits.shape[1]
 
-    def transpose(self) -> "AdjacencyMatrix":
-        return AdjacencyMatrix(self.bits.T)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdjacencyMatrix):
             return NotImplemented

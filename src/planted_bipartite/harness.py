@@ -2,8 +2,7 @@
 
 Estimates Type I / Type II error of a detector over many seeded trials,
 sweeps a grid of signal strengths, bisects for the empirical separation
-level, evaluates rate bundles over shape grids, and runs the empty-subgraph
-diagnostics through the detectors' subset scan.  Everything is a pure
+level, and evaluates rate bundles over shape grids.  Everything is a pure
 function of (config, seed): per-trial seeds are derived from the experiment
 seed and trial index, so results are identical for any batch size, and the
 same uniforms drive every point of a delta grid (common random numbers).
@@ -22,21 +21,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .detectors import (
-    DEFAULT_SUBSET_BUDGET,
-    DetectorKind,
-    ThresholdSpec,
-    _batch_statistic,
-    _scan_max,
-    _subset_indices,
-    null_statistics,
-    resolve_threshold,
+    DetectorKind, ThresholdSpec, _batch_statistic, null_statistics, resolve_threshold,
 )
 from .errors import BracketError, ConfigError, ParameterError
 from .graph_model import ProblemShape
-from .rates import RateBundle, RateConstants, log_binom, rate_bundle
-from .rng import (
-    TAG_ALT, TAG_COLS, TAG_NULL, TAG_ROWS, below, sample_subsets, trial_blocks, trial_uniforms,
-)
+from .rates import RateBundle, RateConstants, rate_bundle
+from .rng import TAG_ALT, TAG_COLS, TAG_NULL, TAG_ROWS, below, sample_subsets, trial_blocks
 
 
 @dataclass(frozen=True)
@@ -48,7 +38,6 @@ class ExperimentConfig:
     threshold: ThresholdSpec
     trials: int
     seed: int
-    eta: float = 0.5
     consts: RateConstants = field(default_factory=RateConstants)
 
     def __post_init__(self):
@@ -61,8 +50,6 @@ class ExperimentConfig:
                 raise ConfigError("delta_grid", f"value {d} outside [0, 1 - p0]")
         if self.trials < 100:
             raise ConfigError("trials", f"must be >= 100, got {self.trials}")
-        if not 0.0 < self.eta < 1.0:
-            raise ConfigError("eta", f"must lie in (0, 1), got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -163,24 +150,27 @@ def power_sweep(cfg: ExperimentConfig) -> SweepResult:
     return SweepResult(rows, monotone, kind=resolved[0], threshold=resolved[1])
 
 
-def bisect_delta_star(cfg: ExperimentConfig, tolerance: float) -> float:
-    """Bisection for the signal level where empirical risk crosses eta.
+def bisect_delta_star(cfg: ExperimentConfig, tolerance: float, eta: float = 0.5) -> float:
+    """Bisection for the signal level where empirical risk crosses eta, a
+    level in (0, 1).
 
     Requires risk(0) > eta and risk(1 - p0) < eta; common random numbers
     make the empirical risk monotone enough for bisection at desk scale.
     """
     if not tolerance > 0:
         raise ParameterError(f"tolerance must be positive, got {tolerance}")
+    if not 0.0 < eta < 1.0:
+        raise ParameterError(f"eta must lie in (0, 1), got {eta}")
     resolved = _resolve(cfg)
     lo, hi = 0.0, 1.0 - cfg.p0
     risk_lo, risk_hi = (e.risk for e in _evaluate(cfg, resolved, [lo, hi]))
-    if not (risk_lo > cfg.eta and risk_hi < cfg.eta):
+    if not (risk_lo > eta and risk_hi < eta):
         raise BracketError(
-            f"no crossing: risk({lo})={risk_lo:.4f}, risk({hi})={risk_hi:.4f}, eta={cfg.eta}"
+            f"no crossing: risk({lo})={risk_lo:.4f}, risk({hi})={risk_hi:.4f}, eta={eta}"
         )
     while hi - lo > tolerance:
         mid = 0.5 * (lo + hi)
-        if _evaluate(cfg, resolved, [mid])[0].risk > cfg.eta:
+        if _evaluate(cfg, resolved, [mid])[0].risk > eta:
             lo = mid
         else:
             hi = mid
@@ -195,48 +185,6 @@ def phase_diagram(
     if not grid:
         raise ParameterError("shape grid must be nonempty")
     return [(shape, rate_bundle(shape, consts)) for shape in grid]
-
-
-def empty_subgraph_diagnostic(
-    shape: ProblemShape,
-    p0: float,
-    trials: int,
-    seed: int,
-    row_variant: bool = False,
-    scan_budget: int = DEFAULT_SUBSET_BUDGET,
-) -> dict:
-    """Probability that a null graph contains an all-zero k1 x k2 block
-    (or, with row_variant, k1 fully isolated left vertices): the log-space
-    union bound against a Monte Carlo frequency from exhaustive scans.  The
-    scan enumerates the C(n1, k1) row subsets, at most `scan_budget`."""
-    if trials < 100:
-        raise ParameterError(f"trials must be >= 100, got {trials}")
-    if not 0.0 <= p0 <= 1.0:
-        raise ParameterError(f"p0 must lie in [0, 1], got {p0}")
-    n1, n2, k1, k2 = shape.n1, shape.n2, shape.k1, shape.k2
-    log_q = math.log1p(-p0) if p0 < 1.0 else -math.inf
-    if row_variant:
-        log_ub = log_binom(n1, k1) + k1 * n2 * log_q
-    else:
-        log_ub = log_binom(n1, k1) + log_binom(n2, k2) + k1 * k2 * log_q
-    union_bound = min(1.0, math.exp(log_ub)) if log_ub < 0 else 1.0
-
-    # One point per edge-free column: some k1 rows score >= k2 exactly when
-    # an empty block exists, and n2 exactly when k1 rows are isolated.
-    empty = np.where(np.arange(k1 + 1) == 0, 1.0, 0.0)
-    need = n2 if row_variant else k2
-    subsets = _subset_indices(n1, k1, scan_budget)
-    hits = 0
-    cut = below(p0)
-    for _, x in trial_uniforms(seed, TAG_NULL, n1, n2, trials):
-        hits += int((_scan_max(x < cut, empty, subsets) >= need).sum())
-    mc = hits / trials
-    return {
-        "union_bound": union_bound,
-        "mc_estimate": mc,
-        "mc_se": _proportion_se(mc, trials),
-        "trials": trials,
-    }
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,12 @@
 Each is the direct form of a quantity the package computes another way:
 the Bennett function that the kernel w is built from, the appendix variant
 of psi used to bracket the rate, the second moment of the likelihood ratio
-by enumerating every pair of supports, and the support sampler as a scalar
-partial Fisher-Yates shuffle.  The tests compare the package against them.
+by enumerating every pair of supports, the support sampler as a scalar
+partial Fisher-Yates shuffle, and the exact Type I and Type II errors of
+the total degree test by convolving binomial pmfs.  The tests compare the
+package against them.  The empty-subgraph diagnostic checks Monte Carlo
+frequencies of an all-zero block, found by the detectors' subset scan,
+against the union bound behind the lower bound.
 """
 
 import math
@@ -12,10 +16,13 @@ from itertools import combinations
 
 import numpy as np
 
+from planted_bipartite.binomial_kernel import BennettKernel
+from planted_bipartite.detectors import DEFAULT_SUBSET_BUDGET, _scan_max, _subset_indices
 from planted_bipartite.errors import BudgetError, ParameterError
 from planted_bipartite.graph_model import ProblemShape
 from planted_bipartite.lower_bound import _check_signal
-from planted_bipartite.rng import derive_seed
+from planted_bipartite.rates import log_binom
+from planted_bipartite.rng import TAG_NULL, below, derive_seed, trial_uniforms
 
 BRUTEFORCE_BUDGET = 10**8
 
@@ -82,3 +89,67 @@ def second_moment_bruteforce(shape: ProblemShape, p0: float, delta: float) -> fl
             if hist1[u] and hist2[v]:
                 total += hist1[u] * hist2[v] * base ** (u * v)
     return total / (c1 * c1 * c2 * c2)
+
+
+def empty_subgraph_diagnostic(
+    shape: ProblemShape, p0: float, trials: int, seed: int, row_variant: bool = False
+) -> dict:
+    """Probability that a null graph contains an all-zero k1 x k2 block
+    (or, with row_variant, k1 fully isolated left vertices): the log-space
+    union bound against a Monte Carlo frequency from exhaustive scans.  The
+    scan enumerates the C(n1, k1) row subsets, at most
+    DEFAULT_SUBSET_BUDGET."""
+    if trials < 100:
+        raise ParameterError(f"trials must be >= 100, got {trials}")
+    if not 0.0 <= p0 <= 1.0:
+        raise ParameterError(f"p0 must lie in [0, 1], got {p0}")
+    n1, n2, k1, k2 = shape.n1, shape.n2, shape.k1, shape.k2
+    log_q = math.log1p(-p0) if p0 < 1.0 else -math.inf
+    if row_variant:
+        log_ub = log_binom(n1, k1) + k1 * n2 * log_q
+    else:
+        log_ub = log_binom(n1, k1) + log_binom(n2, k2) + k1 * k2 * log_q
+    union_bound = min(1.0, math.exp(log_ub)) if log_ub < 0 else 1.0
+
+    # One point per edge-free column: some k1 rows score >= k2 exactly when
+    # an empty block exists, and n2 exactly when k1 rows are isolated.
+    empty = np.where(np.arange(k1 + 1) == 0, 1.0, 0.0)
+    need = n2 if row_variant else k2
+    subsets = _subset_indices(n1, k1, DEFAULT_SUBSET_BUDGET)
+    hits = 0
+    cut = below(p0)
+    for _, x in trial_uniforms(seed, TAG_NULL, n1, n2, trials):
+        hits += int((_scan_max(x < cut, empty, subsets) >= need).sum())
+    mc = hits / trials
+    return {
+        "union_bound": union_bound,
+        "mc_estimate": mc,
+        "mc_se": math.sqrt(mc * (1 - mc) / trials),
+        "trials": trials,
+    }
+
+
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """P(Bin(n, p) = s) for s = 0..n from BennettKernel.log_pmf; n = 0 and
+    p >= 1 are point masses."""
+    pmf = np.zeros(n + 1)
+    if n == 0 or p >= 1.0:
+        pmf[-1] = 1.0
+        return pmf
+    return np.exp(BennettKernel(n, p).log_pmf(np.arange(n + 1)))
+
+
+def total_degree_errors(shape: ProblemShape, p0: float, delta: float, h: float):
+    """Exact (Type I, Type II) of the total degree test that rejects when its
+    statistic exceeds h.  The edge total S is Bin(N, p0) under the null and
+    Bin(N - K, p0) + Bin(K, p0 + delta) under a plant with any support,
+    N = n1 n2 and K = k1 k2; a delta of 1 - p0 makes the block's part the
+    point mass at K.  The rejection cut comes from the doubles that
+    detectors._batch_total computes, (s - N p0) / sigma > h over s = 0..N."""
+    n, k = shape.n1 * shape.n2, shape.k1 * shape.k2
+    s = np.arange(n + 1)
+    z = np.subtract(s, n * p0, dtype=np.float64) / math.sqrt(n * p0 * (1.0 - p0))
+    reject = z > h
+    p1 = 1.0 if delta >= 1.0 - p0 else p0 + delta
+    planted = np.convolve(_binomial_pmf(n - k, p0), _binomial_pmf(k, p1))
+    return float(_binomial_pmf(n, p0)[reject].sum()), float(planted[~reject].sum())

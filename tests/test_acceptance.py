@@ -23,7 +23,6 @@ from planted_bipartite import (
     bisect_delta_star,
     calibrate_threshold,
     delta_star_bounds,
-    empty_subgraph_diagnostic,
     gamma,
     nu,
     power_sweep,
@@ -38,7 +37,9 @@ from planted_bipartite import (
 from planted_bipartite import rng
 from planted_bipartite.cli import dispatch
 from planted_bipartite.detectors import null_statistics, truncation_levels
-from oracles import bennett_h, second_moment_bruteforce
+from oracles import (
+    bennett_h, empty_subgraph_diagnostic, second_moment_bruteforce, total_degree_errors,
+)
 
 
 @contextmanager
@@ -161,7 +162,6 @@ def _a4_config():
         threshold=ThresholdSpec(ThresholdMode.CALIBRATED, alpha=0.1, trials=10_000, seed=12),
         trials=2000,
         seed=404,
-        eta=0.5,
     )
     return cfg, delta
 
@@ -180,7 +180,7 @@ def test_a5_delta_star_sandwich():
     with criterion("A5"):
         cfg, _ = _a4_config()
         lower, upper = delta_star_bounds(cfg.shape, cfg.p0)
-        d_star = bisect_delta_star(cfg, tolerance=0.02)
+        d_star = bisect_delta_star(cfg, tolerance=0.02, eta=0.5)
         assert lower <= d_star <= upper
 
 
@@ -284,3 +284,27 @@ def test_a10_batch_size_determinism(tmp_path, monkeypatch):
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+
+def test_a12_total_degree_exact_errors():
+    with criterion("A12"):
+        # The edge total has an exact law under both hypotheses, so the
+        # sweep's Type I and each Type II lie within 4 SE of the oracle's,
+        # the SE being that of the exact proportion.  The last grid point
+        # plants a block of all ones.
+        p0, trials = 0.25, 20_000
+        for shape in (ProblemShape(16, 16, 4, 4), ProblemShape(12, 20, 3, 5)):
+            cfg = ExperimentConfig(
+                shape=shape,
+                p0=p0,
+                delta_grid=(0.0, 0.15, 0.3, 0.45, 0.6, 1 - p0),
+                detector=DetectorKind(DetectorTag.TOTAL_DEGREE),
+                threshold=ThresholdSpec(ThresholdMode.CALIBRATED, alpha=0.1, trials=2000, seed=3),
+                trials=trials,
+                seed=12,
+            )
+            sweep = power_sweep(cfg)
+            for row in sweep.rows:
+                type1, type2 = total_degree_errors(shape, p0, row.delta, sweep.threshold)
+                for mc, exact in ((row.estimate.type1, type1), (row.estimate.type2, type2)):
+                    assert abs(mc - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from planted_bipartite import (
     BracketError,
-    BudgetError,
     ConfigError,
     DetectorKind,
     DetectorTag,
@@ -21,7 +20,6 @@ from planted_bipartite import (
     ThresholdSpec,
     bisect_delta_star,
     emit_results,
-    empty_subgraph_diagnostic,
     estimate_risk,
     phase_diagram,
     power_sweep,
@@ -32,6 +30,7 @@ from planted_bipartite import (
 from planted_bipartite import detectors, harness, rng
 from planted_bipartite.detectors import resolve_threshold
 from planted_bipartite.harness import ResultRow, SweepResult, result_rows
+from oracles import empty_subgraph_diagnostic
 
 
 def _cfg(**over):
@@ -167,6 +166,15 @@ class TestBisect:
         with pytest.raises(ParameterError):
             bisect_delta_star(cfg, tolerance)
 
+    @pytest.mark.parametrize("eta", [0.0, 1.0, math.nan])
+    def test_eta_must_lie_in_open_unit_interval(self, eta):
+        """A NaN eta fails both bracket comparisons and would be reported
+        as a missing crossing, not as a bad level."""
+        cfg = _cfg(shape=ProblemShape(16, 16, 8, 8), trials=100,
+                   threshold=ThresholdSpec(ThresholdMode.CALIBRATED, alpha=0.1, trials=100, seed=5))
+        with pytest.raises(ParameterError, match="eta"):
+            bisect_delta_star(cfg, 0.05, eta=eta)
+
 
 _SMALL = ProblemShape(8, 8, 2, 2)
 _FEW = ThresholdSpec(ThresholdMode.CALIBRATED, alpha=0.1, trials=100, seed=5)
@@ -182,7 +190,6 @@ _SEEDED = {
     "power_sweep-threshold-seed": lambda s: power_sweep(_cfg(
         shape=_SMALL, trials=100,
         threshold=ThresholdSpec(ThresholdMode.CALIBRATED, alpha=0.1, trials=100, seed=s))),
-    "empty_subgraph_diagnostic": lambda s: empty_subgraph_diagnostic(_SMALL, 0.25, 100, s),
 }
 
 
@@ -253,8 +260,6 @@ class TestEmptySubgraph:
         res = empty_subgraph_diagnostic(ProblemShape(20, 64, 5, 5), 0.25, 100, 6)
         assert res["trials"] == 100
         assert 0.0 <= res["mc_estimate"] <= 1.0
-        with pytest.raises(BudgetError):
-            empty_subgraph_diagnostic(ProblemShape(10, 4, 4, 2), 0.25, 100, 6, scan_budget=209)
 
 
 @st.composite
