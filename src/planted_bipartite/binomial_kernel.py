@@ -12,16 +12,19 @@ k_min = ceil(n p0 + a sigma), and the conditional moments nu_a = E[w(Y) |
 Y >= k_min] and gamma_a = E[w(Y)^2 | Y >= k_min] are computed by exact
 log-space summation of the binomial pmf.  Every such sum goes through
 logsumexp, a numpy port of scipy.special.logsumexp (scipy 1.17) that gives
-the same double for real input without its per-call overhead.
+the same double for real input without its per-call overhead.  The pmf's
+log-gamma terms come from log_gamma, a port of Cephes `lgam`, the routine
+that scipy.special.gammaln runs (scipy 1.17, through its xsf library), so
+the package needs no scipy at all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import EmptyConditionError, ParameterError
 
@@ -48,6 +51,70 @@ def logsumexp(a) -> float:
     return out
 
 
+# Cephes lgam's coefficients, leading first: _STIRLING expands log Gamma in
+# 1/x^2 for 13 <= x < 1000, and _NUM / _DEN give its rational form on [2, 3).
+_STIRLING = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
+             7.93650340457716943945e-4, -2.77777777730099687205e-3,
+             8.33333333333331927722e-2)
+_NUM = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+        -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
+_DEN = (1.0, -3.51815701436523470549e2, -1.70642106651881159223e4,
+        -2.20528590553854454839e5, -1.13933444367982507207e6, -2.53252307177582951285e6,
+        -2.01889141433532773231e6)
+_LOG_SQRT_2PI = 0.91893853320467274178
+_MAX_LGAMMA = 2.556348e305
+
+
+def _horner(x: float, coef) -> float:
+    """Cephes polevl: the first step 0 x + coef[0] is exactly coef[0]."""
+    out = 0.0
+    for c in coef:
+        out = out * x + c
+    return out
+
+
+def log_gamma(x: float) -> float:
+    """log Gamma(x) for finite x > 0, the same double as
+    scipy.special.gammaln: a port of Cephes `lgam` (scipy 1.17 runs it
+    through xsf), step for step, with libm's log as the C code takes it."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ParameterError(f"log_gamma needs a finite x > 0, got {x!r}")
+    if x < 13.0:
+        # Shift x into [2, 3) by the recurrence, keeping the product in z.
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x = x + (p - 2.0)
+        return math.log(z) + x * _horner(x, _NUM) / _horner(x, _DEN)
+    if x > _MAX_LGAMMA:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LOG_SQRT_2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _horner(p, _STIRLING) / x
+
+
+@lru_cache(maxsize=64)
+def _log_factorials(n: int) -> np.ndarray:
+    """log_gamma(1..n+1), i.e. log y! at index y = 0..n, read-only."""
+    table = np.array([log_gamma(i + 1) for i in range(n + 1)])
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class BennettKernel:
     """Immutable Bin(n, p0) context: mean, sigma, log-pmf table."""
@@ -68,13 +135,18 @@ class BennettKernel:
         return self.n * self.p0
 
     def log_pmf(self, y: np.ndarray) -> np.ndarray:
-        """log P(Y = y) elementwise, exact via log-gamma."""
+        """log P(Y = y) elementwise for integers y in [0, n], exact via
+        log-gamma: log n! - log y! - log (n-y)! looked up in one table."""
         y = np.asarray(y, dtype=np.float64)
         n = float(self.n)
+        if not np.all((y >= 0.0) & (y <= n) & (y == np.floor(y))):
+            raise ParameterError(f"log_pmf needs integers in [0, {self.n}]")
+        log_fact = _log_factorials(int(self.n))
+        yi = y.astype(np.intp)
         return (
-            gammaln(n + 1.0)
-            - gammaln(y + 1.0)
-            - gammaln(n - y + 1.0)
+            log_fact[self.n]
+            - log_fact[yi]
+            - log_fact[self.n - yi]
             + y * math.log(self.p0)
             + (n - y) * math.log1p(-self.p0)
         )

@@ -306,7 +306,9 @@ def _best_candidates(
     k = len(f) - 1
     flat = np.ascontiguousarray(bits, dtype=counts.dtype).reshape(T * n, n2)
     best = np.full(T, -np.inf)
-    for o in np.unique(counts[counts >= k]).tolist():
+    # The distinct counts >= k, ascending, from a bincount: np.unique would
+    # import numpy.ma, 13 ms that no command otherwise pays.
+    for o in (np.flatnonzero(np.bincount(counts.ravel())[k:]) + k).tolist():
         trial, col = np.nonzero(counts == o)
         ones = np.nonzero(bits[trial, :, col])[1].reshape(len(trial), o) + (trial * n)[:, None]
         _score_subsets(flat, trial, ones, _subset_indices(o, k, budget), f, best)

@@ -13,7 +13,10 @@ and
 
 with the subscript convention f12 = f(k1,k2,n1,n2) and f21 = f(k2,k1,n2,n1).
 The argmin of R_tilde selects which test the composite detector runs.
-Infinity is represented by math.inf.
+Infinity is represented by math.inf.  log C(n, k) is summed from
+binomial_kernel.log_gamma, a port of Cephes `lgam` (the routine that
+scipy 1.17's gammaln runs through xsf), so it is the same double that
+scipy.special.gammaln gives.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from scipy.special import gammaln
-
+from .binomial_kernel import log_gamma
 from .errors import ParameterError
 from .graph_model import ProblemShape
 
@@ -81,7 +83,7 @@ def log_binom(n: int, k: int) -> float:
     """log C(n, k) via log-gamma."""
     if not 0 <= k <= n:
         raise ParameterError(f"k={k} outside [0, {n}]")
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    return log_gamma(n + 1) - log_gamma(k + 1) - log_gamma(n - k + 1)
 
 
 def psi(k1: int, k2: int, n1: int, n2: int) -> float:

@@ -7,6 +7,7 @@ import pytest
 import scipy
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import gammaln
 from scipy.special import logsumexp as scipy_logsumexp
 
 from planted_bipartite import binomial_kernel
@@ -16,6 +17,7 @@ from planted_bipartite import (
     ParameterError,
     binomial_tail,
     gamma,
+    log_binom,
     nu,
     w_stat,
     z_threshold_to_count,
@@ -272,14 +274,82 @@ class TestLogsumexp:
         assert lse(np.array([1.0, math.inf, -math.inf])) == math.inf
 
 
-def test_src_imports_only_gammaln_from_scipy():
-    """The package takes one name from scipy, gammaln."""
+# scipy.special.gammaln runs Cephes lgam, which binomial_kernel.log_gamma
+# ports; scipy 1.17 (through xsf) is the build it was checked against bit
+# for bit.  Against an older scipy, whose compiler may round a step
+# differently, log_gamma is held to 4 units in the last place.
+def _assert_log_gamma_matches(xs):
+    xs = np.asarray(xs, dtype=np.float64)
+    got = np.array([binomial_kernel.log_gamma(x) for x in xs.tolist()])
+    want = gammaln(xs)
+    if _SCIPY_BITWISE:
+        bad = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    else:
+        bad = np.flatnonzero(~((got == want) | (np.abs(got - want) <= 4 * np.spacing(np.abs(want)))))
+    assert len(bad) == 0, [(xs[i], got[i], want[i]) for i in bad[:5]]
+
+
+class TestLogGamma:
+    def test_integers(self):
+        _assert_log_gamma_matches(np.arange(1, 50_001))
+
+    def test_branch_edges(self):
+        above_max = np.nextafter(2.556348e305, math.inf)
+        _assert_log_gamma_matches([12.999999999, 13.0, 999.0, 1000.0, 1e8, 1e8 + 1,
+                                   2.556348e305, above_max])
+        _assert_log_gamma_matches(2.0 ** np.arange(1, 1024))
+        assert binomial_kernel.log_gamma(above_max) == math.inf
+
+    @settings(max_examples=1000)
+    @given(st.floats(min_value=0.0, max_value=1e12, exclude_min=True))
+    def test_matches_scipy(self, x):
+        _assert_log_gamma_matches([x])
+
+    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.inf, -math.inf, math.nan])
+    def test_refuses_outside_domain(self, x):
+        with pytest.raises(ParameterError):
+            binomial_kernel.log_gamma(x)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 10**7).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+    def test_log_binom_is_the_gammaln_formula(self, nk):
+        n, k = nk
+        want = float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+        got = log_binom(n, k)
+        if _SCIPY_BITWISE:
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64), (n, k)
+        else:
+            assert math.isclose(got, want, rel_tol=1e-13, abs_tol=1e-13 * (1 + gammaln(n + 1)))
+
+    @settings(max_examples=200)
+    @given(st.integers(1, 3000), st.floats(1e-6, 1 - 1e-6))
+    def test_log_pmf_is_the_gammaln_formula(self, n, p0):
+        y = np.arange(n + 1, dtype=np.float64)
+        want = (gammaln(n + 1.0) - gammaln(y + 1.0) - gammaln(n - y + 1.0)
+                + y * math.log(p0) + (n - y) * math.log1p(-p0))
+        got = BennettKernel(n, p0).log_pmf(np.arange(n + 1))
+        if _SCIPY_BITWISE:
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        else:
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * (1 + gammaln(n + 1.0)))
+
+    @pytest.mark.parametrize("y", [[-1], [11], [0, 2.5], [math.nan]],
+                             ids=["negative", "above n", "not integer", "nan"])
+    def test_log_pmf_refuses_counts_off_the_support(self, y):
+        with pytest.raises(ParameterError):
+            BennettKernel(10, 0.25).log_pmf(np.array(y))
+
+
+def test_src_imports_nothing_from_scipy():
+    """scipy is a test-only oracle: no package module imports it."""
     names = set()
     for path in sorted(Path(binomial_kernel.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
-                names |= {(path.name, alias.name) for alias in node.names}
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
             elif isinstance(node, ast.Import):
-                names |= {(path.name, alias.name) for alias in node.names
-                          if alias.name.split(".")[0] == "scipy"}
-    assert names and {name for _, name in names} == {"gammaln"}, sorted(names)
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            names |= {(path.name, m) for m in modules if m.split(".")[0] == "scipy"}
+    assert not names, sorted(names)

@@ -909,3 +909,41 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
+
+
+# Imports a command, builds the parser and runs one of each command that does
+# numeric work, then prints the scipy and numpy.ma modules ever loaded.  The
+# calibrate is a max scan whose candidate pass runs.
+_FRESH_COMMANDS = """
+import sys
+from planted_bipartite import cli, detectors
+
+cli.build_parser()
+best, ran = detectors._best_candidates, []
+detectors._best_candidates = lambda *a: ran.append(1) or best(*a)
+for argv in (
+    ["calibrate", "--n1", "8", "--n2", "16", "--k1", "3", "--k2", "3", "--p0", "0.25",
+     "--detector", "MAX_TRUNC_AXIS1", "--tau", "1.0", "--trials", "50", "--seed", "1"],
+    ["sweep", "--n1", "16", "--n2", "16", "--k1", "4", "--k2", "4", "--p0", "0.25",
+     "--delta", "0,0.3", "--trials", "100", "--seed", "1", "--out", "r.csv"],
+    ["gen", "--null", "--n1", "16", "--n2", "16", "--p0", "0.25", "--seed", "1",
+     "--out", "m.txt"],
+    ["stat", "m.txt", "--p0", "0.25", "--detector", "TRUNC_DEGREE_AXIS1", "--tau", "1.0"],
+    ["lb", "--n1", "2", "--n2", "2", "--k1", "1", "--k2", "1", "--p0", "0.25",
+     "--delta", "0.25"],
+    ["phase", "--n1", "32,64", "--n2", "64", "--k1", "4,8", "--k2", "8"],
+):
+    assert cli.dispatch(argv) == 0, argv
+assert ran, "the candidate pass did not run"
+print(sorted(m for m in sys.modules
+             if m.split(".")[0] == "scipy" or m == "numpy.ma" or m.startswith("numpy.ma.")))
+"""
+
+
+def test_commands_load_no_scipy_or_numpy_ma(tmp_path):
+    """Every command runs without scipy, and none pays numpy.ma's import."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_COMMANDS], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
