@@ -4,17 +4,17 @@ Subcommands: gen, stat, calibrate, risk, rates, lb, sweep, phase.  Each
 takes only the rate constants it reads: rates and phase take --c-phi,
 calibrate adds --c1 and --C-tau (the composite detector's dispatch), and
 risk and sweep add --C-star and --c-prime (the analytic thresholds).  From
-flags, risk and sweep calibrate on max(--trials, 100) null trials seeded by
---seed.  `sweep --config` reads the experiment from a JSON file alone: only
---seed, which replaces the config's `seed`, and --out may be given beside
-it; _CONFIG_SCHEMA lists every config key, its JSON kind and default, and
-its numbers are read as floats.  The tau, scan size (`stat --k1`,
-`detector.k_scan`, or from flags --k1 on axis 1 and --k2 on axis 2) and
-subset budget given go to DetectorKind, which refuses one that no statistic
-reads.  gen, calibrate and risk require --seed, `gen --null` refuses
---delta, and the streams reject a seed outside [0, 2^64).  Exit codes: 0
-success, 1 usage error, 2 budget exceeded, 3 I/O error, each reported as
-one JSON line on stderr.
+flags, risk and sweep calibrate on --trials null trials, at least 100,
+seeded by --seed.  `sweep --config` reads the experiment from a JSON file
+alone: only --seed, which replaces the config's `seed`, and --out may be
+given beside it; _CONFIG_SCHEMA lists every config key, its JSON kind and
+default, and its numbers are read as floats.  The tau, scan size
+(`stat --k1`, `detector.k_scan`, or from flags --k1 on axis 1 and --k2 on
+axis 2) and subset budget given go to DetectorKind, which refuses one that
+no statistic reads.  gen, calibrate and risk require --seed, `gen --null`
+refuses --delta, and the streams reject a seed outside [0, 2^64).  Exit
+codes: 0 success, 1 usage error, 2 budget exceeded, 3 I/O error, each
+reported as one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -281,7 +281,7 @@ def _sweep_config(args, grid) -> ExperimentConfig:
         threshold=ThresholdSpec(
             mode=ThresholdMode[args.threshold_mode],
             alpha=args.alpha,
-            trials=max(args.trials, 100),
+            trials=args.trials,
             seed=args.seed,
         ),
         trials=args.trials,

@@ -8,16 +8,17 @@ Three statistics are implemented:
   standardized count exceeds tau (kernel Bin(n1, p0) for axis 1);
 - max truncated degree: the same column statistic computed from row subsets
   of size k_scan (kernel Bin(k_scan, p0)), maximized exactly over all
-  subsets.  One kernel, _score_subsets, forms every subset's column counts
-  by adding gathered rows, in blocks within rng.BATCH_BYTES, and scores
-  them by a table lookup.  _scan_max offers it every row of every trial.
-  When k_scan is the only count with a positive score, a subset scores at
-  most f[k_scan] times its all-ones columns.  So _candidate_max first
-  offers only each column's ones and enumerates in full just the trials
-  whose best such subset scores <= 0, and the kernel sums floats only for
-  subsets whose bound, plus a margin for rounding, reaches the best score
-  so far; the maximum is the same double either way.  Tables and subset
-  enumerations are built once, when first needed, cached read-only.
+  subsets.  One function, _scan_max, runs the scan, and one kernel,
+  _score_subsets, forms every subset's column counts by adding gathered
+  rows, in blocks within rng.BATCH_BYTES, and scores them by a table
+  lookup.  When k_scan is the only count with a positive score, a subset
+  scores at most f[k_scan] times its all-ones columns.  So _scan_max first
+  offers the kernel only each column's ones, then every row of just the
+  trials whose best such subset scores <= 0, and the kernel sums floats
+  only for subsets whose bound, plus a margin for rounding, reaches the
+  best score so far; the maximum is the same double either way.  Tables
+  and subset enumerations are built once, when first needed, cached
+  read-only.
 
 A truncation level whose count threshold k_min reaches the kernel's n is
 refused with EmptyConditionError: only the count n would pass, nu_tau would
@@ -143,7 +144,7 @@ def _batch_total(bits: np.ndarray, p0: float) -> np.ndarray:
     float64, which numpy 1.x would not pick for a narrow integer array."""
     _check_p0(p0)
     n1, n2 = bits.shape[1], bits.shape[2]
-    sums = bits.reshape(bits.shape[0], -1).sum(axis=1, dtype=np.min_scalar_type(n1 * n2))
+    sums = bits.reshape(len(bits), n1 * n2).sum(axis=1, dtype=np.min_scalar_type(n1 * n2))
     centred = np.subtract(sums, n1 * n2 * p0, dtype=np.float64)
     return centred / math.sqrt(n1 * n2 * p0 * (1.0 - p0))
 
@@ -253,65 +254,44 @@ def _score_subsets(
             np.maximum.at(best, who[group], f[counts[group, sub]].sum(axis=-1))
 
 
-def _scan_max(bits: np.ndarray, f: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """bits (T, n, n2), column scores f (k + 1,), subsets (S, k); returns
-    (T,): per trial, the maximum over the row subsets of sum_j f[count_j],
-    where count_j is the number of ones in column j over the subset's rows.
-    Each trial offers all its rows to _score_subsets."""
-    T, n, n2 = bits.shape
-    flat = np.ascontiguousarray(bits, dtype=np.min_scalar_type(n)).reshape(T * n, n2)
-    best = np.full(T, -np.inf)
-    _score_subsets(flat, np.arange(T), np.arange(T * n).reshape(T, n), subsets, f, best)
-    return best
-
-
-def _candidate_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
-    """_scan_max of bits (T, n, n2) over all C(n, k) subsets, k = len(f) - 1,
-    bit for bit, scoring first only the candidate subsets: those inside the
-    ones of some column.
+def _scan_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
+    """bits (T, n, n2), column scores f (k + 1,); returns (T,): per trial,
+    the maximum over the k-row subsets of sum_j f[count_j], where count_j is
+    the number of ones in column j over the subset's rows.  Every table of
+    subsets comes from _subset_indices, at most `budget` subsets each.
 
     When k is the only count with f > 0, a subset with no all-ones column
-    sums terms <= 0, so a trial whose best candidate scores above 0 has
-    found its maximum; every other trial is enumerated in full.  Both passes
-    score with one kernel, so a chunk takes the candidate pass exactly when
-    its candidates, sum_j C(o_j, k) over its column sums o_j, are fewer than
-    its T C(n, k) subsets.  The C(n, k) table, and so the check against
-    `budget`, is built only for a full enumeration.
+    sums terms <= 0.  So a candidate pass first offers _score_subsets only
+    the subsets inside the ones of some column: the columns with o ones
+    together, each its ones' rows, with the C(o, k) table.  It runs exactly
+    when these candidates, sum_j C(o_j, k) over the column sums o_j, are
+    fewer than the T C(n, k) subsets.  A trial whose best candidate scores
+    above 0 has found its maximum; every other trial then offers all its
+    rows, raising the same `best`, so the C(n, k) table is built only for a
+    full enumeration.  A candidate's score is a real subset score and the
+    kernel prunes only subsets that cannot raise `best`, so each maximum is
+    the same double as when every subset is scored.
     """
-    T, n, _ = bits.shape
+    T, n, n2 = bits.shape
     k = len(f) - 1
-    out = np.full(T, -np.inf)
+    flat = np.ascontiguousarray(bits, dtype=np.min_scalar_type(n)).reshape(T * n, n2)
+    best = np.full(T, -np.inf)
     if _only_full_scores(f):
         counts = _column_counts(bits)
+        # The column sums' histogram from a bincount: np.unique would import
+        # numpy.ma, 13 ms that no command otherwise pays.
         columns = np.bincount(counts.ravel(), minlength=k + 1)
         candidates = sum(int(g) * math.comb(o, k) for o, g in enumerate(columns) if o >= k)
         if candidates < T * math.comb(n, k):
-            out = _best_candidates(bits, counts, f, budget)
-    rescan = np.flatnonzero(~(out > 0))
+            for o in (np.flatnonzero(columns[k:]) + k).tolist():
+                trial, col = np.nonzero(counts == o)
+                ones = np.nonzero(bits[trial, :, col])[1].reshape(len(trial), o)
+                ones += (trial * n)[:, None]
+                _score_subsets(flat, trial, ones, _subset_indices(o, k, budget), f, best)
+    rescan = np.flatnonzero(~(best > 0))
     if len(rescan):
-        out[rescan] = _scan_max(bits[rescan], f, _subset_indices(n, k, budget))
-    return out
-
-
-def _best_candidates(
-    bits: np.ndarray, counts: np.ndarray, f: np.ndarray, budget: int
-) -> np.ndarray:
-    """Per trial of bits (T, n, n2) with column counts (T, n2), the maximum
-    of sum_j f[count_j] over the k-row subsets, k = len(f) - 1, that lie
-    inside the ones of some column; -inf for a trial with no such subset.
-    Columns with o ones are offered together to _score_subsets: each its
-    ones' rows, with the C(o, k) table of _subset_indices, at most `budget`
-    subsets."""
-    T, n, n2 = bits.shape
-    k = len(f) - 1
-    flat = np.ascontiguousarray(bits, dtype=counts.dtype).reshape(T * n, n2)
-    best = np.full(T, -np.inf)
-    # The distinct counts >= k, ascending, from a bincount: np.unique would
-    # import numpy.ma, 13 ms that no command otherwise pays.
-    for o in (np.flatnonzero(np.bincount(counts.ravel())[k:]) + k).tolist():
-        trial, col = np.nonzero(counts == o)
-        ones = np.nonzero(bits[trial, :, col])[1].reshape(len(trial), o) + (trial * n)[:, None]
-        _score_subsets(flat, trial, ones, _subset_indices(o, k, budget), f, best)
+        rows = rescan[:, None] * n + np.arange(n)
+        _score_subsets(flat, rescan, rows, _subset_indices(n, k, budget), f, best)
     return best
 
 
@@ -322,7 +302,7 @@ def _batch_max_truncated(
     n1 = bits.shape[1]
     if k_scan > n1:
         raise ParameterError(f"k_scan={k_scan} exceeds row count {n1}")
-    return _candidate_max(bits, _contribution_table(k_scan, p0, tau), budget)
+    return _scan_max(bits, _contribution_table(k_scan, p0, tau), budget)
 
 
 def statistic(A: AdjacencyMatrix, p0: float, kind: DetectorKind) -> float:
@@ -400,18 +380,18 @@ def resolve_kind(
     kind: DetectorKind, shape: ProblemShape, p0: float, consts: RateConstants
 ) -> DetectorKind:
     """Replace DELTA_STAR by its concrete sub-test, which takes its budget
-    and has its contribution table built here; other kinds pass through.
-    Where the sub-test refuses the budget or its truncation, the error
-    keeps its type and says what the composite resolved to."""
+    and is checked here by running its statistic on zero trials; other kinds
+    pass through.  Zero trials build the contribution table but no table of
+    subsets, so the sub-test refuses here just what a run would refuse
+    before its first scan.  Where it refuses the budget or its truncation,
+    the error keeps its type and says what the composite resolved to."""
     if kind.tag is not DetectorTag.DELTA_STAR:
         return kind
     sub = delta_star_subtest(shape, p0, consts)
     try:
-        if sub.tag in _MAX_TAGS:
-            _contribution_table(sub.k_scan, p0, sub.tau)
-        elif sub.tag in _TRUNC_TAGS:
-            _contribution_table(shape.n2 if sub.tag in _AXIS2_TAGS else shape.n1, p0, sub.tau)
-        return replace(sub, budget=kind.budget)
+        sub = replace(sub, budget=kind.budget)
+        _batch_statistic(np.zeros((0, shape.n1, shape.n2), np.uint8), p0, sub)
+        return sub
     except (ParameterError, EmptyConditionError) as exc:
         branch = rate_bundle(shape, consts).branch.value
         raise type(exc)(
@@ -433,7 +413,7 @@ def null_statistics(
     cut = rng.below(p0)
     chunks = [
         _batch_statistic((x < cut).view(np.uint8), p0, kind)
-        for _, x in rng.trial_uniforms(seed, tag, shape.n1, shape.n2, trials)
+        for _, block in rng.trial_blocks(seed, tag, shape.n1, shape.n2, trials) for _, x in block
     ]
     return np.concatenate(chunks) if chunks else np.empty(0)
 

@@ -22,7 +22,7 @@ scipy.special.gammaln gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .binomial_kernel import log_gamma
@@ -47,10 +47,10 @@ class RateConstants:
     C_tau: float = 1.0
 
     def __post_init__(self):
-        for name in ("C_phi", "c1", "c_delta", "C_delta", "C_eta", "C_star", "c_prime", "C_tau"):
-            value = getattr(self, name)
+        for field in fields(self):
+            value = getattr(self, field.name)
             if not 0 < value < math.inf:
-                raise ParameterError(f"{name} must be finite and positive, got {value}")
+                raise ParameterError(f"{field.name} must be finite and positive, got {value}")
         if self.c_delta > self.C_delta:
             raise ParameterError(
                 f"c_delta={self.c_delta} must not exceed C_delta={self.C_delta}"

@@ -15,8 +15,9 @@ x < below(p) with below(p) = ceil(p * 2^53): x * 2^-53 is exact, scaling by
 a power of two is exact, and an integer lies below a real exactly when it
 lies below the real's ceiling.  Only this module knows the word width.
 
-Trials come in blocks (`trial_blocks`): a block's edge-stream bases and row
-hashes are mixed once, and each chunk's words from its slice of them.
+Every trial comes from one iterator, `trial_blocks`, in blocks: a block's
+edge-stream bases and row hashes are mixed once, and each chunk's words
+from its slice of them.
 Supports come from `sample_subsets`, a partial Fisher-Yates shuffle run for
 a whole block of trials at once.  Each trial keeps a table of the at most 2k
 positions that its k steps touch, not a list of n, so a draw costs
@@ -177,14 +178,6 @@ def _chunks(rows: np.ndarray, chunk: int, n2: int, out: np.ndarray, scratch: np.
         part = slice(lo, lo + chunk)
         t = len(rows[part])
         yield part, _mix_columns(rows[part], n2, out[:t], scratch[:t])
-
-
-def trial_uniforms(seed: int, tag: int, n1: int, n2: int, trials: int):
-    """Yield (trial_seeds, words) for trials 1..trials of the (seed, tag)
-    stream, chunk by chunk of `trial_blocks`."""
-    for seeds, chunks in trial_blocks(seed, tag, n1, n2, trials):
-        for part, words in chunks:
-            yield seeds[part], words
 
 
 def sample_subsets(seeds: np.ndarray, tag: int, n: int, k: int) -> np.ndarray:

@@ -7,8 +7,9 @@ by enumerating every pair of supports, the support sampler as a scalar
 partial Fisher-Yates shuffle, and the exact Type I and Type II errors of
 the total degree test by convolving binomial pmfs.  The tests compare the
 package against them.  The empty-subgraph diagnostic checks Monte Carlo
-frequencies of an all-zero block, found by the detectors' subset scan,
-against the union bound behind the lower bound.
+frequencies of an all-zero block, found by the detectors' max scan
+`_scan_max` (its table scores only the count 0, so every subset is
+enumerated), against the union bound behind the lower bound.
 """
 
 import math
@@ -17,12 +18,12 @@ from itertools import combinations
 import numpy as np
 
 from planted_bipartite.binomial_kernel import BennettKernel
-from planted_bipartite.detectors import DEFAULT_SUBSET_BUDGET, _scan_max, _subset_indices
+from planted_bipartite.detectors import DEFAULT_SUBSET_BUDGET, _scan_max
 from planted_bipartite.errors import BudgetError, ParameterError
 from planted_bipartite.graph_model import ProblemShape
 from planted_bipartite.lower_bound import _check_signal
 from planted_bipartite.rates import log_binom
-from planted_bipartite.rng import TAG_NULL, below, derive_seed, trial_uniforms
+from planted_bipartite.rng import TAG_NULL, below, derive_seed, trial_blocks
 
 BRUTEFORCE_BUDGET = 10**8
 
@@ -115,11 +116,11 @@ def empty_subgraph_diagnostic(
     # an empty block exists, and n2 exactly when k1 rows are isolated.
     empty = np.where(np.arange(k1 + 1) == 0, 1.0, 0.0)
     need = n2 if row_variant else k2
-    subsets = _subset_indices(n1, k1, DEFAULT_SUBSET_BUDGET)
     hits = 0
     cut = below(p0)
-    for _, x in trial_uniforms(seed, TAG_NULL, n1, n2, trials):
-        hits += int((_scan_max(x < cut, empty, subsets) >= need).sum())
+    for _, block in trial_blocks(seed, TAG_NULL, n1, n2, trials):
+        for _, x in block:
+            hits += int((_scan_max(x < cut, empty, DEFAULT_SUBSET_BUDGET) >= need).sum())
     mc = hits / trials
     return {
         "union_bound": union_bound,

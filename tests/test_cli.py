@@ -715,6 +715,9 @@ class TestMalformedNumbers:
         (["rates", "--n1", "100", "--n2", "100", "--k1", "10", "--k2", "10",
           "--c-phi", "nan"], None),
         ([], {"consts": {"C_star": math.nan}}),
+        # And 0 and inf fail RateConstants' `0 < value < inf`, field by field.
+        (["calibrate", *_CAL_16, "--c1", "0"], None),
+        ([], {"consts": {"c_prime": math.inf}}),
         ([], {"detector": {"tag": "TRUNC_DEGREE_AXIS1", "tau": math.inf}}),
         ([], {"threshold": {"value": math.nan}}),
     ], ids=["risk-delta", "sweep-delta", "phase-n1", "p0", "trials", "seed",
@@ -722,7 +725,8 @@ class TestMalformedNumbers:
             "calibrate-seed-negative", "risk-seed-2^64", "seed-negative", "seed-2^64",
             "threshold-seed-negative", "calibrate-tau-nan", "calibrate-tau-inf",
             "calibrate-C-tau-nan", "risk-C-star-nan", "rates-c-phi-nan",
-            "consts-C-star-nan", "detector-tau-inf", "threshold-value-nan"])
+            "consts-C-star-nan", "calibrate-c1-zero", "consts-c-prime-inf",
+            "detector-tau-inf", "threshold-value-nan"])
     def test_usage_error(self, tmp_path, capsys, argv, config):
         if config is not None:
             path = tmp_path / "cfg.json"
@@ -910,17 +914,31 @@ class TestUsage:
         code, _, _ = run(capsys, "frobnicate")
         assert code == 1
 
+    @pytest.mark.parametrize("mode", ["CALIBRATED", "ANALYTIC"])
+    def test_sweep_trials_below_100(self, capsys, mode):
+        """From flags, --trials sets the null, planted and calibration trials
+        alike, and 99 is refused in either threshold mode: no clamp raises
+        the calibration to 100."""
+        code, out, err = run(capsys, "sweep", "--n1", "16", "--n2", "16", "--k1", "4",
+                             "--k2", "4", "--p0", "0.25", "--delta", "0,0.3", "--trials", "99",
+                             "--seed", "1", "--threshold-mode", mode)
+        error = json.loads(err)
+        assert (code, out, error["error"]) == (1, "", "usage")
+        assert error["message"].endswith(">= 100, got 99")
+
 
 # Imports a command, builds the parser and runs one of each command that does
 # numeric work, then prints the scipy and numpy.ma modules ever loaded.  The
-# calibrate is a max scan whose candidate pass runs.
+# calibrate is a max scan whose candidate pass runs: its kernel is offered
+# groups of fewer than n1 = 8 rows, the ones of a column.
 _FRESH_COMMANDS = """
 import sys
 from planted_bipartite import cli, detectors
 
 cli.build_parser()
-best, ran = detectors._best_candidates, []
-detectors._best_candidates = lambda *a: ran.append(1) or best(*a)
+score, ran = detectors._score_subsets, []
+detectors._score_subsets = lambda flat, owner, rows, *a: ran.append(rows.shape[1]) or score(
+    flat, owner, rows, *a)
 for argv in (
     ["calibrate", "--n1", "8", "--n2", "16", "--k1", "3", "--k2", "3", "--p0", "0.25",
      "--detector", "MAX_TRUNC_AXIS1", "--tau", "1.0", "--trials", "50", "--seed", "1"],
@@ -934,7 +952,7 @@ for argv in (
     ["phase", "--n1", "32,64", "--n2", "64", "--k1", "4,8", "--k2", "8"],
 ):
     assert cli.dispatch(argv) == 0, argv
-assert ran, "the candidate pass did not run"
+assert ran and min(ran) < 8, "the candidate pass did not run"
 print(sorted(m for m in sys.modules
              if m.split(".")[0] == "scipy" or m == "numpy.ma" or m.startswith("numpy.ma.")))
 """

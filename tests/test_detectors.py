@@ -223,6 +223,30 @@ def _bit_equal(a, b):
     return np.array_equal(np.asarray(a, np.float64).view(np.uint64), b.view(np.uint64))
 
 
+def _full_scan(bits, f):
+    """The full enumeration alone: every row of every trial offered to
+    _score_subsets with the C(n, k) table, k = len(f) - 1."""
+    T, n, n2 = bits.shape
+    flat = np.ascontiguousarray(bits, dtype=np.min_scalar_type(n)).reshape(T * n, n2)
+    best = np.full(T, -np.inf)
+    subsets = detectors._subset_indices(n, len(f) - 1, 10**6)
+    detectors._score_subsets(flat, np.arange(T), np.arange(T * n).reshape(T, n), subsets, f, best)
+    return best
+
+
+def _record_scan(monkeypatch):
+    """The calls of _score_subsets, each as (owner, number of subsets, a copy
+    of best on entry)."""
+    calls, score = [], detectors._score_subsets
+
+    def record(flat, owner, rows, subsets, f, best):
+        calls.append((owner.copy(), len(subsets), best.copy()))
+        score(flat, owner, rows, subsets, f, best)
+
+    monkeypatch.setattr(detectors, "_score_subsets", record)
+    return calls
+
+
 class TestScanExactness:
     """The blocked subset scan and the table-lookup truncated statistic give
     the same doubles as the reference formula, bit for bit."""
@@ -274,9 +298,10 @@ class TestScanExactness:
         kind = detectors.resolve_kind(composite, shape, 0.25, RateConstants())
         assert (kind.tag, kind.k_scan) == (MAX1, 4)
         cut = rng.below(0.25)
-        bits = np.concatenate(
-            [(x < cut).view(np.uint8) for _, x in rng.trial_uniforms(1, rng.TAG_CAL, 16, 256, 2)]
-        )
+        bits = np.concatenate([
+            (x < cut).view(np.uint8)
+            for _, block in rng.trial_blocks(1, rng.TAG_CAL, 16, 256, 2) for _, x in block
+        ])
         got = null_statistics(kind, shape, 0.25, 2, 1)
         assert _bit_equal(_reference_truncated(bits, 0.25, kind.tau, 4), got)
 
@@ -359,16 +384,34 @@ class TestCandidatePass:
 
     @staticmethod
     def _check(bits, f, expect):
-        """_candidate_max and _scan_max give `expect`; so does every best
-        candidate above 0 when only f[k] is positive."""
-        k = len(f) - 1
-        assert _bit_equal(expect, detectors._candidate_max(bits, f, 10**6))
-        subsets = detectors._subset_indices(bits.shape[1], k, 10**6)
-        assert _bit_equal(expect, detectors._scan_max(bits, f, subsets))
-        if f[k] > 0 and not (f[:k] > 0).any():
-            counts = detectors._column_counts(bits)
-            best = detectors._best_candidates(bits, counts, f, 10**6)
-            assert _bit_equal(expect[best > 0], best[best > 0])
+        """_scan_max and the full enumeration alone give `expect`.  When only
+        f[k] is positive, the candidate pass runs on bits with zero rows
+        added until the candidates are fewer than the subsets: zero rows add
+        subsets but no candidates, and no subset with one scores above 0.
+        It offers each distinct column count >= k in turn; its best
+        candidate is above 0 on just the trials whose maximum is, and is
+        that maximum there; one last call offers all rows of just the other
+        trials, and the result is the full enumeration's."""
+        (T, n, _), k = bits.shape, len(f) - 1
+        assert _bit_equal(expect, detectors._scan_max(bits, f, 10**6))
+        assert _bit_equal(expect, _full_scan(bits, f))
+        if not detectors._only_full_scores(f):
+            return
+        counts = detectors._column_counts(bits).ravel().tolist()
+        candidates, zeros = sum(math.comb(o, k) for o in counts), 0
+        while candidates >= T * math.comb(n + zeros, k):
+            zeros += 1
+        padded = np.pad(bits, ((0, 0), (0, zeros), (0, 0)))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _record_scan(mp)
+            got = detectors._scan_max(padded, f, 10**6)
+        m = len({o for o in counts if o >= k})
+        best, top = calls[m][2] if len(calls) > m else got, expect > 0
+        assert np.array_equal(best > 0, top)
+        assert _bit_equal(expect[top], best[top])
+        rest = np.flatnonzero(~top).tolist()
+        assert [owner.tolist() for owner, _, _ in calls[m:]] == ([rest] if rest else [])
+        assert _bit_equal(got, _full_scan(padded, f))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -476,6 +519,8 @@ class TestCandidatePass:
         assert 7 * 4.1 < 28.7 < 28.700000000000003
         expect = _reference_scan(bits, f)
         assert expect.tolist() == [28.700000000000003]
+        # _check adds thirteen zero rows, 14 candidates against 15 subsets,
+        # so the candidate pass meets the near tie too.
         self._check(bits, f, expect)
 
     @settings(max_examples=60, deadline=None)
@@ -513,7 +558,7 @@ class TestCandidatePass:
         # Rows {0, 2} hold no all-ones column yet score 4 x 3.0; the one
         # candidate, rows {0, 1}, scores 0.5 + 3.0.
         bits = np.array([[[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1]]], dtype=np.uint8)
-        got = detectors._candidate_max(bits, np.array([0.0, 3.0, 0.5]), 10**6)
+        got = detectors._scan_max(bits, np.array([0.0, 3.0, 0.5]), 10**6)
         assert got.tolist() == [12.0]
 
     def test_rescans_trials_without_a_positive_candidate(self, monkeypatch):
@@ -524,22 +569,13 @@ class TestCandidatePass:
         bits = np.array([[[1, 1], [1, 0], [0, 0], [0, 0]],
                          [[1, 1], [1, 1], [0, 0], [0, 0]]], dtype=np.uint8)
         f = np.array([0.0, -1.0, 0.5])
-        rescanned, ran = [], []
-        scan, best = detectors._scan_max, detectors._best_candidates
-
-        def best_candidates(*args):
-            out = best(*args)
-            ran.append(out.tolist())
-            return out
-
-        monkeypatch.setattr(
-            detectors, "_scan_max", lambda b, *a: rescanned.append(b.copy()) or scan(b, *a)
-        )
-        monkeypatch.setattr(detectors, "_best_candidates", best_candidates)
-        got = detectors._candidate_max(bits, f, 10**6)
-        assert ran == [[-0.5, 1.0]]
+        calls = _record_scan(monkeypatch)
+        got = detectors._scan_max(bits, f, 10**6)
         assert got.tolist() == [0.0, 1.0]
-        assert len(rescanned) == 1 and np.array_equal(rescanned[0], bits[:1])
+        # One candidate call for the count 2, then trial 0's C(4, 2) subsets.
+        assert [(owner.tolist(), subsets) for owner, subsets, _ in calls] == [
+            ([0, 1, 1], 1), ([0], 6)]
+        assert calls[-1][2].tolist() == [-0.5, 1.0]
 
     def test_chunk_memory_is_bounded(self, monkeypatch):
         # One null chunk of the (20, 64, 5, 4) calibration: 51 trials and
@@ -549,18 +585,16 @@ class TestCandidatePass:
         bits = np.stack([sample_null(shape, 0.25, s).bits for s in range(51)])
         tau = truncation_levels(shape)[1]
         detectors._batch_max_truncated(bits, 0.25, tau, 5, 10**6)  # fill the table caches
-        ran = []
-        best = detectors._best_candidates
-        monkeypatch.setattr(
-            detectors, "_best_candidates", lambda b, *a: ran.append(len(b)) or best(b, *a)
-        )
+        calls = _record_scan(monkeypatch)
         tracemalloc.start()
         try:
             detectors._batch_max_truncated(bits, 0.25, tau, 5, 10**6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ran == [51]
+        # Only candidate tables, C(o, 5) for o < 20, and every trial is offered.
+        assert calls and all(subsets < math.comb(20, 5) for _, subsets, _ in calls)
+        assert set(np.concatenate([owner for owner, _, _ in calls]).tolist()) == set(range(51))
         assert peak < 3 * rng.BATCH_BYTES
 
 
@@ -645,7 +679,8 @@ class TestCalibration:
         # 8x8 float64 uniforms take 512 bytes per trial, so 3,000 trials span
         # three chunks of 1,024; the first 1,500 match a two-chunk run.
         shape = ProblemShape(8, 8, 2, 2)
-        chunks = [len(s) for s, _ in rng.trial_uniforms(13, rng.TAG_CAL, 8, 8, 3000)]
+        chunks = [len(s[part]) for s, block in rng.trial_blocks(13, rng.TAG_CAL, 8, 8, 3000)
+                  for part, _ in block]
         assert chunks == [1024, 1024, 952]
         kind = DetectorKind(DetectorTag.TOTAL_DEGREE)
         long = null_statistics(kind, shape, 0.25, 3000, 13)
@@ -665,6 +700,44 @@ class TestCalibration:
 
 
 class TestDeltaStar:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n1=st.integers(1, 24), n2=st.integers(1, 24),
+        f1=st.floats(0.0, 1.0), f2=st.floats(0.0, 1.0),
+        p0=st.floats(0.01, 0.99),
+        c_tau=st.floats(0.01, 20.0),
+        budget=st.sampled_from([None, 1, 10**6]),
+    )
+    def test_resolve_refuses_what_the_subtest_refuses(self, n1, n2, f1, f2, p0, c_tau, budget):
+        """resolve_kind refuses DELTA_STAR, with the same error type, exactly
+        when the sub-test it resolves to, given the composite's budget, fails
+        on one null trial with a ParameterError or EmptyConditionError.  A
+        budget that a scan exceeds is left to the scan."""
+        shape = ProblemShape(n1, n2, max(1, round(f1 * n1)), max(1, round(f2 * n2)))
+        assume(max(math.comb(n1, shape.k1), math.comb(n2, shape.k2)) <= 10**6)
+        consts = RateConstants(C_tau=c_tau)
+        sub = delta_star_subtest(shape, p0, consts)
+
+        def refusal(call):
+            try:
+                call()
+            except (ParameterError, EmptyConditionError) as exc:
+                return type(exc)
+            except BudgetError:
+                pass
+            return None
+
+        composite = DetectorKind(DetectorTag.DELTA_STAR, budget=budget)
+        refused = refusal(lambda: detectors.resolve_kind(composite, shape, p0, consts))
+
+        def one_trial():
+            null_statistics(dataclasses.replace(sub, budget=budget), shape, p0, 1, 0)
+
+        assert refused is refusal(one_trial)
+        if refused is None:
+            resolved = detectors.resolve_kind(composite, shape, p0, consts)
+            assert resolved == dataclasses.replace(sub, budget=budget)
+
     def test_dispatch_total_degree(self):
         # BRANCH_A with n2/k2^2 < c1 must reduce to the total degree test.
         shape = ProblemShape(64, 64, 16, 16)
@@ -770,3 +843,20 @@ class TestKindValidation:
             DetectorKind(DetectorTag.MAX_TRUNC_AXIS1, tau=1.0)
         with pytest.raises(ParameterError):
             DetectorKind(DetectorTag.TRUNC_DEGREE_AXIS1, tau=1.0, k_scan=3)
+
+    @pytest.mark.parametrize("kind", [
+        TOTAL,
+        DetectorKind(TRUNC1, tau=1.0),
+        DetectorKind(TRUNC2, tau=1.0),
+        DetectorKind(MAX1, tau=1.0, k_scan=3, budget=1),
+        DetectorKind(MAX2, tau=1.0, k_scan=3, budget=1),
+    ], ids=lambda kind: kind.tag.value)
+    def test_zero_trials(self, kind):
+        """On zero trials every statistic returns an empty float array and
+        builds no table of subsets, so a budget of 1 is refused only once a
+        trial is scanned: resolve_kind checks a sub-test this way."""
+        got = _batch_statistic(np.zeros((0, 6, 9), np.uint8), 0.25, kind)
+        assert got.shape == (0,) and got.dtype == np.float64
+        if kind.budget is not None:
+            with pytest.raises(BudgetError):
+                _batch_statistic(np.zeros((1, 6, 9), np.uint8), 0.25, kind)

@@ -110,13 +110,14 @@ class TestCellUniforms:
             cell_uniforms(0, 1, 2**33)
 
     def test_trial_chunks_are_fresh_batches(self, monkeypatch):
-        """trial_uniforms reuses one buffer; each chunk's words, read before
+        """trial_blocks reuses one buffer; each chunk's words, read before
         the next chunk, are those of a fresh batch of its seeds."""
         monkeypatch.setattr(rng, "BATCH_BYTES", 8 * 3 * 5 * 4)  # 4 trials per chunk
         sizes = []
-        for seeds, words in rng.trial_uniforms(7, rng.TAG_CAL, 3, 5, 10):
-            sizes.append(len(seeds))
-            assert np.array_equal(words, batch_cell_uniforms(seeds, 3, 5))
+        for seeds, block in rng.trial_blocks(7, rng.TAG_CAL, 3, 5, 10):
+            for part, words in block:
+                sizes.append(len(seeds[part]))
+                assert np.array_equal(words, batch_cell_uniforms(seeds[part], 3, 5))
         assert sizes == [4, 4, 2]
 
 

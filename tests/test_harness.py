@@ -351,8 +351,9 @@ class TestTrialPipeline:
         def run():
             sizes = [(len(seeds), [len(seeds[part]) for part, _ in chunks])
                      for seeds, chunks in rng.trial_blocks(seed, rng.TAG_ALT, 12, 20, trials)]
-            words = np.concatenate([x.copy() for _, x in
-                                    rng.trial_uniforms(seed, rng.TAG_CAL, 12, 20, trials)])
+            words = np.concatenate([x.copy() for _, block in
+                                    rng.trial_blocks(seed, rng.TAG_CAL, 12, 20, trials)
+                                    for _, x in block])
             stats = detectors.null_statistics(kind, shape, p0, trials, seed)
             seen.clear()
             counts = harness._planted_accept_count(
