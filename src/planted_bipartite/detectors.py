@@ -412,8 +412,8 @@ def null_statistics(
     derived seeds; order-deterministic."""
     cut = rng.below(p0)
     chunks = [
-        _batch_statistic((x < cut).view(np.uint8), p0, kind)
-        for _, block in rng.trial_blocks(seed, tag, shape.n1, shape.n2, trials) for _, x in block
+        _batch_statistic(rng.edges(s, cut).view(np.uint8), p0, kind)
+        for _, block in rng.trial_blocks(seed, tag, shape.n1, shape.n2, trials) for _, s in block
     ]
     return np.concatenate(chunks) if chunks else np.empty(0)
 

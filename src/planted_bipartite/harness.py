@@ -26,7 +26,7 @@ from .detectors import (
 from .errors import BracketError, ConfigError, ParameterError
 from .graph_model import ProblemShape
 from .rates import RateBundle, RateConstants, rate_bundle
-from .rng import TAG_ALT, TAG_COLS, TAG_NULL, TAG_ROWS, below, sample_subsets, trial_blocks
+from .rng import TAG_ALT, TAG_COLS, TAG_NULL, TAG_ROWS, below, edges, sample_subsets, trial_blocks
 
 
 @dataclass(frozen=True)
@@ -81,18 +81,22 @@ def _planted_accept_count(
     trials: int, seed: int,
 ) -> list[int]:
     """Planted trials accepted at each of `deltas`.  Each block's supports
-    and each chunk's uniforms and null bits are drawn once; at each delta
-    only the k1 x k2 planted cells of the bits are compared again."""
+    and each chunk's states and null bits are drawn once, and so is the flat
+    index of the chunk's k1 x k2 planted cells: at each delta only those
+    cells' bits are decided again."""
+    n1, n2 = shape.n1, shape.n2
     counts = [0] * len(deltas)
     cuts = [below(p0 + delta) for delta in deltas]
-    for seeds, chunks in trial_blocks(seed, TAG_ALT, shape.n1, shape.n2, trials):
-        rows = sample_subsets(seeds, TAG_ROWS, shape.n1, shape.k1)
-        cols = sample_subsets(seeds, TAG_COLS, shape.n2, shape.k2)
-        for part, x in chunks:
-            block = (np.arange(len(x))[:, None, None], rows[part, :, None], cols[part, None, :])
-            bits = (x < below(p0)).view(np.uint8)
+    for seeds, chunks in trial_blocks(seed, TAG_ALT, n1, n2, trials):
+        rows = sample_subsets(seeds, TAG_ROWS, n1, shape.k1)
+        cols = sample_subsets(seeds, TAG_COLS, n2, shape.k2)
+        for part, s in chunks:
+            t = np.arange(len(s))[:, None, None]
+            block = ((t * n1 + rows[part, :, None]) * n2 + cols[part, None, :]).ravel()
+            planted = s.take(block)
+            bits = edges(s, below(p0)).view(np.uint8)
             for i, cut in enumerate(cuts):
-                bits[block] = x[block] < cut
+                bits.reshape(-1)[block] = edges(planted, cut)
                 stats = _batch_statistic(bits, p0, kind)
                 counts[i] += int((stats <= threshold).sum())
     return counts

@@ -16,8 +16,15 @@ a power of two is exact, and an integer lies below a real exactly when it
 lies below the real's ceiling.  Only this module knows the word width.
 
 Every trial comes from one iterator, `trial_blocks`, in blocks: a block's
-edge-stream bases and row hashes are mixed once, and each chunk's words
-from its slice of them.
+edge-stream bases and row hashes are mixed once, and each chunk's cells
+from its slice of them.  Trials carry cell states: a state s is fmix64
+stopped before its last step, s ^= s >> 33, so the cell's word is (s ^ (s
+>> 33)) >> 11.  `edges(states, below(p))` is the only code that turns
+states into edge bits.  The last step keeps the top 33 bits of s, so the
+word lies below a cut exactly when s lies below L, the cut times 2^11 with
+its low 31 bits cleared, except for the states in [L, L + 2^31), a chance
+of 2^-33 per cell, which `edges` finishes and compares exactly.
+`cell_uniforms` and `batch_cell_uniforms` finish every state into its word.
 Supports come from `sample_subsets`, a partial Fisher-Yates shuffle run for
 a whole block of trials at once.  Each trial keeps a table of the at most 2k
 positions that its k steps touch, not a list of n, so a draw costs
@@ -48,7 +55,7 @@ TAG_NULL = 0x27D4EB2F165667C5
 TAG_ALT = 0x85EBCA77C2B2AE63
 TAG_CAL = 0xD6E8FEB86659FD93
 
-# Bytes per batch, 8 per uniform word.  Every trial chunk and every subset
+# Bytes per batch, 8 per cell state.  Every trial chunk and every subset
 # block is sized from this one budget (below a 2 MiB L2 cache), and a trial
 # block's row hashes from an eighth of it, so memory does not grow with the
 # trial count.
@@ -107,12 +114,38 @@ def cell_uniforms(seed: int, n1: int, n2: int) -> np.ndarray:
     """(n1, n2) array of uniform words in [0, 2^53); entry (r, c) depends
     only on (seed, r, c)."""
     base = np.array(derive_seed(seed, TAG_EDGE), dtype=np.uint64)
-    return _mix_columns(_row_hashes(base, n1, n2), n2)
+    return _finish(_mix_columns(_row_hashes(base, n1, n2), n2))
 
 
 def batch_cell_uniforms(seeds: np.ndarray, n1: int, n2: int) -> np.ndarray:
     """(T, n1, n2) uniform words for a batch of per-trial seeds (uint64)."""
-    return _mix_columns(_row_hashes(_derive(seeds, TAG_EDGE), n1, n2), n2)
+    return _finish(_mix_columns(_row_hashes(_derive(seeds, TAG_EDGE), n1, n2), n2))
+
+
+def edges(states: np.ndarray, cut: int) -> np.ndarray:
+    """Edge bits, bool of the shape of `states`: whether each cell state's
+    word lies below `cut`, an integer in [0, 2^53] such as below(p).  The
+    word keeps the state's top 33 bits, so it lies below the cut exactly
+    when the state lies below L = (cut << 11) with its low 31 bits cleared,
+    unless the state lies in the band [L, L + 2^31); only those states are
+    finished and compared.  Every band state has L's top 32 bits, so the
+    band is looked for as a 32-bit half equal to them: one pass, cheaper
+    than a second 64-bit comparison, and a low half that matches by chance
+    costs only the exact look.  For the cut 2^53, L would be 2^64, and the
+    last band below 2^64, whose words all lie below the cut, stands for it."""
+    low = min(cut << 11, _MASK) & ~((1 << 31) - 1)
+    bits = states < np.uint64(low)
+    if (np.ravel(states).view(np.uint32) == np.uint32(low >> 32)).any():
+        band = (states >= np.uint64(low)) & (states <= np.uint64(low + (1 << 31) - 1))
+        bits[band] = _finish(states[band]) < np.uint64(cut)
+    return bits
+
+
+def _finish(states: np.ndarray) -> np.ndarray:
+    """Words of `states`, in place: fmix64's last step, then its top 53 bits."""
+    states ^= states >> np.uint64(33)
+    states >>= np.uint64(11)
+    return states
 
 
 def _row_hashes(bases: np.ndarray, n1: int, n2: int) -> np.ndarray:
@@ -132,34 +165,34 @@ def _mix_columns(
     rows: np.ndarray, n2: int, out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Words of shape rows.shape + (n2,) from row hashes, mixed in place in
-    `out` with one scratch array."""
+    """States of shape rows.shape + (n2,) from row hashes, fmix64 up to its
+    second multiply, mixed in place in `out` with one scratch array."""
     # Copying the rows and xoring the columns in place is faster than one
     # broadcast xor, which numpy walks as n1 inner loops of length n2.
     z = np.empty(rows.shape + (n2,), dtype=np.uint64) if out is None else out
     z[...] = rows[..., None]
     z ^= np.arange(1, n2 + 1, dtype=np.uint64)
+    z *= np.uint64(_M1)
     scratch = np.empty_like(z) if scratch is None else scratch
-    for m in (_M1, _M2):
-        z *= np.uint64(m)
-        np.right_shift(z, np.uint64(33), out=scratch)
-        z ^= scratch
-    z >>= np.uint64(11)
+    np.right_shift(z, np.uint64(33), out=scratch)
+    z ^= scratch
+    z *= np.uint64(_M2)
     return z
 
 
 def trial_blocks(seed: int, tag: int, n1: int, n2: int, trials: int):
     """Yield (seeds, chunks) for trials 1..trials of the (seed, tag) stream,
     one block of trials at a time.  Trial i has seed derive_seed(seed, tag)
-    + i (mod 2^64), so its words do not depend on the blocking.
+    + i (mod 2^64), so its states do not depend on the blocking.
 
-    A chunk holds as many trials as BATCH_BYTES of 8-byte uniform words hold
+    A chunk holds as many trials as BATCH_BYTES of 8-byte cell states hold
     (at least one); a block holds whole chunks, as many as keep its row
     hashes within BATCH_BYTES // 8 (at least one chunk).  A block's edge
-    bases and row hashes are mixed once, and `chunks` yields (part, words):
-    the slice `part` of the block's seeds and those trials' (t, n1, n2)
-    words.  Every chunk's words are written into one buffer, so each chunk
-    overwrites the last; read a block's chunks before the next block."""
+    bases and row hashes are mixed once, and `chunks` yields (part,
+    states): the slice `part` of the block's seeds and those trials' (t,
+    n1, n2) cell states, which `edges` turns into bits.  Every chunk's
+    states are written into one buffer, so each chunk overwrites the last;
+    read a block's chunks before the next block."""
     base = np.uint64(derive_seed(seed, tag))
     chunk = max(1, BATCH_BYTES // (8 * n1 * n2))
     block = chunk * max(1, BATCH_BYTES // (64 * n1 * chunk))
@@ -173,7 +206,7 @@ def trial_blocks(seed: int, tag: int, n1: int, n2: int, trials: int):
 
 
 def _chunks(rows: np.ndarray, chunk: int, n2: int, out: np.ndarray, scratch: np.ndarray):
-    """(part, words) for each run of `chunk` trials of a block's row hashes."""
+    """(part, states) for each run of `chunk` trials of a block's row hashes."""
     for lo in range(0, len(rows), chunk):
         part = slice(lo, lo + chunk)
         t = len(rows[part])

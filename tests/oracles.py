@@ -4,9 +4,10 @@ Each is the direct form of a quantity the package computes another way:
 the Bennett function that the kernel w is built from, the appendix variant
 of psi used to bracket the rate, the second moment of the likelihood ratio
 by enumerating every pair of supports, the support sampler as a scalar
-partial Fisher-Yates shuffle, and the exact Type I and Type II errors of
-the total degree test by convolving binomial pmfs.  The tests compare the
-package against them.  The empty-subgraph diagnostic checks Monte Carlo
+partial Fisher-Yates shuffle, the exact Type I and Type II errors of the
+total degree test by convolving binomial pmfs, and the exact null moments
+of the truncated degree statistic from the binomial pmf.  The tests compare
+the package against them.  The empty-subgraph diagnostic checks Monte Carlo
 frequencies of an all-zero block, found by the detectors' max scan
 `_scan_max` (its table scores only the count 0, so every subset is
 enumerated), against the union bound behind the lower bound.
@@ -18,12 +19,12 @@ from itertools import combinations
 import numpy as np
 
 from planted_bipartite.binomial_kernel import BennettKernel
-from planted_bipartite.detectors import DEFAULT_SUBSET_BUDGET, _scan_max
+from planted_bipartite.detectors import DEFAULT_SUBSET_BUDGET, _contribution_table, _scan_max
 from planted_bipartite.errors import BudgetError, ParameterError
 from planted_bipartite.graph_model import ProblemShape
 from planted_bipartite.lower_bound import _check_signal
 from planted_bipartite.rates import log_binom
-from planted_bipartite.rng import TAG_NULL, below, derive_seed, trial_blocks
+from planted_bipartite.rng import TAG_NULL, below, derive_seed, edges, trial_blocks
 
 BRUTEFORCE_BUDGET = 10**8
 
@@ -119,8 +120,9 @@ def empty_subgraph_diagnostic(
     hits = 0
     cut = below(p0)
     for _, block in trial_blocks(seed, TAG_NULL, n1, n2, trials):
-        for _, x in block:
-            hits += int((_scan_max(x < cut, empty, DEFAULT_SUBSET_BUDGET) >= need).sum())
+        for _, states in block:
+            bits = edges(states, cut)
+            hits += int((_scan_max(bits, empty, DEFAULT_SUBSET_BUDGET) >= need).sum())
     mc = hits / trials
     return {
         "union_bound": union_bound,
@@ -154,3 +156,17 @@ def total_degree_errors(shape: ProblemShape, p0: float, delta: float, h: float):
     p1 = 1.0 if delta >= 1.0 - p0 else p0 + delta
     planted = np.convolve(_binomial_pmf(n - k, p0), _binomial_pmf(k, p1))
     return float(_binomial_pmf(n, p0)[reject].sum()), float(planted[~reject].sum())
+
+
+def truncated_degree_null_moments(n1: int, n2: int, p0: float, tau: float):
+    """Exact (mean, variance, fourth central moment) of the axis-1 truncated
+    degree statistic sum_j f[C_j] on an n1 x n2 null matrix, whose n2 column
+    counts C_j are independent Bin(n1, p0).  f is the statistic's
+    contribution table and the pmf comes from BennettKernel.log_pmf.  The
+    mean is 0 up to rounding, by the centring of f at nu_tau."""
+    f = _contribution_table(n1, p0, tau)
+    pmf = _binomial_pmf(n1, p0)
+    mean = float(pmf @ f)
+    var = float(pmf @ (f - mean) ** 2)
+    m4 = float(pmf @ (f - mean) ** 4)
+    return n2 * mean, n2 * var, n2 * m4 + 3 * n2 * (n2 - 1) * var**2

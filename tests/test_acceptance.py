@@ -39,6 +39,7 @@ from planted_bipartite.cli import dispatch
 from planted_bipartite.detectors import null_statistics, truncation_levels
 from oracles import (
     bennett_h, empty_subgraph_diagnostic, second_moment_bruteforce, total_degree_errors,
+    truncated_degree_null_moments,
 )
 
 
@@ -287,6 +288,8 @@ def test_a10_batch_size_determinism(tmp_path, monkeypatch):
 
 
 def test_a12_total_degree_exact_errors():
+    """The total degree test's errors and the truncated degree statistic's
+    null moments against exact sums over binomial pmfs."""
     with criterion("A12"):
         # The edge total has an exact law under both hypotheses, so the
         # sweep's Type I and each Type II lie within 4 SE of the oracle's,
@@ -308,3 +311,20 @@ def test_a12_total_degree_exact_errors():
                 type1, type2 = total_degree_errors(shape, p0, row.delta, sweep.threshold)
                 for mc, exact in ((row.estimate.type1, type1), (row.estimate.type2, type2)):
                     assert abs(mc - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
+
+        # The truncated degree statistic is a sum of independent column
+        # terms, but its law is not on a lattice, so its null moments are
+        # checked on each axis: the exact mean is 0 by the centring at
+        # nu_tau, the Monte Carlo mean lies within 4 SE of it, and the sample
+        # variance within 4 of its SEs, sqrt((mu4 - var^2 (T - 3) / (T - 1))
+        # / T) from the exact fourth central moment mu4.
+        for shape in (ProblemShape(16, 16, 4, 4), ProblemShape(12, 20, 3, 5)):
+            for tag, oriented in ((DetectorTag.TRUNC_DEGREE_AXIS1, shape),
+                                  (DetectorTag.TRUNC_DEGREE_AXIS2, shape.swapped())):
+                tau = truncation_levels(oriented)[0]
+                mean, var, mu4 = truncated_degree_null_moments(oriented.n1, oriented.n2, p0, tau)
+                assert abs(mean) <= 1e-12
+                stats = null_statistics(DetectorKind(tag, tau=tau), shape, p0, trials, 12)
+                assert abs(stats.mean() - mean) <= 4 * math.sqrt(var / trials)
+                se = math.sqrt((mu4 - var**2 * (trials - 3) / (trials - 1)) / trials)
+                assert abs(stats.var(ddof=1) - var) <= 4 * se

@@ -299,8 +299,8 @@ class TestScanExactness:
         assert (kind.tag, kind.k_scan) == (MAX1, 4)
         cut = rng.below(0.25)
         bits = np.concatenate([
-            (x < cut).view(np.uint8)
-            for _, block in rng.trial_blocks(1, rng.TAG_CAL, 16, 256, 2) for _, x in block
+            rng.edges(states, cut).view(np.uint8)
+            for _, block in rng.trial_blocks(1, rng.TAG_CAL, 16, 256, 2) for _, states in block
         ])
         got = null_statistics(kind, shape, 0.25, 2, 1)
         assert _bit_equal(_reference_truncated(bits, 0.25, kind.tau, 4), got)

@@ -110,14 +110,19 @@ class TestCellUniforms:
             cell_uniforms(0, 1, 2**33)
 
     def test_trial_chunks_are_fresh_batches(self, monkeypatch):
-        """trial_blocks reuses one buffer; each chunk's words, read before
-        the next chunk, are those of a fresh batch of its seeds."""
+        """trial_blocks reuses one buffer; each chunk's states, read before
+        the next chunk, finish into the words of a fresh batch of its seeds,
+        and their edge bits are those words' comparisons at every cut."""
         monkeypatch.setattr(rng, "BATCH_BYTES", 8 * 3 * 5 * 4)  # 4 trials per chunk
         sizes = []
         for seeds, block in rng.trial_blocks(7, rng.TAG_CAL, 3, 5, 10):
-            for part, words in block:
+            for part, states in block:
                 sizes.append(len(seeds[part]))
-                assert np.array_equal(words, batch_cell_uniforms(seeds[part], 3, 5))
+                words = batch_cell_uniforms(seeds[part], 3, 5)
+                for p in EDGE_PROBABILITIES + [0.25, 0.5, 0.75]:
+                    cut = rng.below(p)
+                    assert np.array_equal(rng.edges(states, cut), words < cut), p
+                assert np.array_equal(rng._finish(states.copy()), words)
         assert sizes == [4, 4, 2]
 
 
@@ -145,6 +150,49 @@ class TestBelow:
         assert rng.below(1.0) == 2**53 and rng.below(2.0) == 2**53
         assert rng.below(5e-324) == 1 and rng.below(0.5) == 2**52
 
+
+# Cuts whose band [L, L + 2^31) holds both edges and non-edges (near 2^53,
+# where L + 2^31 reaches 2^64), none (0, 2^51) or only the words below 1.
+_CUTS = st.one_of(st.sampled_from([0, 1, rng.below(0.25), 2**53]),
+                  st.integers(2**53 - 2**20, 2**53 - 1))
+
+
+class TestEdges:
+    """rng.edges against the finished words: a state s's word is (s ^ (s >>
+    33)) >> 11, and its edge bit is whether that word lies below the cut."""
+
+    @staticmethod
+    def _check(states: list[int], cut: int) -> None:
+        want = [((s ^ (s >> 33)) >> 11) < cut for s in states]
+        arr = np.array(states, dtype=np.uint64)
+        for shaped in (arr, arr.reshape(1, -1, 1)):
+            got = rng.edges(shaped, cut)
+            assert got.dtype == np.bool_ and got.shape == shaped.shape
+            assert got.ravel().tolist() == want
+        assert arr.tolist() == states
+
+    @given(_CUTS, st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+    def test_uniform_states(self, cut, states):
+        self._check(states, cut)
+
+    @given(_CUTS, st.lists(st.integers(-2**31, 2**32), max_size=64),
+           st.lists(st.tuples(st.integers(-2, 1), st.integers(0, 2**11 - 1)), max_size=16),
+           st.lists(st.integers(0, 2**32 - 1), max_size=4))
+    def test_band_states(self, cut, offsets, near, highs):
+        """States in the band [L, L + 2^31), at its ends L - 1, L, L + 2^31 -
+        1 and L + 2^31, and in the rest of the 2^32 states that share L's
+        top half; states whose words lie next to the cut: the word x with
+        low bits r comes from the state y ^ (y >> 33), y = x 2^11 + r, since
+        the xor-shift by 33 undoes itself; and states whose low half, not
+        their top half, equals L's top half.  For the cut 2^53, L would be
+        2^64, and the top 2^31 states stand in for the band."""
+        low = min((cut << 11) & ~(2**31 - 1), 2**64 - 2**31)
+        states = [low - 1, low, low + 2**31 - 1, low + 2**31] + [low + d for d in offsets]
+        for dx, r in near:
+            y = ((cut + dx) << 11) + r
+            states.append(y ^ (y >> 33))
+        states += [(h << 32) + (low >> 32) for h in highs]
+        self._check([s for s in states if 0 <= s < 2**64], cut)
 
 class TestSampling:
     def test_null_p0_zero_one(self):
