@@ -149,10 +149,12 @@ def sample_planted_uniform_support(
 
 def write_matrix(A: AdjacencyMatrix, path) -> None:
     """Text format: line 1 is "n1 n2", then n1 rows of '0'/'1' characters."""
+    text = np.empty((A.n1, A.n2 + 1), dtype=np.uint8)
+    np.add(A.bits, ord("0"), out=text[:, :-1])
+    text[:, -1] = ord("\n")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{A.n1} {A.n2}\n")
-        for row in A.bits:
-            fh.write("".join("1" if b else "0" for b in row) + "\n")
+        fh.write(text.tobytes().decode("ascii"))
 
 
 def read_matrix(path) -> AdjacencyMatrix:

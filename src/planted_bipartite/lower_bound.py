@@ -11,8 +11,9 @@ supports on each axis.  The minimax risk is then at least
 moment-generating-function bounds E[exp(mu^2 U V)] (hypergeometric, and with
 binomial domination) so the slack in the chain is visible, and the exact
 total variation distance by enumerating every binary matrix on tiny
-instances.  The brute-force second moment over all support pairs, which
-checks the overlap sums, lives with the tests (tests/oracles.py).
+instances, block by block within rng.BATCH_BYTES.  The brute-force second
+moment over all support pairs, which checks the overlap sums, lives with the
+tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .errors import BudgetError, ParameterError
 from .graph_model import ProblemShape
 from .rates import log_binom
 
+# tv_exact's memory is bounded by rng.BATCH_BYTES at any cell count, so this
+# limit bounds its time, which doubles with each cell: (4, 5, 2, 2) takes
+# 0.7-0.8 s on a 2-vCPU x86-64 host.
 TV_BUDGET_BITS = 20
 
 
@@ -138,11 +142,14 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     largest power of two rows (at least 64) whose float64 bits fit
     rng.BATCH_BYTES.  One block of bits and its complement is built once,
     each block rewrites in place only its high bit columns, which are
-    constant down the block, and every support is evaluated on it.  So only
-    the null and mixture probability vectors (2^(n1 n2) floats each) are
-    whole.  The result does not depend on the block size: each matrix's
-    log-probability is one matrix-vector product row, the supports are added
-    in one fixed order, and the final sum runs over the whole vectors.
+    constant down the block, and every support is evaluated on it.  Each
+    block's null and mixture probabilities give its |P0 - P_mix| terms, and
+    no vector of all 2^(n1 n2) matrices is held: the bit block and its
+    complement bound the memory.  The result does not depend on the block
+    size: each matrix's log-probability is one matrix-vector product row,
+    the supports are added in one fixed order, and the terms are summed in
+    numpy's pairwise order over the whole enumeration, rebuilt from sums of
+    aligned runs of terms.
     """
     _check_signal(p0, delta)
     cells = shape.n1 * shape.n2
@@ -196,17 +203,33 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     shifts = np.arange(cells)
     on = ((np.arange(rows)[:, None] >> shifts) & 1).astype(np.float64)
     off = 1.0 - on
-    prob0 = np.empty(total)
-    prob_mix = np.zeros(total)
+    # numpy sums a contiguous float64 vector pairwise: it halves it at
+    # multiples of 8 down to leaves of at most 128 entries (PW_BLOCKSIZE in
+    # its loops_utils.h.src).  A whole vector of 2^cells terms is therefore a
+    # binary tree over aligned runs of `width` terms, each a whole subtree
+    # (two 64-row blocks fill one 128-term leaf).  So |prob0 - prob_mix| is
+    # summed one run at a time and the run sums are merged left + right like
+    # a binary counter: the same double as np.abs(prob0 - prob_mix).sum()
+    # over whole vectors.
+    width = min(total, max(rows, 128))
+    terms = np.empty(width)
+    sums = []
     for lo in range(0, total, rows):
         high = ((lo >> shifts[low:]) & 1).astype(np.float64)
         on[:, low:] = high
         off[:, low:] = 1.0 - high
-        prob0[lo : lo + rows] = matrix_probs(on, off, null)
-        block = prob_mix[lo : lo + rows]
+        prob0 = matrix_probs(on, off, null)
+        prob_mix = np.zeros(rows)
         for vectors in supports:
-            block += matrix_probs(on, off, vectors)
-    prob_mix /= len(supports)
-    # |prob0 - prob_mix| in place; the sum runs over the whole vector.
-    np.abs(np.subtract(prob0, prob_mix, out=prob_mix), out=prob_mix)
-    return 0.5 * float(prob_mix.sum())
+            prob_mix += matrix_probs(on, off, vectors)
+        prob_mix /= len(supports)
+        part = terms[lo % width : lo % width + rows]
+        np.abs(np.subtract(prob0, prob_mix, out=part), out=part)
+        if (lo + rows) % width == 0:
+            run_sum, run = terms.sum(), lo // width
+            while run & 1:
+                run_sum = sums.pop() + run_sum
+                run >>= 1
+            sums.append(run_sum)
+    (tv_sum,) = sums
+    return 0.5 * float(tv_sum)

@@ -4,13 +4,14 @@ Each is the direct form of a quantity the package computes another way:
 the Bennett function that the kernel w is built from, the appendix variant
 of psi used to bracket the rate, the second moment of the likelihood ratio
 by enumerating every pair of supports, the support sampler as a scalar
-partial Fisher-Yates shuffle, the exact Type I and Type II errors of the
-total degree test by convolving binomial pmfs, and the exact null moments
-of the truncated degree statistic from the binomial pmf.  The tests compare
-the package against them.  The empty-subgraph diagnostic checks Monte Carlo
-frequencies of an all-zero block, found by the detectors' max scan
-`_scan_max` (its table scores only the count 0, so every subset is
-enumerated), against the union bound behind the lower bound.
+partial Fisher-Yates shuffle, the matrix file writer one cell at a time,
+the exact Type I and Type II errors of the total degree test by convolving
+binomial pmfs, and the exact null moments of the truncated degree
+statistic from the binomial pmf.  The tests compare the package against
+them.  The empty-subgraph diagnostic checks Monte Carlo frequencies of an
+all-zero block, found by the detectors' max scan `_scan_max` (its table
+scores only the count 0, so every subset is enumerated), against the union
+bound behind the lower bound.
 """
 
 import math
@@ -61,6 +62,16 @@ def sample_subset_reference(seed: int, tag: int, n: int, k: int) -> tuple[int, .
         j = i + ((derive_seed(seed, tag, i) * (n - i)) >> 64)
         idx[i], idx[j] = idx.get(j, j), idx.get(i, i)
     return tuple(sorted(idx[i] for i in range(k)))
+
+
+def write_matrix_reference(A, path) -> None:
+    """The matrix text format written one cell at a time: the header
+    "n1 n2", then each row's '0'/'1' characters and a newline, to a
+    text-mode ASCII file."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"{A.n1} {A.n2}\n")
+        for row in A.bits:
+            fh.write("".join("1" if b else "0" for b in row) + "\n")
 
 
 def second_moment_bruteforce(shape: ProblemShape, p0: float, delta: float) -> float:

@@ -21,7 +21,7 @@ from planted_bipartite import (
 from planted_bipartite import rng
 from planted_bipartite.rng import batch_cell_uniforms, cell_uniforms
 
-from oracles import sample_subset_reference
+from oracles import sample_subset_reference, write_matrix_reference
 
 
 class TestTypes:
@@ -365,6 +365,23 @@ class TestIO:
         p = tmp_path / "m.txt"
         write_matrix(A, p)
         assert read_matrix(p) == A
+
+    @settings(max_examples=60, deadline=None)
+    @given(n1=st.integers(1, 40), n2=st.integers(1, 40),
+           fill=st.sampled_from(["random", "zeros", "ones"]), seed=st.integers(0, 2**32 - 1))
+    @example(n1=1, n2=1, fill="zeros", seed=0)
+    @example(n1=1, n2=1, fill="ones", seed=0)
+    @example(n1=1, n2=1, fill="random", seed=3)
+    def test_bytes_match_cell_writer(self, tmp_path_factory, n1, n2, fill, seed):
+        """The one-array writer gives the per-cell writer's bytes."""
+        bits = {"zeros": np.zeros((n1, n2)), "ones": np.ones((n1, n2)),
+                "random": np.random.default_rng(seed).integers(0, 2, (n1, n2))}[fill]
+        A = AdjacencyMatrix(bits)
+        tmp = tmp_path_factory.mktemp("writer")
+        got, want = tmp / "got.txt", tmp / "want.txt"
+        write_matrix(A, got)
+        write_matrix_reference(A, want)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_explicit_bits(self, tmp_path):
         p = tmp_path / "m.txt"

@@ -373,10 +373,11 @@ class TestTrialPipeline:
 
     @pytest.mark.parametrize("n, trials", [(256, 40), (64, 300)])
     def test_planted_pass_memory_is_bounded(self, n, trials):
-        """A planted pass holds a chunk of words and its scratch, the chunk's
-        bits and the block's row hashes and supports: 2.40 BATCH_BYTES at
-        256^2 and 2.80 at 64^2, under a bound with 0.45 of margin, so one
-        more word-sized matrix per chunk fails it."""
+        """A planted pass holds a chunk of states and its scratch, the chunk's
+        bits, the edge decision's bool per 32-bit half of a state, and the
+        block's row hashes and supports: 2.66 BATCH_BYTES at 256^2 and 2.90
+        at 64^2, under a bound with 0.35 of margin, so one more word-sized
+        matrix per chunk fails it."""
         shape = ProblemShape(n, n, 16, 16)
         kind = DetectorKind(DetectorTag.TRUNC_DEGREE_AXIS1, tau=1.0)
         harness._planted_accept_count(kind, shape, 0.25, [0.0, 0.3], 0.0, 2, 3)

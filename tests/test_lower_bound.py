@@ -246,6 +246,40 @@ class TestTvExact:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    def test_memory_is_within_budget(self):
+        """3x6 walks 2^18 matrices: a whole probability vector alone would be
+        4 BATCH_BYTES, while the bit block and its complement, the largest
+        arrays tv_exact holds, are 1.125 (1.36 traced in all)."""
+        tracemalloc.start()
+        try:
+            tv_exact(ProblemShape(3, 6, 2, 2), 0.25, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * rng.BATCH_BYTES
+
+    @pytest.mark.parametrize("k", range(7, 19))
+    def test_numpy_sum_is_a_tree_of_aligned_leaves(self, k):
+        """tv_exact rebuilds np.sum of its 2^cells |P0 - P_mix| terms from
+        sums of aligned runs of 128 * 2^j terms, merged left + right like a
+        binary counter.  That gives np.sum's double only while numpy sums a
+        contiguous float64 vector pairwise, halving it down to leaves of 128
+        entries; a numpy that sums another way fails here first."""
+        x = np.random.default_rng(k).random(1 << k)
+        want = np.float64(x.sum()).view(np.uint64)
+        for width in (128 << j for j in range(k - 6)):
+            sums = []
+            for run in range(len(x) // width):
+                run_sum, carry = x[run * width : (run + 1) * width].sum(), run
+                while carry & 1:
+                    run_sum = sums.pop() + run_sum
+                    carry >>= 1
+                sums.append(run_sum)
+            (got,) = sums
+            assert np.float64(got).view(np.uint64) == want, (
+                f"np.sum of 2^{k} float64 is not the merge of its {width}-entry leaf "
+                "sums, so tv_exact's streamed sum no longer reproduces it")
+
     def test_bound_consistency(self):
         # 1 - TV is the exact Bayes risk; it must dominate the second-moment
         # lower bound.
