@@ -10,7 +10,9 @@ n p0 h_B((y-np0)/(n p0)) for the Bennett function h_B.  Truncation events
 {Z >= a} are realized on the integer lattice as {Y >= k_min} with
 k_min = ceil(n p0 + a sigma), and the conditional moments nu_a = E[w(Y) |
 Y >= k_min] and gamma_a = E[w(Y)^2 | Y >= k_min] are computed by exact
-log-space summation of the binomial pmf.  Every such sum goes through
+log-space summation of the binomial pmf, over slices of tables built once
+per kernel (log-pmf and log-pmf + log w^power over 0..n), with the
+denominator shared by nu and gamma.  Every such sum goes through
 logsumexp, a numpy port of scipy.special.logsumexp (scipy 1.17) that gives
 the same double for real input without its per-call overhead.  The pmf's
 log-gamma terms come from log_gamma, a port of Cephes `lgam`, the routine
@@ -107,12 +109,20 @@ def log_gamma(x: float) -> float:
     return q + _horner(p, _STIRLING) / x
 
 
-@lru_cache(maxsize=64)
+_LOG_FACTORIALS = np.empty(0)
+
+
 def _log_factorials(n: int) -> np.ndarray:
-    """log_gamma(1..n+1), i.e. log y! at index y = 0..n, read-only."""
-    table = np.array([log_gamma(i + 1) for i in range(n + 1)])
-    table.setflags(write=False)
-    return table
+    """log y! at index y = 0..n, read-only: the head of one table of
+    log_gamma(y + 1), grown to the largest n asked for, so each log y! is
+    computed once."""
+    global _LOG_FACTORIALS
+    have = len(_LOG_FACTORIALS)
+    if have <= n:
+        grown = np.concatenate([_LOG_FACTORIALS, [log_gamma(i + 1) for i in range(have, n + 1)]])
+        grown.setflags(write=False)
+        _LOG_FACTORIALS = grown
+    return _LOG_FACTORIALS[: n + 1]
 
 
 @dataclass(frozen=True)
@@ -179,21 +189,40 @@ def z_threshold_to_count(a: float, kernel: BennettKernel) -> int:
     return int(math.ceil(x))
 
 
+@lru_cache(maxsize=64)
+def _moment_terms(kernel: BennettKernel, power: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log P(Y = y), w(y)^power > 0, log P(Y = y) + log w(y)^power) at
+    y = 0..n, read-only.  Every entry is computed elementwise, so a slice
+    holds the doubles that the same formulas give on that slice alone."""
+    ys = np.arange(kernel.n + 1)
+    logp = kernel.log_pmf(ys)
+    w = w_stat(ys, kernel) ** power
+    with np.errstate(divide="ignore"):
+        terms = logp + np.log(w)
+    tables = (logp, w > 0.0, terms)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@lru_cache(maxsize=256)
+def _log_tail(kernel: BennettKernel, k_min: int) -> float:
+    """log P(Y >= k_min), the denominator that nu and gamma share."""
+    return logsumexp(_moment_terms(kernel, 1)[0][k_min:])
+
+
 def _conditional_moment(a: float, kernel: BennettKernel, power: int) -> float:
     k_min = z_threshold_to_count(a, kernel)
     if k_min > kernel.n:
         raise EmptyConditionError(
             f"k_min={k_min} exceeds n={kernel.n}: conditioning event is empty"
         )
-    ys = np.arange(k_min, kernel.n + 1)
-    logp = kernel.log_pmf(ys)
-    w = w_stat(ys, kernel) ** power
-    log_denom = logsumexp(logp)
-    pos = w > 0.0
+    _, pos, terms = _moment_terms(kernel, power)
+    pos = pos[k_min:]
     if not pos.any():
         return 0.0
-    log_num = logsumexp(logp[pos] + np.log(w[pos]))
-    return math.exp(log_num - log_denom)
+    log_num = logsumexp(terms[k_min:][pos])
+    return math.exp(log_num - _log_tail(kernel, k_min))
 
 
 def nu(a: float, kernel: BennettKernel) -> float:

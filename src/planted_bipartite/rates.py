@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import lru_cache
 
 from .binomial_kernel import log_gamma
 from .errors import ParameterError
@@ -79,8 +80,9 @@ class RateBundle:
     branch: Branch
 
 
+@lru_cache(maxsize=4096)
 def log_binom(n: int, k: int) -> float:
-    """log C(n, k) via log-gamma."""
+    """log C(n, k) via log-gamma, cached."""
     if not 0 <= k <= n:
         raise ParameterError(f"k={k} outside [0, {n}]")
     return log_gamma(n + 1) - log_gamma(k + 1) - log_gamma(n - k + 1)

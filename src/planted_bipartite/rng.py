@@ -23,7 +23,10 @@ stopped before its last step, s ^= s >> 33, so the cell's word is (s ^ (s
 states into edge bits.  The last step keeps the top 33 bits of s, so the
 word lies below a cut exactly when s lies below L, the cut times 2^11 with
 its low 31 bits cleared, except for the states in [L, L + 2^31), a chance
-of 2^-33 per cell, which `edges` finishes and compares exactly.
+of 2^-33 per cell, which `edges` finishes and compares exactly.  A band
+state's word has the cut's top 33 bits, so it can be an edge only when the
+cut's low 20 bits are not all zero; below 2^53, a cut that is a multiple of
+2^20 (p a multiple of 2^-33, such as 1/4) has no band to finish.
 `cell_uniforms` and `batch_cell_uniforms` finish every state into its word.
 Supports come from `sample_subsets`, a partial Fisher-Yates shuffle run for
 a whole block of trials at once.  Each trial keeps a table of the at most 2k
@@ -132,9 +135,16 @@ def edges(states: np.ndarray, cut: int) -> np.ndarray:
     band is looked for as a 32-bit half equal to them: one pass, cheaper
     than a second 64-bit comparison, and a low half that matches by chance
     costs only the exact look.  For the cut 2^53, L would be 2^64, and the
-    last band below 2^64, whose words all lie below the cut, stands for it."""
+    last band below 2^64, whose words all lie below the cut, stands for it.
+
+    A band state's word has the cut's top 33 bits, cut >> 20, so it is an
+    edge only when its low 20 bits lie below the cut's.  So for a cut below
+    2^53 that is a multiple of 2^20, such as 0 or below(1/4) = 2^51, no band
+    state is an edge, and one comparison decides every cell."""
     low = min(cut << 11, _MASK) & ~((1 << 31) - 1)
     bits = states < np.uint64(low)
+    if cut % (1 << 20) == 0 and cut < 1 << 53:
+        return bits
     if (np.ravel(states).view(np.uint32) == np.uint32(low >> 32)).any():
         band = (states >= np.uint64(low)) & (states <= np.uint64(low + (1 << 31) - 1))
         bits[band] = _finish(states[band]) < np.uint64(cut)

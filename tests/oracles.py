@@ -5,10 +5,11 @@ the Bennett function that the kernel w is built from, the appendix variant
 of psi used to bracket the rate, the second moment of the likelihood ratio
 by enumerating every pair of supports, the support sampler as a scalar
 partial Fisher-Yates shuffle, the matrix file writer one cell at a time,
-the exact Type I and Type II errors of the total degree test by convolving
-binomial pmfs, and the exact null moments of the truncated degree
-statistic from the binomial pmf.  The tests compare the package against
-them.  The empty-subgraph diagnostic checks Monte Carlo frequencies of an
+the conditional moments nu and gamma summed per call, the exact Type I and
+Type II errors of the total degree test by convolving binomial pmfs, and
+the exact null and planted moments of the truncated degree statistic from
+the binomial pmf.  The tests compare the package against them.  The
+empty-subgraph diagnostic checks Monte Carlo frequencies of an
 all-zero block, found by the detectors' max scan `_scan_max` (its table
 scores only the count 0, so every subset is enumerated), against the union
 bound behind the lower bound.
@@ -19,7 +20,9 @@ from itertools import combinations
 
 import numpy as np
 
-from planted_bipartite.binomial_kernel import BennettKernel
+from planted_bipartite.binomial_kernel import (
+    BennettKernel, log_gamma, logsumexp, w_stat, z_threshold_to_count,
+)
 from planted_bipartite.detectors import DEFAULT_SUBSET_BUDGET, _contribution_table, _scan_max
 from planted_bipartite.errors import BudgetError, ParameterError
 from planted_bipartite.graph_model import ProblemShape
@@ -143,6 +146,28 @@ def empty_subgraph_diagnostic(
     }
 
 
+def conditional_moment_reference(a: float, kernel: BennettKernel, power: int) -> float:
+    """E[w(Y)^power | Y >= k_min(a)] summed per call, as binomial_kernel's
+    nu (power 1) and gamma (power 2) were before their tables: log y! for
+    y = 0..n from log_gamma, then the log-pmf, w^power and both logsumexps
+    over k_min..n alone.  None when the conditioning event is empty."""
+    n = kernel.n
+    k_min = z_threshold_to_count(a, kernel)
+    if k_min > n:
+        return None
+    log_fact = np.array([log_gamma(i + 1) for i in range(n + 1)])
+    ys = np.arange(k_min, n + 1)
+    y = ys.astype(np.float64)
+    logp = (log_fact[n] - log_fact[ys] - log_fact[n - ys]
+            + y * math.log(kernel.p0) + (n - y) * math.log1p(-kernel.p0))
+    w = w_stat(ys, kernel) ** power
+    log_denom = logsumexp(logp)
+    pos = w > 0.0
+    if not pos.any():
+        return 0.0
+    return math.exp(logsumexp(logp[pos] + np.log(w[pos])) - log_denom)
+
+
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
     """P(Bin(n, p) = s) for s = 0..n from BennettKernel.log_pmf; n = 0 and
     p >= 1 are point masses."""
@@ -169,15 +194,29 @@ def total_degree_errors(shape: ProblemShape, p0: float, delta: float, h: float):
     return float(_binomial_pmf(n, p0)[reject].sum()), float(planted[~reject].sum())
 
 
-def truncated_degree_null_moments(n1: int, n2: int, p0: float, tau: float):
+def truncated_degree_moments(
+    n1: int, n2: int, p0: float, tau: float, k1: int = 0, k2: int = 0, p1: float = 0.0
+):
     """Exact (mean, variance, fourth central moment) of the axis-1 truncated
-    degree statistic sum_j f[C_j] on an n1 x n2 null matrix, whose n2 column
-    counts C_j are independent Bin(n1, p0).  f is the statistic's
-    contribution table and the pmf comes from BennettKernel.log_pmf.  The
-    mean is 0 up to rounding, by the centring of f at nu_tau."""
+    degree statistic sum_j f[C_j] on an n1 x n2 matrix whose column counts
+    C_j are independent: Bin(n1, p0) under the null, and under a k1 x k2
+    block planted at p1, given its support, Bin(n1 - k1, p0) + Bin(k1, p1)
+    in the k2 block columns.  f is the statistic's contribution table and
+    the pmfs come from BennettKernel.log_pmf.  The null mean is 0 up to
+    rounding, by the centring of f at nu_tau.  Each column group g of m_g
+    columns adds m_g times its mean, variance and fourth central moment, and
+    the sum's fourth central moment gains 3 (V^2 - sum_g m_g var_g^2) from
+    the pairs of distinct columns, V being the total variance."""
     f = _contribution_table(n1, p0, tau)
-    pmf = _binomial_pmf(n1, p0)
-    mean = float(pmf @ f)
-    var = float(pmf @ (f - mean) ** 2)
-    m4 = float(pmf @ (f - mean) ** 4)
-    return n2 * mean, n2 * var, n2 * m4 + 3 * n2 * (n2 - 1) * var**2
+    groups = [(n2 - k2, _binomial_pmf(n1, p0))]
+    if k2:
+        groups.append((k2, np.convolve(_binomial_pmf(n1 - k1, p0), _binomial_pmf(k1, p1))))
+    mean = var = m4 = pairs = 0.0
+    for m, pmf in groups:
+        mu = float(pmf @ f)
+        v = float(pmf @ (f - mu) ** 2)
+        mean += m * mu
+        var += m * v
+        m4 += m * float(pmf @ (f - mu) ** 4)
+        pairs -= m * v**2
+    return mean, var, m4 + 3 * (var**2 + pairs)

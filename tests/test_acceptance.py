@@ -34,12 +34,12 @@ from planted_bipartite import (
     w_stat,
     z_threshold_to_count,
 )
-from planted_bipartite import rng
+from planted_bipartite import harness, rng
 from planted_bipartite.cli import dispatch
-from planted_bipartite.detectors import null_statistics, truncation_levels
+from planted_bipartite.detectors import _batch_statistic, null_statistics, truncation_levels
 from oracles import (
     bennett_h, empty_subgraph_diagnostic, second_moment_bruteforce, total_degree_errors,
-    truncated_degree_null_moments,
+    truncated_degree_moments,
 )
 
 
@@ -287,9 +287,35 @@ def test_a10_batch_size_determinism(tmp_path, monkeypatch):
         assert outs[0] == outs[1] == outs[2]
 
 
-def test_a12_total_degree_exact_errors():
+def _planted_statistics(monkeypatch, kind, shape, p0, delta, trials, seed):
+    """The statistics of the planted pass at `delta`, read at its calls of
+    the statistic."""
+    stats = []
+
+    def record(bits, p0, kind):
+        out = _batch_statistic(bits, p0, kind)
+        stats.append(out)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_batch_statistic", record)
+        harness._planted_accept_count(kind, shape, p0, [delta], math.inf, trials, seed)
+    return np.concatenate(stats)
+
+
+def _assert_moments(stats, mean, var, mu4):
+    """The sample mean within 4 SE of the exact mean, and the sample
+    variance within 4 of its SEs, sqrt((mu4 - var^2 (T - 3) / (T - 1)) / T)
+    from the exact fourth central moment mu4."""
+    t = len(stats)
+    assert abs(stats.mean() - mean) <= 4 * math.sqrt(var / t)
+    se = math.sqrt((mu4 - var**2 * (t - 3) / (t - 1)) / t)
+    assert abs(stats.var(ddof=1) - var) <= 4 * se
+
+
+def test_a12_total_degree_exact_errors(monkeypatch):
     """The total degree test's errors and the truncated degree statistic's
-    null moments against exact sums over binomial pmfs."""
+    null and planted moments against exact sums over binomial pmfs."""
     with criterion("A12"):
         # The edge total has an exact law under both hypotheses, so the
         # sweep's Type I and each Type II lie within 4 SE of the oracle's,
@@ -313,18 +339,22 @@ def test_a12_total_degree_exact_errors():
                     assert abs(mc - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
 
         # The truncated degree statistic is a sum of independent column
-        # terms, but its law is not on a lattice, so its null moments are
-        # checked on each axis: the exact mean is 0 by the centring at
-        # nu_tau, the Monte Carlo mean lies within 4 SE of it, and the sample
-        # variance within 4 of its SEs, sqrt((mu4 - var^2 (T - 3) / (T - 1))
-        # / T) from the exact fourth central moment mu4.
+        # terms, but its law is not on a lattice, so its moments are checked
+        # on each axis (_assert_moments).  Under the null the exact mean is 0
+        # by the centring at nu_tau.  Under a plant, given the support, the
+        # k2 block columns count Bin(n1 - k1, p0) + Bin(k1, p0 + delta).  At
+        # p0 = 1/4 the base bits take rng.edges' one comparison, at p0 = 0.2
+        # its band scan; the block cuts at p0 + delta are not dyadic.
         for shape in (ProblemShape(16, 16, 4, 4), ProblemShape(12, 20, 3, 5)):
             for tag, oriented in ((DetectorTag.TRUNC_DEGREE_AXIS1, shape),
                                   (DetectorTag.TRUNC_DEGREE_AXIS2, shape.swapped())):
                 tau = truncation_levels(oriented)[0]
-                mean, var, mu4 = truncated_degree_null_moments(oriented.n1, oriented.n2, p0, tau)
+                kind = DetectorKind(tag, tau=tau)
+                mean, var, mu4 = truncated_degree_moments(oriented.n1, oriented.n2, p0, tau)
                 assert abs(mean) <= 1e-12
-                stats = null_statistics(DetectorKind(tag, tau=tau), shape, p0, trials, 12)
-                assert abs(stats.mean() - mean) <= 4 * math.sqrt(var / trials)
-                se = math.sqrt((mu4 - var**2 * (trials - 3) / (trials - 1)) / trials)
-                assert abs(stats.var(ddof=1) - var) <= 4 * se
+                _assert_moments(null_statistics(kind, shape, p0, trials, 12), mean, var, mu4)
+                for q0, delta in ((0.25, 0.15), (0.2, 0.35)):
+                    moments = truncated_degree_moments(
+                        oriented.n1, oriented.n2, q0, tau, oriented.k1, oriented.k2, q0 + delta)
+                    stats = _planted_statistics(monkeypatch, kind, shape, q0, delta, trials, 12)
+                    _assert_moments(stats, *moments)

@@ -22,7 +22,7 @@ from planted_bipartite import (
     w_stat,
     z_threshold_to_count,
 )
-from oracles import bennett_h
+from oracles import bennett_h, conditional_moment_reference
 
 
 class TestBennettH:
@@ -130,6 +130,22 @@ class TestNuGamma:
         k = BennettKernel(5, 0.2)
         with pytest.raises(EmptyConditionError):
             nu(100.0, k)
+
+    @settings(max_examples=300)
+    @given(st.integers(1, 600), st.floats(1e-3, 1 - 1e-3), st.floats(0.0, 4.0))
+    def test_tables_match_per_call_sums(self, n, p0, a):
+        """nu and gamma, summed over slices of the kernel's cached tables and
+        the one grown table of log y!, give the per-call sums' doubles; the
+        hypothesis draws grow that table in random order."""
+        for power, func in ((1, nu), (2, gamma)):
+            want = conditional_moment_reference(a, BennettKernel(n, p0), power)
+            if want is None:
+                with pytest.raises(EmptyConditionError):
+                    func(a, BennettKernel(n, p0))
+                continue
+            for _ in range(2):
+                got = func(a, BennettKernel(n, p0))
+                assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
     def test_monte_carlo_oracle(self):
         k = BennettKernel(50, 0.2)

@@ -152,9 +152,22 @@ class TestBelow:
 
 
 # Cuts whose band [L, L + 2^31) holds both edges and non-edges (near 2^53,
-# where L + 2^31 reaches 2^64), none (0, 2^51) or only the words below 1.
+# where L + 2^31 reaches 2^64, and anywhere), none (0, 2^51 and the other
+# multiples of 2^20 below 2^53, which edges decides by one comparison) or
+# only the words below 1; and multiples of 2^19, half of them with the low
+# 20 bits 2^19.
 _CUTS = st.one_of(st.sampled_from([0, 1, rng.below(0.25), 2**53]),
-                  st.integers(2**53 - 2**20, 2**53 - 1))
+                  st.integers(2**53 - 2**20, 2**53 - 1),
+                  st.integers(0, 2**53),
+                  st.integers(0, 2**33).map(lambda m: m << 20),
+                  st.integers(0, 2**34).map(lambda m: m << 19))
+
+
+def _state(word: int, r: int = 0) -> int:
+    """A cell state whose word is `word`: y = word 2^11 + r gives the state
+    y ^ (y >> 33), since the xor-shift by 33 undoes itself."""
+    y = (word << 11) + r
+    return y ^ (y >> 33)
 
 
 class TestEdges:
@@ -188,11 +201,30 @@ class TestEdges:
         2^64, and the top 2^31 states stand in for the band."""
         low = min((cut << 11) & ~(2**31 - 1), 2**64 - 2**31)
         states = [low - 1, low, low + 2**31 - 1, low + 2**31] + [low + d for d in offsets]
-        for dx, r in near:
-            y = ((cut + dx) << 11) + r
-            states.append(y ^ (y >> 33))
+        states += [_state(cut + dx, r) for dx, r in near]
         states += [(h << 32) + (low >> 32) for h in highs]
         self._check([s for s in states if 0 <= s < 2**64], cut)
+
+    @pytest.mark.parametrize("cut,word,edge", [
+        (2**51, 2**51, False), (2**51 + 1, 2**51, True),
+        (2**51 + 2**19, 2**51 + 2**19 - 1, True), (2**51 + 2**19, 2**51 + 2**19, False),
+        (2**20, 2**20, False), (2**20 + 1, 2**20, True),
+    ])
+    def test_band_state_next_to_the_cut(self, cut, word, edge):
+        """A band state's word shares the cut's top 33 bits, so it is an
+        edge only when its low 20 bits lie below the cut's: never at the
+        cuts 2^51 and 2^20, which edges decides by one comparison, but at
+        2^51 + 1, 2^20 + 1 and 2^51 + 2^19, whose low bits are not all zero."""
+        states = [_state(word), _state(word, 2**11 - 1)]
+        assert all((cut << 11) >> 31 == s >> 31 for s in states)
+        assert rng.edges(np.array(states, dtype=np.uint64), cut).tolist() == [edge, edge]
+
+    def test_top_band_at_the_cut_one(self):
+        """At the cut 2^53 every word is an edge; L would be 2^64, so the
+        top band [2^64 - 2^31, 2^64) stands for it and must be finished."""
+        states = [2**64 - 2**31, 2**64 - 2**31 + 12345, 2**64 - 1, 2**64 - 2**31 - 1, 0]
+        assert rng.edges(np.array(states, dtype=np.uint64), 2**53).all()
+
 
 class TestSampling:
     def test_null_p0_zero_one(self):
