@@ -310,8 +310,7 @@ def _run_sweep(cfg: ExperimentConfig, out_path, experiment_id: str) -> int:
     else:
         lines = ["delta,type1,type2,risk"]
         for row in sweep.rows:
-            e = row.estimate
-            lines.append(",".join(map(_fmt, (row.delta, e.type1, e.type2, e.risk))))
+            lines.append(",".join(map(_fmt, (row.delta, row.type1, row.type2, row.risk))))
         _emit_text("\n".join(lines) + "\n", None)
     return EXIT_OK
 

@@ -177,12 +177,6 @@ def _column_counts(bits: np.ndarray) -> np.ndarray:
     return bits.sum(axis=1, dtype=np.min_scalar_type(bits.shape[1]))
 
 
-def _batch_truncated(bits: np.ndarray, p0: float, tau: float) -> np.ndarray:
-    """bits: (T, n1, n2) with axis already oriented; returns (T,)."""
-    f = _contribution_table(bits.shape[1], p0, tau)
-    return np.take(f, _column_counts(bits)).sum(axis=1)
-
-
 @functools.lru_cache(maxsize=32)
 def _subset_indices(n: int, k: int, budget: int) -> np.ndarray:
     """(S, k) read-only row indices of all k-subsets of [n], lexicographic;
@@ -295,32 +289,28 @@ def _scan_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
     return best
 
 
-def _batch_max_truncated(
-    bits: np.ndarray, p0: float, tau: float, k_scan: int, budget: int
-) -> np.ndarray:
-    """bits: (T, n1, n2) with axis already oriented; returns (T,)."""
-    n1 = bits.shape[1]
-    if k_scan > n1:
-        raise ParameterError(f"k_scan={k_scan} exceeds row count {n1}")
-    return _scan_max(bits, _contribution_table(k_scan, p0, tau), budget)
-
-
 def statistic(A: AdjacencyMatrix, p0: float, kind: DetectorKind) -> float:
     """Evaluate the selected statistic on one matrix."""
     return float(_batch_statistic(A.bits[None, :, :], p0, kind)[0])
 
 
 def _batch_statistic(bits: np.ndarray, p0: float, kind: DetectorKind) -> np.ndarray:
+    """(T,) statistics of (T, n1, n2) bits; an axis-2 kind scores the
+    transpose, so its scan draws subsets of columns."""
     tag = kind.tag
     if tag in _AXIS2_TAGS:
         bits = bits.transpose(0, 2, 1)
     if tag is DetectorTag.TOTAL_DEGREE:
         return _batch_total(bits, p0)
+    n = bits.shape[1]
     if tag in _MAX_TAGS:
+        if kind.k_scan > n:
+            axis = "column" if tag in _AXIS2_TAGS else "row"
+            raise ParameterError(f"k_scan={kind.k_scan} exceeds {axis} count {n}")
         budget = DEFAULT_SUBSET_BUDGET if kind.budget is None else kind.budget
-        return _batch_max_truncated(bits, p0, kind.tau, kind.k_scan, budget)
+        return _scan_max(bits, _contribution_table(kind.k_scan, p0, kind.tau), budget)
     if tag in _TRUNC_TAGS:
-        return _batch_truncated(bits, p0, kind.tau)
+        return np.take(_contribution_table(n, p0, kind.tau), _column_counts(bits)).sum(axis=1)
     raise ParameterError(f"statistic undefined for tag {tag.value}; resolve DELTA_STAR first")
 
 

@@ -9,7 +9,9 @@ same uniforms drive every point of a delta grid (common random numbers).
 Trials arrive in chunks of at most rng.BATCH_BYTES of uniforms, so memory
 does not grow with the trial count.  The threshold and the Type I error are
 computed once per sweep and once per bisection, and `SweepResult` carries
-the resolved detector and threshold.  Result rows are written as CSV only.
+the resolved detector and threshold.  A sweep's rows are its
+`RiskEstimate`s, each carrying the delta it was made at.  Result rows are
+written as CSV only.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RiskEstimate:
+    delta: float
     type1: float
     type2: float
     se1: float
@@ -117,7 +120,10 @@ def _evaluate(cfg: ExperimentConfig, resolved: tuple, deltas: list[float]) -> li
     n = cfg.trials
     accepts = _planted_accept_count(kind, cfg.shape, cfg.p0, deltas, threshold, n, cfg.seed)
     se1 = _proportion_se(r1 / n, n)
-    return [RiskEstimate(r1 / n, r2 / n, se1, _proportion_se(r2 / n, n), n) for r2 in accepts]
+    return [
+        RiskEstimate(d, r1 / n, r2 / n, se1, _proportion_se(r2 / n, n), n)
+        for d, r2 in zip(deltas, accepts)
+    ]
 
 
 def estimate_risk(cfg: ExperimentConfig, delta: float) -> RiskEstimate:
@@ -127,14 +133,8 @@ def estimate_risk(cfg: ExperimentConfig, delta: float) -> RiskEstimate:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    delta: float
-    estimate: RiskEstimate
-
-
-@dataclass(frozen=True)
 class SweepResult:
-    rows: tuple[SweepRow, ...]
+    rows: tuple[RiskEstimate, ...]
     type2_monotone: bool
     kind: DetectorKind
     threshold: float
@@ -144,12 +144,10 @@ def power_sweep(cfg: ExperimentConfig) -> SweepResult:
     """One risk estimate per grid delta, sharing random numbers across the
     grid, plus a flag for whether Type II decreases in delta up to noise."""
     resolved = _resolve(cfg)
-    deltas = sorted(cfg.delta_grid)
-    rows = tuple(SweepRow(d, e) for d, e in zip(deltas, _evaluate(cfg, resolved, deltas)))
+    rows = tuple(_evaluate(cfg, resolved, sorted(cfg.delta_grid)))
     monotone = True
     for a, b in zip(rows, rows[1:]):
-        slack = 4.0 * (a.estimate.se2 + b.estimate.se2)
-        if b.estimate.type2 > a.estimate.type2 + slack:
+        if b.type2 > a.type2 + 4.0 * (a.se2 + b.se2):
             monotone = False
     return SweepResult(rows, monotone, kind=resolved[0], threshold=resolved[1])
 
@@ -225,9 +223,7 @@ def result_rows(cfg: ExperimentConfig, sweep: SweepResult, experiment_id: str) -
             threshold_mode=cfg.threshold.mode.value,
             threshold=sweep.threshold,
             trials=cfg.trials, seed=cfg.seed,
-            type1=row.estimate.type1, se1=row.estimate.se1,
-            type2=row.estimate.type2, se2=row.estimate.se2,
-            risk=row.estimate.risk,
+            type1=row.type1, se1=row.se1, type2=row.type2, se2=row.se2, risk=row.risk,
         )
         for row in sweep.rows
     ]

@@ -11,9 +11,9 @@ supports on each axis.  The minimax risk is then at least
 moment-generating-function bounds E[exp(mu^2 U V)] (hypergeometric, and with
 binomial domination) so the slack in the chain is visible, and the exact
 total variation distance by enumerating every binary matrix on tiny
-instances, block by block within rng.BATCH_BYTES.  The brute-force second
-moment over all support pairs, which checks the overlap sums, lives with the
-tests (tests/oracles.py).
+instances, block by block within rng.BATCH_BYTES, on one path for every p1
+up to 1.  The brute-force second moment over all support pairs, which
+checks the overlap sums, lives with the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -64,19 +64,14 @@ def _overlap_log_pmf(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return us, logp
 
 
-def _exp_or_inf(x: float) -> float:
-    """math.exp(x), or inf where math.exp would overflow."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
-
-
 def _exp_moment(x, y, rate: float) -> float:
     """E[exp(rate X Y)] for independent X and Y, each given as (support,
     log-pmf): one log-space double sum, inf where exp overflows."""
     (xs, log_px), (ys, log_py) = x, y
-    return _exp_or_inf(logsumexp(log_px[:, None] + log_py[None, :] + rate * np.outer(xs, ys)))
+    try:
+        return math.exp(logsumexp(log_px[:, None] + log_py[None, :] + rate * np.outer(xs, ys)))
+    except OverflowError:
+        return math.inf
 
 
 def second_moment_exact(shape: ProblemShape, p0: float, delta: float) -> float:
@@ -149,7 +144,10 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     size: each matrix's log-probability is one matrix-vector product row,
     the supports are added in one fixed order, and the terms are summed in
     numpy's pairwise order over the whole enumeration, rebuilt from sums of
-    aligned runs of terms.
+    aligned runs of terms.  Each support is one pair of log-probability
+    vectors, p1 = 1 included, where a finite floor stands for
+    log(1 - p1) = log 0 and a matrix missing a planted edge has probability
+    0.0.
     """
     _check_signal(p0, delta)
     cells = shape.n1 * shape.n2
@@ -157,28 +155,19 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
         raise BudgetError(f"2^{cells} matrices exceed the 2^{TV_BUDGET_BITS} budget")
     # delta may exceed 1 - p0 by the rounding slack _check_signal allows.
     p1 = min(p0 + delta, 1.0)
-    # Only log(1 - p1) can be -inf (p1 = 1); it needs explicit zero masses.
-    with np.errstate(divide="ignore"):
-        lp0, lq0 = np.log(p0), np.log(1.0 - p0)
-        lp1, lq1 = np.log(p1), np.log(1.0 - p1)
+    lp0, lq0, lp1 = np.log(p0), np.log(1.0 - p0), np.log(p1)
+    # The floor is exact: a matrix missing a planted edge sums to about
+    # -1e300, whose exp is 0.0, and a zero bit times the floor adds -0.0,
+    # which changes at most the sign of a zero sum; exp maps both to 1.0.
+    # Any floor below about -745 would do; -inf would make 0 * -inf NaN.
+    lq1 = np.log(1.0 - p1) if p1 < 1.0 else -1e300
 
     def log_vectors(planted: np.ndarray):
-        """(a, b, impossible) for a support: a matrix's log-probability is
-        bits @ a + (1 - bits) @ b, and it has zero mass where
-        (1 - bits) @ impossible > 0 (None when no cell value is impossible)."""
-        b = np.where(planted, lq1, lq0)
-        ib = np.isneginf(b)
-        impossible = ib.astype(float) if ib.any() else None
-        return np.where(planted, lp1, lp0), np.where(ib, 0.0, b), impossible
+        """(a, b) for a support: a matrix's log-probability is
+        bits @ a + (1 - bits) @ b."""
+        return np.where(planted, lp1, lp0), np.where(planted, lq1, lq0)
 
-    def matrix_probs(on: np.ndarray, off: np.ndarray, vectors) -> np.ndarray:
-        a, b, impossible = vectors
-        out = np.exp(on @ a + off @ b)
-        if impossible is not None:
-            out[off @ impossible > 0] = 0.0
-        return out
-
-    null = log_vectors(np.zeros(cells, dtype=bool))
+    a0, b0 = log_vectors(np.zeros(cells, dtype=bool))
     supports = []
     for K1 in combinations(range(shape.n1), shape.k1):
         row_mask = np.zeros(shape.n1, dtype=bool)
@@ -218,10 +207,10 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
         high = ((lo >> shifts[low:]) & 1).astype(np.float64)
         on[:, low:] = high
         off[:, low:] = 1.0 - high
-        prob0 = matrix_probs(on, off, null)
+        prob0 = np.exp(on @ a0 + off @ b0)
         prob_mix = np.zeros(rows)
-        for vectors in supports:
-            prob_mix += matrix_probs(on, off, vectors)
+        for a, b in supports:
+            prob_mix += np.exp(on @ a + off @ b)
         prob_mix /= len(supports)
         part = terms[lo % width : lo % width + rows]
         np.abs(np.subtract(prob0, prob_mix, out=part), out=part)

@@ -8,7 +8,9 @@ partial Fisher-Yates shuffle, the matrix file writer one cell at a time,
 the conditional moments nu and gamma summed per call, the exact Type I and
 Type II errors of the total degree test by convolving binomial pmfs, and
 the exact null and planted moments of the truncated degree statistic from
-the binomial pmf.  The tests compare the package against them.  The
+the binomial pmf, and the likelihood ratio of the uniform-support prior,
+whose test "L > 1" is Bayes-optimal.  The tests compare the package against
+them.  The
 empty-subgraph diagnostic checks Monte Carlo frequencies of an
 all-zero block, found by the detectors' max scan `_scan_max` (its table
 scores only the count 0, so every subset is enumerated), against the union
@@ -220,3 +222,27 @@ def truncated_degree_moments(
         m4 += m * float(pmf @ (f - mu) ** 4)
         pairs -= m * v**2
     return mean, var, m4 + 3 * (var**2 + pairs)
+
+
+def likelihood_ratio(bits: np.ndarray, shape: ProblemShape, p0: float, delta: float) -> np.ndarray:
+    """(T,) likelihood ratios P_mix(A) / P0(A) of (T, n1, n2) bits under the
+    uniform prior over k1 x k2 supports, the block at p1 = p0 + delta.  Over
+    a row support K1 with column counts c_j, a column's factor is g_j =
+    r^c_j s^(k1 - c_j), r = p1 / p0 and s = (1 - p1) / (1 - p0), and the
+    mean over column supports is e_k2(g_1, ..., g_n2) / C(n2, k2), e_k2 the
+    elementary symmetric polynomial.  L is the mean of that over K1.  The
+    DP runs in log space on a table of log g per count, so s = 0 (p1 = 1)
+    gives log g = -inf wherever a block cell is missing, and no 0 * -inf."""
+    n1, n2, k1, k2 = shape.n1, shape.n2, shape.k1, shape.k2
+    p1 = min(p0 + delta, 1.0)
+    log_r = math.log(p1 / p0)
+    log_s = math.log((1.0 - p1) / (1.0 - p0)) if p1 < 1.0 else -math.inf
+    log_g = np.array([c * log_r + ((k1 - c) * log_s if c < k1 else 0.0) for c in range(k1 + 1)])
+    supports = np.array(list(combinations(range(n1), k1)))
+    counts = bits[:, supports, :].sum(axis=2)  # (T, C(n1, k1), n2)
+    e = np.full((k2 + 1,) + counts.shape[:2], -np.inf)
+    e[0] = 0.0
+    for j in range(n2):
+        e[1:] = np.logaddexp(e[1:], e[:-1] + log_g[counts[..., j]])
+    log_l = np.logaddexp.reduce(e[k2], axis=1) - log_binom(n1, k1) - log_binom(n2, k2)
+    return np.exp(log_l)

@@ -34,12 +34,12 @@ from planted_bipartite import (
     w_stat,
     z_threshold_to_count,
 )
-from planted_bipartite import harness, rng
+from planted_bipartite import detectors, harness, rng
 from planted_bipartite.cli import dispatch
 from planted_bipartite.detectors import _batch_statistic, null_statistics, truncation_levels
 from oracles import (
-    bennett_h, empty_subgraph_diagnostic, second_moment_bruteforce, total_degree_errors,
-    truncated_degree_moments,
+    bennett_h, empty_subgraph_diagnostic, likelihood_ratio, second_moment_bruteforce,
+    total_degree_errors, truncated_degree_moments,
 )
 
 
@@ -171,8 +171,8 @@ def test_a4_detection_power():
     with criterion("A4"):
         cfg, delta = _a4_config()
         sweep = power_sweep(cfg)
-        top = sweep.rows[-1].estimate
-        assert sweep.rows[-1].delta == delta
+        top = sweep.rows[-1]
+        assert top.delta == delta
         assert top.risk <= 0.5
         assert sweep.type2_monotone
 
@@ -335,7 +335,7 @@ def test_a12_total_degree_exact_errors(monkeypatch):
             sweep = power_sweep(cfg)
             for row in sweep.rows:
                 type1, type2 = total_degree_errors(shape, p0, row.delta, sweep.threshold)
-                for mc, exact in ((row.estimate.type1, type1), (row.estimate.type2, type2)):
+                for mc, exact in ((row.type1, type1), (row.type2, type2)):
                     assert abs(mc - exact) <= 4 * math.sqrt(exact * (1 - exact) / trials)
 
         # The truncated degree statistic is a sum of independent column
@@ -358,3 +358,32 @@ def test_a12_total_degree_exact_errors(monkeypatch):
                         oriented.n1, oriented.n2, q0, tau, oriented.k1, oriented.k2, q0 + delta)
                     stats = _planted_statistics(monkeypatch, kind, shape, q0, delta, trials, 12)
                     _assert_moments(stats, *moments)
+
+
+def test_a15_bayes_test_risk_is_one_minus_tv(monkeypatch):
+    """Under the uniform-support prior the test "reject when L(A) > 1" has
+    the least Type I + Type II of any test, and that sum is exactly
+    1 - TV(P0, P_mix) (Neyman-Pearson; Le Cam).  L runs as the statistic of
+    the harness's own null and planted passes, so its Monte Carlo risk,
+    within 4 SE of 1 - tv_exact, checks the null sampler, the support
+    sampler, the planted pass and the enumeration against each other.  The
+    last shape plants p1 = 1."""
+    with criterion("A15"):
+        trials, kind = 40_000, DetectorKind(DetectorTag.TOTAL_DEGREE)
+        for shape, p0, delta in [
+            (ProblemShape(3, 6, 2, 2), 0.25, 0.4),
+            (ProblemShape(4, 4, 2, 2), 0.25, 0.5),
+            (ProblemShape(3, 5, 1, 3), 0.2, 0.3),
+            (ProblemShape(2, 5, 1, 2), 0.25, 0.75),
+        ]:
+            def ratio(bits, _p0, _kind, shape=shape, p0=p0, delta=delta):
+                return likelihood_ratio(bits, shape, p0, delta)
+
+            monkeypatch.setattr(detectors, "_batch_statistic", ratio)
+            monkeypatch.setattr(harness, "_batch_statistic", ratio)
+            type1 = harness._null_reject_count(kind, shape, p0, 1.0, trials, 7) / trials
+            (accepts,) = harness._planted_accept_count(kind, shape, p0, [delta], 1.0, trials, 7)
+            type2 = accepts / trials
+            se = math.sqrt((type1 * (1 - type1) + type2 * (1 - type2)) / trials)
+            bayes = 1.0 - tv_exact(shape, p0, delta)
+            assert abs(type1 + type2 - bayes) <= 4 * se, (shape, type1 + type2, bayes, se)

@@ -90,6 +90,18 @@ class TestStat:
         assert code == 2
         assert json.loads(err)["error"] == "budget"
 
+    @pytest.mark.parametrize("axis, k1, count", [(1, 5, "row count 4"), (2, 7, "column count 6")])
+    def test_scan_larger_than_its_axis(self, tmp_path, capsys, axis, k1, count):
+        m = tmp_path / "m.txt"
+        m.write_text("4 6\n" + "010110\n" * 4)
+        code, out, err = run(capsys, "stat", str(m), "--p0", "0.25",
+                             "--detector", f"MAX_TRUNC_AXIS{axis}", "--tau", "1.0",
+                             "--k1", str(k1))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {"error": "usage",
+                                   "message": f"k_scan={k1} exceeds {count}"}
+
 
 class TestRates:
     def test_reference_output(self, capsys):

@@ -191,6 +191,16 @@ class TestMaxTruncatedDegree:
         with pytest.raises(BudgetError, match="exceed budget 1000$"):
             statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=15, budget=1000))
 
+    @pytest.mark.parametrize("tag, k_scan, message", [
+        (MAX1, 5, "k_scan=5 exceeds row count 4"),
+        (MAX2, 7, "k_scan=7 exceeds column count 6"),
+    ])
+    def test_scan_larger_than_its_axis(self, tag, k_scan, message):
+        # An axis-2 scan draws subsets of the 6 columns of a 4 x 6 matrix.
+        A = sample_null(ProblemShape(4, 6, 2, 2), 0.25, 1)
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            statistic(A, 0.25, DetectorKind(tag, tau=1.0, k_scan=k_scan))
+
 
 def _reference_truncated(bits, p0, tau, k_scan=None):
     """Reference scan: float64 einsum counts over every k_scan-row subset
@@ -287,7 +297,7 @@ class TestScanExactness:
         shape = ProblemShape(20, 64, 5, 4)
         bits = np.stack([sample_null(shape, 0.25, s).bits for s in range(4)])
         bits[3, 15:, ::2] = 1
-        got = detectors._batch_max_truncated(bits, 0.25, 1.3, 5, 10**6)
+        got = _batch_statistic(bits, 0.25, DetectorKind(MAX1, tau=1.3, k_scan=5))
         assert _bit_equal(_reference_truncated(bits, 0.25, 1.3, 5), got)
 
     def test_composite_null_trials_where_candidates_do_not_prune(self):
@@ -310,8 +320,8 @@ class TestScanExactness:
         # (12, 3) puts four trials in one block; (20, 5) splits subsets.
         shape = ProblemShape(n1, 64, k_scan, 4)
         mats = [sample_null(shape, 0.25, 100 + s) for s in range(trials)]
-        batch = detectors._batch_max_truncated(
-            np.stack([A.bits for A in mats]), 0.25, 1.0, k_scan, 10**6
+        batch = _batch_statistic(
+            np.stack([A.bits for A in mats]), 0.25, DetectorKind(MAX1, tau=1.0, k_scan=k_scan)
         )
         single = [statistic(A, 0.25, DetectorKind(MAX1, tau=1.0, k_scan=k_scan)) for A in mats]
         assert _bit_equal(single, batch)
@@ -584,11 +594,12 @@ class TestCandidatePass:
         assert rng.BATCH_BYTES // (8 * 20 * 64) == 51
         bits = np.stack([sample_null(shape, 0.25, s).bits for s in range(51)])
         tau = truncation_levels(shape)[1]
-        detectors._batch_max_truncated(bits, 0.25, tau, 5, 10**6)  # fill the table caches
+        kind = DetectorKind(MAX1, tau=tau, k_scan=5)
+        _batch_statistic(bits, 0.25, kind)  # fill the table caches
         calls = _record_scan(monkeypatch)
         tracemalloc.start()
         try:
-            detectors._batch_max_truncated(bits, 0.25, tau, 5, 10**6)
+            _batch_statistic(bits, 0.25, kind)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -98,12 +98,12 @@ class TestPowerSweep:
         cfg = _cfg(delta_grid=(0.0,))
         sw = power_sweep(cfg)
         assert len(sw.rows) == 1
-        assert sw.rows[0].estimate.risk == pytest.approx(1.0, abs=0.1)
+        assert sw.rows[0].risk == pytest.approx(1.0, abs=0.1)
 
     def test_power_improves(self):
         cfg = _cfg(shape=ProblemShape(32, 32, 16, 16), delta_grid=(0.0, 0.5), trials=800)
         sw = power_sweep(cfg)
-        assert sw.rows[1].estimate.risk < sw.rows[0].estimate.risk
+        assert sw.rows[1].risk < sw.rows[0].risk
         assert sw.type2_monotone
 
     @pytest.mark.parametrize("value", [None, math.inf, -math.inf])
@@ -114,7 +114,7 @@ class TestPowerSweep:
         sw = power_sweep(cfg)
         assert [row.delta for row in sw.rows] == [0.0, 0.15, 0.3]
         for row in sw.rows:
-            assert row.estimate == estimate_risk(cfg, row.delta)
+            assert row == estimate_risk(cfg, row.delta)
         kind, threshold = resolve_threshold(cfg.detector, cfg.shape, cfg.p0, cfg.threshold)
         assert (sw.kind, sw.threshold) == (kind, threshold)
 
@@ -373,11 +373,14 @@ class TestTrialPipeline:
 
     @pytest.mark.parametrize("n, trials", [(256, 40), (64, 300)])
     def test_planted_pass_memory_is_bounded(self, n, trials):
-        """A planted pass holds a chunk of states and its scratch, the chunk's
-        bits, the edge decision's bool per 32-bit half of a state, and the
-        block's row hashes and supports: 2.66 BATCH_BYTES at 256^2 and 2.90
-        at 64^2, under a bound with 0.35 of margin, so one more word-sized
-        matrix per chunk fails it."""
+        """A planted pass holds a chunk of states and its scratch, the
+        block's row hashes and supports, and the last chunk's bits, planted
+        states and block index.  At p0 = 1/4 its null bits take one
+        comparison, which allocates only the bits.  The peak is 2.41
+        BATCH_BYTES at 256^2, as a chunk's bits are decided beside the last
+        chunk's, and 2.90 at 64^2, as a block of 128 supports is shuffled.
+        The bound leaves 0.35 of margin, so one more word-sized matrix per
+        chunk fails it."""
         shape = ProblemShape(n, n, 16, 16)
         kind = DetectorKind(DetectorTag.TRUNC_DEGREE_AXIS1, tau=1.0)
         harness._planted_accept_count(kind, shape, 0.25, [0.0, 0.3], 0.0, 2, 3)

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import logsumexp
 
 from planted_bipartite import rng
@@ -192,6 +193,18 @@ def _reference_tv(shape, p0, delta):
     return 0.5 * float(np.abs(prob0 - prob_mix).sum())
 
 
+def _assert_tv_matches_reference(monkeypatch, shape, p0, delta):
+    """tv_exact's double is _reference_tv's at one-row, odd and default
+    budgets."""
+    row_bytes = 8 * shape.n1 * shape.n2
+    want = np.float64(_reference_tv(shape, p0, delta)).view(np.uint64)
+    for budget in (row_bytes, 1001 * row_bytes, rng.BATCH_BYTES):
+        with monkeypatch.context() as m:
+            m.setattr(rng, "BATCH_BYTES", budget)
+            got = np.float64(tv_exact(shape, p0, delta)).view(np.uint64)
+        assert got == want, (shape, p0, delta, budget)
+
+
 class TestTvExact:
     def test_delta_zero(self):
         assert tv_exact(ProblemShape(2, 2, 1, 1), 0.25, 0.0) == pytest.approx(0.0, abs=1e-14)
@@ -224,16 +237,31 @@ class TestTvExact:
                              ids=lambda d: "x".join(map(str, d)))
     def test_blocks_match_reference(self, monkeypatch, dims):
         # Bit for bit, for one-row, odd and default budgets; p1 = 1 makes
-        # cell values impossible, delta = 0 makes the mixture the null.
+        # cell values impossible (tv_exact's floor for log 0 against the
+        # reference's mask), delta = 0 makes the mixture the null.
         shape = ProblemShape(*dims)
-        row_bytes = 8 * shape.n1 * shape.n2
-        for p0, delta in [(0.25, 0.064663), (0.2, 0.8), (0.1, 0.0)]:
-            want = np.float64(_reference_tv(shape, p0, delta)).view(np.uint64)
-            for budget in (row_bytes, 1001 * row_bytes, rng.BATCH_BYTES):
-                with monkeypatch.context() as m:
-                    m.setattr(rng, "BATCH_BYTES", budget)
-                    got = np.float64(tv_exact(shape, p0, delta)).view(np.uint64)
-                assert got == want, (p0, delta, budget)
+        for p0, delta in [(0.25, 0.064663), (0.2, 0.8), (1e-3, 1 - 1e-3), (0.5, 0.5),
+                          (0.1, 0.0)]:
+            _assert_tv_matches_reference(monkeypatch, shape, p0, delta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_small_shapes(self, data):
+        """Bit for bit on every shape with n1 n2 <= 12, at p1 = 1 and at a
+        random p1."""
+        n1 = data.draw(st.integers(1, 12), label="n1")
+        n2 = data.draw(st.integers(1, 12 // n1), label="n2")
+        shape = ProblemShape(n1, n2, data.draw(st.integers(1, n1), label="k1"),
+                             data.draw(st.integers(1, n2), label="k2"))
+        p0 = data.draw(st.floats(1e-3, 0.99), label="p0")
+        if data.draw(st.booleans(), label="p1 = 1"):
+            delta = 1.0 - p0
+            assume(p0 + delta == 1.0)
+        else:
+            delta = data.draw(st.floats(0.0, 1.0 - p0), label="delta")
+            assume(p0 + delta < 1.0)
+        with pytest.MonkeyPatch.context() as mp:
+            _assert_tv_matches_reference(mp, shape, p0, delta)
 
     def test_memory_is_bounded(self):
         # 4x4 walks 2^16 matrices; the whole bit matrix and its complement
