@@ -202,18 +202,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _detector_kind(name: str, tau, scans: dict, budget) -> DetectorKind:
-    """Detector `name` at truncation `tau` within subset `budget`; `scans`
-    maps a tag to its scan size and the option or key naming it.
-    DetectorKind gets all three as given and refuses a tau, k_scan or budget
-    that the tag's statistic does not read."""
+def _detector_kind(name: str, tau: tuple, scans: dict, budget) -> DetectorKind:
+    """Detector `name` within subset `budget`; `tau` is the truncation level
+    and the option or key naming it, and `scans` maps a tag to its scan size
+    and the option or key naming it.  DetectorKind gets all three values as
+    given and refuses a tau, k_scan or budget that the tag's statistic does
+    not read."""
     try:
         tag = DetectorTag[name.upper().replace("-", "_")]
     except KeyError:
         raise ParameterError(f"unknown detector {name!r}") from None
+    tau, tau_source = tau
     k_scan, source = scans.get(tag, (None, None))
     if tau is None and tag in _TRUNC_TAGS:
-        raise ParameterError(f"detector {tag.value} requires --tau")
+        raise ParameterError(f"detector {tag.value} requires {tau_source}")
     if k_scan is None and tag in _MAX_TAGS:
         raise ParameterError(f"detector {tag.value} requires a scan size ({source})")
     return DetectorKind(tag, tau=tau, k_scan=k_scan, budget=budget)
@@ -225,7 +227,7 @@ def _flag_detector(args) -> DetectorKind:
     size."""
     scans = {DetectorTag.MAX_TRUNC_AXIS1: (args.k1, "--k1"),
              DetectorTag.MAX_TRUNC_AXIS2: (args.k2, "--k2")}
-    return _detector_kind(args.detector, args.tau, scans, args.budget)
+    return _detector_kind(args.detector, (args.tau, "--tau"), scans, args.budget)
 
 
 def _shape_from(args) -> ProblemShape:
@@ -257,7 +259,8 @@ def _cmd_gen(args) -> int:
 def _cmd_stat(args) -> int:
     A = read_matrix(args.matrix)
     scans = dict.fromkeys(DetectorTag, (args.k1, "--k1"))
-    value = statistic(A, args.p0, _detector_kind(args.detector, args.tau, scans, args.budget))
+    kind = _detector_kind(args.detector, (args.tau, "--tau"), scans, args.budget)
+    value = statistic(A, args.p0, kind)
     _emit_text(f"statistic {_fmt(value)}\n", args.out)
     return EXIT_OK
 
@@ -474,10 +477,9 @@ def load_config(path) -> ExperimentConfig:
         shape = ProblemShape(*(v[f"shape.{k}"] for k in ("n1", "n2", "k1", "k2")))
     except ParameterError as exc:
         raise ConfigError("shape", str(exc)) from exc
-    scan = (v["detector.k_scan"], "detector.k_scan")
-    detector = _detector_kind(
-        v["detector.tag"], v["detector.tau"], dict.fromkeys(DetectorTag, scan), v["budget"]
-    )
+    tau = (v["detector.tau"], "detector.tau")
+    scans = dict.fromkeys(DetectorTag, (v["detector.k_scan"], "detector.k_scan"))
+    detector = _detector_kind(v["detector.tag"], tau, scans, v["budget"])
     try:
         threshold = ThresholdSpec(
             mode=ThresholdMode[v["threshold.mode"]],

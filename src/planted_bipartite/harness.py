@@ -6,19 +6,20 @@ level, and evaluates rate bundles over shape grids.  Everything is a pure
 function of (config, seed): per-trial seeds are derived from the experiment
 seed and trial index, so results are identical for any batch size, and the
 same uniforms drive every point of a delta grid (common random numbers).
-Trials arrive in chunks of at most rng.BATCH_BYTES of uniforms, so memory
-does not grow with the trial count.  The threshold and the Type I error are
-computed once per sweep and once per bisection, and `SweepResult` carries
-the resolved detector and threshold.  A sweep's rows are its
-`RiskEstimate`s, each carrying the delta it was made at.  Result rows are
-written as CSV only.
+Trials arrive in chunks of at most rng.BATCH_BYTES of cell states, so
+memory does not grow with the trial count.  The threshold and the Type I
+error are computed once per sweep and once per bisection, and `SweepResult`
+carries the resolved detector and threshold.  A sweep's rows are its
+`RiskEstimate`s, each the delta it was made at, its two error rates and its
+trial count; the standard errors are derived from those.  Result rows are
+tuples in CSV_COLUMNS order, written as CSV only.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,20 +57,26 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class RiskEstimate:
+    """Type I and Type II error rates at signal level delta, each the share
+    of `trials` trials that erred.  The risk and each rate's binomial
+    standard error are derived from these four fields."""
+
     delta: float
     type1: float
     type2: float
-    se1: float
-    se2: float
     trials: int
 
     @property
     def risk(self) -> float:
         return self.type1 + self.type2
 
+    @property
+    def se1(self) -> float:
+        return math.sqrt(self.type1 * (1.0 - self.type1) / self.trials)
 
-def _proportion_se(p: float, n: int) -> float:
-    return math.sqrt(p * (1.0 - p) / n)
+    @property
+    def se2(self) -> float:
+        return math.sqrt(self.type2 * (1.0 - self.type2) / self.trials)
 
 
 def _null_reject_count(
@@ -119,11 +126,7 @@ def _evaluate(cfg: ExperimentConfig, resolved: tuple, deltas: list[float]) -> li
     kind, threshold, r1 = resolved
     n = cfg.trials
     accepts = _planted_accept_count(kind, cfg.shape, cfg.p0, deltas, threshold, n, cfg.seed)
-    se1 = _proportion_se(r1 / n, n)
-    return [
-        RiskEstimate(d, r1 / n, r2 / n, se1, _proportion_se(r2 / n, n), n)
-        for d, r2 in zip(deltas, accepts)
-    ]
+    return [RiskEstimate(d, r1 / n, r2 / n, n) for d, r2 in zip(deltas, accepts)]
 
 
 def estimate_risk(cfg: ExperimentConfig, delta: float) -> RiskEstimate:
@@ -189,42 +192,19 @@ def phase_diagram(
     return [(shape, rate_bundle(shape, consts)) for shape in grid]
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    experiment_id: str
-    n1: int
-    n2: int
-    k1: int
-    k2: int
-    p0: float
-    delta: float
-    detector: str
-    threshold_mode: str
-    threshold: float
-    trials: int
-    seed: int
-    type1: float
-    se1: float
-    type2: float
-    se2: float
-    risk: float
+CSV_COLUMNS = (
+    "experiment_id", "n1", "n2", "k1", "k2", "p0", "delta", "detector", "threshold_mode",
+    "threshold", "trials", "seed", "type1", "se1", "type2", "se2", "risk",
+)
 
 
-CSV_COLUMNS = [f.name for f in fields(ResultRow)]
-
-
-def result_rows(cfg: ExperimentConfig, sweep: SweepResult, experiment_id: str) -> list[ResultRow]:
+def result_rows(cfg: ExperimentConfig, sweep: SweepResult, experiment_id: str) -> list[tuple]:
+    """One tuple per sweep row, its values in CSV_COLUMNS order."""
+    shape = cfg.shape
     return [
-        ResultRow(
-            experiment_id=experiment_id,
-            n1=cfg.shape.n1, n2=cfg.shape.n2, k1=cfg.shape.k1, k2=cfg.shape.k2,
-            p0=cfg.p0, delta=row.delta,
-            detector=sweep.kind.tag.value,
-            threshold_mode=cfg.threshold.mode.value,
-            threshold=sweep.threshold,
-            trials=cfg.trials, seed=cfg.seed,
-            type1=row.type1, se1=row.se1, type2=row.type2, se2=row.se2, risk=row.risk,
-        )
+        (experiment_id, shape.n1, shape.n2, shape.k1, shape.k2, cfg.p0, row.delta,
+         sweep.kind.tag.value, cfg.threshold.mode.value, sweep.threshold, cfg.trials, cfg.seed,
+         row.type1, row.se1, row.type2, row.se2, row.risk)
         for row in sweep.rows
     ]
 
@@ -235,11 +215,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def emit_results(table: list[ResultRow], path) -> None:
-    """Write result rows as CSV in the fixed CSV_COLUMNS order, with
-    17-significant-digit floats."""
+def emit_results(table: list[tuple], path) -> None:
+    """Write result rows, tuples in CSV_COLUMNS order, as CSV under a
+    CSV_COLUMNS header, with 17-significant-digit floats."""
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for row in table:
-            writer.writerow([_fmt(getattr(row, c)) for c in CSV_COLUMNS])
+        writer.writerows([_fmt(v) for v in row] for row in table)

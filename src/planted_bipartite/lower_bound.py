@@ -134,7 +134,7 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     mixture, by exhaustive enumeration of all 2^(n1 n2) matrices.
 
     The matrices are walked in blocks of rows of their bit matrix: the
-    largest power of two rows (at least 64) whose float64 bits fit
+    largest power of two rows (at least 128) whose float64 bits fit
     rng.BATCH_BYTES.  One block of bits and its complement is built once,
     each block rewrites in place only its high bit columns, which are
     constant down the block, and every support is evaluated on it.  Each
@@ -143,8 +143,8 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     complement bound the memory.  The result does not depend on the block
     size: each matrix's log-probability is one matrix-vector product row,
     the supports are added in one fixed order, and the terms are summed in
-    numpy's pairwise order over the whole enumeration, rebuilt from sums of
-    aligned runs of terms.  Each support is one pair of log-probability
+    numpy's pairwise order over the whole enumeration, rebuilt from the
+    blocks' sums.  Each support is one pair of log-probability
     vectors, p1 = 1 included, where a finite floor stands for
     log(1 - p1) = log 0 and a matrix missing a planted edge has probability
     0.0.
@@ -178,12 +178,13 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
             supports.append(log_vectors(np.outer(row_mask, col_mask).reshape(-1)))
 
     total = 1 << cells
-    # Blocks of a power of two rows, at least 64, tile the enumeration with
-    # no short tail.  BLAS matrix-vector kernels take rows in groups (of 4
-    # with x86-64 OpenBLAS) and round a row of a short group differently, and
-    # numpy computes a one-row product with a dot kernel, so shorter blocks
-    # could change the last bits.
-    rows = min(total, 1 << max(6, (rng.BATCH_BYTES // (8 * cells)).bit_length() - 1))
+    # Blocks of a power of two rows, at least 128 (one leaf of numpy's
+    # pairwise sum, below), tile the enumeration with no short tail.  BLAS
+    # matrix-vector kernels take rows in groups (of 4 with x86-64 OpenBLAS)
+    # and round a row of a short group differently, and numpy computes a
+    # one-row product with a dot kernel, so shorter blocks could change the
+    # last bits.
+    rows = min(total, 1 << max(7, (rng.BATCH_BYTES // (8 * cells)).bit_length() - 1))
     # Row i of the block at lo is matrix lo + i, and lo is a multiple of
     # rows: its low log2(rows) bits are those of i in every block, and the
     # rest are lo's, the same on every row.  So the block is built once and
@@ -195,13 +196,10 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     # numpy sums a contiguous float64 vector pairwise: it halves it at
     # multiples of 8 down to leaves of at most 128 entries (PW_BLOCKSIZE in
     # its loops_utils.h.src).  A whole vector of 2^cells terms is therefore a
-    # binary tree over aligned runs of `width` terms, each a whole subtree
-    # (two 64-row blocks fill one 128-term leaf).  So |prob0 - prob_mix| is
-    # summed one run at a time and the run sums are merged left + right like
-    # a binary counter: the same double as np.abs(prob0 - prob_mix).sum()
-    # over whole vectors.
-    width = min(total, max(rows, 128))
-    terms = np.empty(width)
+    # binary tree over aligned runs of `rows` terms, each block a whole
+    # subtree.  So |prob0 - prob_mix| is summed one block at a time and the
+    # block sums are merged left + right like a binary counter: the same
+    # double as np.abs(prob0 - prob_mix).sum() over whole vectors.
     sums = []
     for lo in range(0, total, rows):
         high = ((lo >> shifts[low:]) & 1).astype(np.float64)
@@ -212,13 +210,11 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
         for a, b in supports:
             prob_mix += np.exp(on @ a + off @ b)
         prob_mix /= len(supports)
-        part = terms[lo % width : lo % width + rows]
-        np.abs(np.subtract(prob0, prob_mix, out=part), out=part)
-        if (lo + rows) % width == 0:
-            run_sum, run = terms.sum(), lo // width
-            while run & 1:
-                run_sum = sums.pop() + run_sum
-                run >>= 1
-            sums.append(run_sum)
+        terms = np.abs(np.subtract(prob0, prob_mix, out=prob0), out=prob0)
+        block_sum, block = terms.sum(), lo // rows
+        while block & 1:
+            block_sum = sums.pop() + block_sum
+            block >>= 1
+        sums.append(block_sum)
     (tv_sum,) = sums
     return 0.5 * float(tv_sum)

@@ -9,6 +9,9 @@ tests.  A string is no caller either, so the functions that
 `perfbench/spans.py` lists by name in BOUNDARIES do not pass that way.  A
 name that still waits for a caller is listed in AWAITING_CALLER with the
 reason; the list can only shrink.
+
+Every module of the package (but `__init__.py`), the tests and the
+benchmark also uses, in code, each name that it imports.
 """
 
 import ast
@@ -97,3 +100,38 @@ def test_only_code_outside_the_definition_counts(tmp_path):
     )
     other.write_text("import home\nhome.called()\nx = Called\nNAMES = ('in_string',)\n")
     assert _callerless([home], [other]) == {"recursive", "in_string", "_private"}
+
+
+def _unused_imports(path: Path) -> set[str]:
+    """Names that `path` imports, at any depth, and never names in code.  An
+    import binds a plain name, so an attribute of the same name is no use."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_every_import_is_used():
+    files = [*_package_files(), *_ROOT.glob("tests/*.py"), *_ROOT.glob("perfbench/*.py")]
+    unused = {str(p.relative_to(_ROOT)): names for p in files if (names := _unused_imports(p))}
+    assert not unused, f"imported but never used: {unused}"
+
+
+def test_only_imports_used_in_code_count(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from json import dumps, loads as parse, load\n"
+        "from csv import writer\n"
+        "def f(x: np.ndarray):\n"
+        "    import math\n"
+        "    return os.path.join(dumps(x), 'load', x.writer)\n"
+    )
+    assert _unused_imports(module) == {"parse", "load", "writer", "math"}

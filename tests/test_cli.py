@@ -328,6 +328,27 @@ class TestSweep:
         assert f"requires a scan size ({flag})" in json.loads(err)["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["--tau", "detector.tau"])
+    def test_truncation_names_where_tau_is_missing(self, tmp_path, capsys, source):
+        """A truncated test without a tau is told where to give it: from
+        flags, --tau; from a config, which refuses --tau, its detector.tau
+        key."""
+        out = tmp_path / "r.csv"
+        if source == "--tau":
+            argv = _argv({"--n1": "8", "--n2": "8", "--k1": "2", "--k2": "2", "--p0": "0.25",
+                          "--delta": "0.1", "--trials": "100", "--seed": "1",
+                          "--detector": "TRUNC_DEGREE_AXIS1", "--out": str(out)})
+        else:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps({**BASE_CONFIG,
+                                        "detector": {"tag": "TRUNC_DEGREE_AXIS1"}}))
+            argv = ["--config", str(path), "--out", str(out)]
+        code, stdout, err = run(capsys, "sweep", *argv)
+        assert (code, stdout) == (1, "")
+        message = json.loads(err)["message"]
+        assert message == f"detector TRUNC_DEGREE_AXIS1 requires {source}"
+        assert not out.exists()
+
 
 class TestConfigNumbers:
     """Config numbers are read as floats: a JSON integer gives the output of

@@ -14,7 +14,6 @@ from planted_bipartite import (
     ExperimentConfig,
     ParameterError,
     ProblemShape,
-    RateConstants,
     SignalConfig,
     ThresholdMode,
     ThresholdSpec,
@@ -23,13 +22,12 @@ from planted_bipartite import (
     estimate_risk,
     phase_diagram,
     power_sweep,
-    rate_bundle,
     sample_null,
     sample_planted_uniform_support,
 )
 from planted_bipartite import detectors, harness, rng
 from planted_bipartite.detectors import resolve_threshold
-from planted_bipartite.harness import ResultRow, SweepResult, result_rows
+from planted_bipartite.harness import CSV_COLUMNS, RiskEstimate, SweepResult, result_rows
 from oracles import empty_subgraph_diagnostic
 
 
@@ -126,6 +124,17 @@ class TestPowerSweep:
         # se ~ 1/sqrt(trials): quadrupling trials halves the se within noise
         if e1.se1 > 0 and e2.se1 > 0:
             assert e2.se1 < e1.se1
+
+    @pytest.mark.parametrize("n", [100, 101, 1000, 4096])
+    def test_se_is_the_binomial_formula(self, n):
+        """se1 and se2 are derived from the stored rate and trial count, bit
+        for bit the double sqrt(p (1 - p) / n) at p = r / n, for every count
+        r."""
+        for r in range(n + 1):
+            p = r / n
+            want = math.sqrt(p * (1 - p) / n)
+            e = RiskEstimate(0.0, p, p, n)
+            assert (e.se1, e.se2) == (want, want), (n, r)
 
 
 class TestBisect:
@@ -416,10 +425,33 @@ class TestEmitResults:
         emit_results(rows, p)
         with open(p) as fh:
             got = list(csv.DictReader(fh))
-        for orig, rec in zip(rows, got):
-            assert float(rec["type1"]) == orig.type1
-            assert float(rec["risk"]) == orig.risk
-            assert int(rec["trials"]) == orig.trials
+        assert len(got) == len(rows) == 2
+        for row, rec in zip(rows, got):
+            orig = dict(zip(CSV_COLUMNS, row))
+            for column in ("p0", "delta", "threshold", "type1", "se1", "type2", "se2", "risk"):
+                assert float(rec[column]) == orig[column], column
+            assert int(rec["trials"]) == orig["trials"]
+
+    def test_golden_bytes(self, tmp_path):
+        """Hand-built estimates give exact bytes: the header, CRLF line ends,
+        17-significant-digit floats, and se1 and se2 derived from the stored
+        rates, in the columns that the tuples' order puts them."""
+        cfg = _cfg(trials=200)
+        rows = (RiskEstimate(0.0, 20 / 200, 175 / 200, 200),
+                RiskEstimate(0.3, 20 / 200, 6 / 200, 200))
+        sweep = SweepResult(rows, True, DetectorKind(DetectorTag.TOTAL_DEGREE), 1 / 3)
+        p = tmp_path / "out.csv"
+        emit_results(result_rows(cfg, sweep, "id"), p)
+        assert p.read_bytes() == (
+            b"experiment_id,n1,n2,k1,k2,p0,delta,detector,threshold_mode,threshold,trials,"
+            b"seed,type1,se1,type2,se2,risk\r\n"
+            b"id,16,16,4,4,0.25,0,TOTAL_DEGREE,CALIBRATED,0.33333333333333331,200,17,"
+            b"0.10000000000000001,0.021213203435596427,0.875,0.023385358667337135,"
+            b"0.97499999999999998\r\n"
+            b"id,16,16,4,4,0.25,0.29999999999999999,TOTAL_DEGREE,CALIBRATED,"
+            b"0.33333333333333331,200,17,0.10000000000000001,0.021213203435596427,"
+            b"0.029999999999999999,0.012062338081814818,0.13\r\n"
+        )
 
     def test_byte_identical_rerun(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -194,11 +194,12 @@ def _reference_tv(shape, p0, delta):
 
 
 def _assert_tv_matches_reference(monkeypatch, shape, p0, delta):
-    """tv_exact's double is _reference_tv's at one-row, odd and default
-    budgets."""
+    """tv_exact's double is _reference_tv's at one-row, 127-row, odd and
+    default budgets.  The first two give blocks of the 128-row floor, one
+    whole leaf of numpy's pairwise sum."""
     row_bytes = 8 * shape.n1 * shape.n2
     want = np.float64(_reference_tv(shape, p0, delta)).view(np.uint64)
-    for budget in (row_bytes, 1001 * row_bytes, rng.BATCH_BYTES):
+    for budget in (row_bytes, 127 * row_bytes, 1001 * row_bytes, rng.BATCH_BYTES):
         with monkeypatch.context() as m:
             m.setattr(rng, "BATCH_BYTES", budget)
             got = np.float64(tv_exact(shape, p0, delta)).view(np.uint64)
@@ -236,9 +237,9 @@ class TestTvExact:
                                       (3, 4, 2, 2), (4, 4, 1, 3)],
                              ids=lambda d: "x".join(map(str, d)))
     def test_blocks_match_reference(self, monkeypatch, dims):
-        # Bit for bit, for one-row, odd and default budgets; p1 = 1 makes
-        # cell values impossible (tv_exact's floor for log 0 against the
-        # reference's mask), delta = 0 makes the mixture the null.
+        # Bit for bit, for one-row, 127-row, odd and default budgets; p1 = 1
+        # makes cell values impossible (tv_exact's floor for log 0 against
+        # the reference's mask), delta = 0 makes the mixture the null.
         shape = ProblemShape(*dims)
         for p0, delta in [(0.25, 0.064663), (0.2, 0.8), (1e-3, 1 - 1e-3), (0.5, 0.5),
                           (0.1, 0.0)]:
