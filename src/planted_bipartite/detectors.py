@@ -9,16 +9,18 @@ Three statistics are implemented:
 - max truncated degree: the same column statistic computed from row subsets
   of size k_scan (kernel Bin(k_scan, p0)), maximized exactly over all
   subsets.  One function, _scan_max, runs the scan, and one kernel,
-  _score_subsets, forms every subset's column counts by adding gathered
-  rows, in blocks within rng.BATCH_BYTES, and scores them by a table
-  lookup.  When k_scan is the only count with a positive score, a subset
-  scores at most f[k_scan] times its all-ones columns.  So _scan_max first
-  offers the kernel only each column's ones, then every row of just the
-  trials whose best such subset scores <= 0, and the kernel sums floats
-  only for subsets whose bound, plus a margin for rounding, reaches the
-  best score so far; the maximum is the same double either way.  Tables
-  and subset enumerations are built once, when first needed, cached
-  read-only.
+  _score_subsets, scores subsets in blocks within rng.BATCH_BYTES: a
+  subset's column counts add up its gathered rows, and a table lookup
+  scores them.  When k_scan is the only count with a positive score, a
+  subset scores at most f[k_scan] times its all-ones columns, which the
+  kernel counts from the rows packed once into uint64 words: the AND of
+  the subset's words, then a popcount.  So _scan_max first offers the
+  kernel only each column's ones, then every row of just the trials whose
+  best such subset scores <= 0, and the kernel forms counts and sums
+  floats only for subsets whose bound, plus a margin for rounding, reaches
+  the best score so far; the maximum is the same double either way.
+  Tables and subset enumerations are built once, when first needed,
+  cached read-only.
 
 A truncation level whose count threshold k_min reaches the kernel's n is
 refused with EmptyConditionError: only the count n would pass, nu_tau would
@@ -197,55 +199,141 @@ def _only_full_scores(f: np.ndarray) -> bool:
     return bool(f[k] > 0) and not (f[:k] > 0).any()
 
 
+def _pack_rows(flat: np.ndarray) -> np.ndarray:
+    """(R, W) uint64 words of the 0/1 rows flat (R, n2), W = ceil(n2 / 64):
+    np.packbits along the columns, padded with zero bits to whole words.  A
+    zero bit is never an all-ones column, so ANDing a subset's words and
+    counting the set bits gives its number of all-ones columns."""
+    words = -(-flat.shape[1] // 64)
+    packed = np.zeros((len(flat), 8 * words), dtype=np.uint8)
+    packed[:, : -(-flat.shape[1] // 8)] = np.packbits(flat, axis=1)
+    return packed.view(np.uint64)
+
+
+_M1, _M2, _M4, _H01 = (
+    np.uint64(0x5555555555555555), np.uint64(0x3333333333333333),
+    np.uint64(0x0F0F0F0F0F0F0F0F), np.uint64(0x0101010101010101),
+)
+
+
+def _popcount(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The set bits of each uint64 word of x, in place in x, with tmp (the
+    shape of x) as scratch: the SWAR sum of bits in pairs, nibbles and
+    bytes, then the bytes' sum in the top byte of one multiply."""
+    np.right_shift(x, np.uint64(1), out=tmp)
+    tmp &= _M1
+    x -= tmp
+    np.right_shift(x, np.uint64(2), out=tmp)
+    tmp &= _M2
+    x &= _M2
+    x += tmp
+    np.right_shift(x, np.uint64(4), out=tmp)
+    x += tmp
+    x &= _M4
+    x *= _H01
+    x >>= np.uint64(56)
+    return x
+
+
+def _pair_bytes(n2: int, k: int, bounded: bool) -> int:
+    """Bytes _score_subsets holds per (group, subset) pair of a block.  A
+    table that scores every subset holds its row indices (k each) or its
+    float64 scores (n2 each).  A bounded table holds the ANDed words and
+    their scratch (16 bytes a word), the all-ones count and its bound (8
+    bytes each), the bound's bool and a survivor's two indices (17 bytes)."""
+    if not bounded:
+        return 8 * max(n2, k)
+    return 16 * -(-n2 // 64) + 33
+
+
+def _add_rows(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """(..., n2) column counts of the rows idx (..., k) of flat: the k
+    gathered rows added up on flat's narrow count dtype."""
+    counts = np.take(flat, idx[..., 0], axis=0)
+    for i in range(1, idx.shape[-1]):
+        counts += np.take(flat, idx[..., i], axis=0)
+    return counts
+
+
 def _score_subsets(
     flat: np.ndarray, owner: np.ndarray, rows: np.ndarray, subsets: np.ndarray,
-    f: np.ndarray, best: np.ndarray,
+    f: np.ndarray, best: np.ndarray, packed: np.ndarray | None,
 ) -> None:
-    """The one kernel that forms subset counts.  Group g of rows (G, m)
-    offers m rows of flat (R, n2); each of the subsets (S, k) of them scores
+    """The one kernel that scores subsets.  Group g of rows (G, m) offers m
+    rows of flat (R, n2); each of the subsets (S, k) of them scores
     sum_j f[count_j], where count_j adds up column j of its k rows, and
-    best[owner[g]] is raised to the group's best score.
+    best[owner[g]] is raised to the group's best score.  packed is
+    _pack_rows(flat) when k is the only count with f > 0, and None for
+    any other table.
 
-    A block of (group, subset) pairs holds at most rng.BATCH_BYTES of row
-    indices (k each) or of float64 scores (n2 each).  Each score is the same
-    contiguous n2-term sum of f[counts], looked up on the narrow count dtype.
+    A block of (group, subset) pairs holds at most rng.BATCH_BYTES, at
+    _pair_bytes a pair and, with packed, 8 W m bytes a group for its m
+    rows' W words.  Each score is the same contiguous n2-term sum of
+    f[counts], looked up on the narrow count dtype.  Any table but a
+    bounded one scores every subset.
 
     When k is the only count with f > 0, a subset with b all-ones columns
-    (one counts == k compare, summed in integers) sums exactly to at most
-    f[k] b.  In any summation order, its computed sum exceeds the exact one
-    by at most (n2 - 1) u / (1 - (n2 - 1) u) times sum_j |f[count_j]| <=
-    n2 max|f|, u = eps / 2; rounding f[k] b and adding the margin costs at
-    most 2 u n2 max|f| + u margin more.  The margin 4 n2^2 eps max|f| =
-    8 u n2^2 max|f| covers both while n2 u is small.  So in each block a
-    group first scores its subset with the most all-ones columns into
-    best[owner], then scores only the subsets whose f[k] b + margin reaches
-    best[owner].  Every pruned subset's computed score lies below
-    best[owner] and could not have raised it, so best ends as the same
-    double as when every subset is scored.  Any other table scores every
-    subset.
+    sums exactly to at most f[k] b; b is the popcount of the AND of its k
+    rows' packed words.  In any summation order, its computed sum exceeds
+    the exact one by at most (n2 - 1) u / (1 - (n2 - 1) u) times
+    sum_j |f[count_j]| <= n2 max|f|, u = eps / 2; rounding f[k] b and
+    adding the margin costs at most 2 u n2 max|f| + u margin more.  The
+    margin 4 n2^2 eps max|f| = 8 u n2^2 max|f| covers both while n2 u is
+    small.  So in each block a group first scores its subset with the most
+    all-ones columns into best[owner], then scores only the subsets whose
+    f[k] b + margin reaches best[owner], in float sums of at most
+    rng.BATCH_BYTES // (8 max(n2, k)) pairs.  Every pruned subset's
+    computed score lies below best[owner] and could not have raised it, so
+    best ends as the same double as when every subset is scored.
     """
     k = subsets.shape[1]
     n2 = flat.shape[1]
-    cells = max(1, rng.BATCH_BYTES // (8 * max(n2, k)))
-    bounded = _only_full_scores(f)
+    if packed is None:
+        cells = max(1, rng.BATCH_BYTES // _pair_bytes(n2, k, False))
+        for s in range(0, len(subsets), cells):
+            block = subsets[s : s + cells]
+            per = max(1, cells // len(block))
+            for g in range(0, len(rows), per):
+                counts = _add_rows(flat, rows[g : g + per][:, block])
+                np.maximum.at(best, owner[g : g + per], f[counts].sum(axis=-1).max(axis=1))
+        return
+    pair, words = _pair_bytes(n2, k, True), packed.shape[1]
+    pairs = max(1, rng.BATCH_BYTES // pair)
     margin = 4.0 * n2 * n2 * np.finfo(np.float64).eps * float(np.abs(f).max())
-    for s in range(0, len(subsets), cells):
-        block = subsets[s : s + cells]
-        per = max(1, cells // len(block))
+    for s in range(0, len(subsets), pairs):
+        block = subsets[s : s + pairs]
+        per = max(1, rng.BATCH_BYTES // (len(block) * pair + 8 * words * rows.shape[1]))
         for g in range(0, len(rows), per):
-            idx = rows[g : g + per][:, block]
-            counts = np.take(flat, idx[..., 0], axis=0)
+            group_rows, who = rows[g : g + per], owner[g : g + per]
+            gathered = packed[group_rows]
+            full = np.take(gathered, block[:, 0], axis=1)
+            tmp = np.empty_like(full)
             for i in range(1, k):
-                counts += np.take(flat, idx[..., i], axis=0)
-            who = owner[g : g + per]
-            if not bounded:
-                np.maximum.at(best, who, f[counts].sum(axis=-1).max(axis=1))
-                continue
-            full = (counts == k).sum(axis=-1, dtype=np.min_scalar_type(n2))
-            top = counts[np.arange(len(who)), full.argmax(axis=1)]
-            np.maximum.at(best, who, f[top].sum(axis=-1))
-            group, sub = np.nonzero(f[k] * full + margin >= best[who][:, None])
-            np.maximum.at(best, who[group], f[counts[group, sub]].sum(axis=-1))
+                # The indices are valid; take buffers `out` in its default
+                # "raise" mode.
+                full &= np.take(gathered, block[:, i], axis=1, out=tmp, mode="clip")
+            full = _popcount(full, tmp).sum(axis=-1)
+            del tmp  # the words' bytes are free before any float sum
+            top = full.argmax(axis=1)
+            _score_pairs(flat, group_rows, block, who, f, best, np.arange(len(who)), top)
+            bound = f[k] * full
+            bound += margin
+            group, sub = np.nonzero(bound >= best[who][:, None])
+            _score_pairs(flat, group_rows, block, who, f, best, group, sub)
+
+
+def _score_pairs(
+    flat: np.ndarray, rows: np.ndarray, block: np.ndarray, owner: np.ndarray,
+    f: np.ndarray, best: np.ndarray, group: np.ndarray, sub: np.ndarray,
+) -> None:
+    """Raise best[owner[g]] to the score of subset block[s] of rows[g] for
+    each pair (g, s) of group and sub, in float sums of at most
+    rng.BATCH_BYTES // (8 max(n2, k)) pairs."""
+    sums = max(1, rng.BATCH_BYTES // _pair_bytes(flat.shape[1], block.shape[1], False))
+    for c in range(0, len(group), sums):
+        g = group[c : c + sums]
+        counts = _add_rows(flat, rows[g[:, None], block[sub[c : c + sums]]])
+        np.maximum.at(best, owner[g], f[counts].sum(axis=-1))
 
 
 def _scan_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
@@ -254,7 +342,8 @@ def _scan_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
     the number of ones in column j over the subset's rows.  Every table of
     subsets comes from _subset_indices, at most `budget` subsets each.
 
-    When k is the only count with f > 0, a subset with no all-ones column
+    When k is the only count with f > 0, the chunk's rows are packed once
+    into words for the kernel's bound, and a subset with no all-ones column
     sums terms <= 0.  So a candidate pass first offers _score_subsets only
     the subsets inside the ones of some column: the columns with o ones
     together, each its ones' rows, with the C(o, k) table.  It runs exactly
@@ -270,7 +359,9 @@ def _scan_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
     k = len(f) - 1
     flat = np.ascontiguousarray(bits, dtype=np.min_scalar_type(n)).reshape(T * n, n2)
     best = np.full(T, -np.inf)
+    packed = None
     if _only_full_scores(f):
+        packed = _pack_rows(flat)
         counts = _column_counts(bits)
         # The column sums' histogram from a bincount: np.unique would import
         # numpy.ma, 13 ms that no command otherwise pays.
@@ -281,11 +372,11 @@ def _scan_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
                 trial, col = np.nonzero(counts == o)
                 ones = np.nonzero(bits[trial, :, col])[1].reshape(len(trial), o)
                 ones += (trial * n)[:, None]
-                _score_subsets(flat, trial, ones, _subset_indices(o, k, budget), f, best)
+                _score_subsets(flat, trial, ones, _subset_indices(o, k, budget), f, best, packed)
     rescan = np.flatnonzero(~(best > 0))
     if len(rescan):
         rows = rescan[:, None] * n + np.arange(n)
-        _score_subsets(flat, rescan, rows, _subset_indices(n, k, budget), f, best)
+        _score_subsets(flat, rescan, rows, _subset_indices(n, k, budget), f, best, packed)
     return best
 
 

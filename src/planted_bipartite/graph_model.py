@@ -159,7 +159,10 @@ def write_matrix(A: AdjacencyMatrix, path) -> None:
 
 def read_matrix(path) -> AdjacencyMatrix:
     """Inverse of write_matrix; bit-exact round trip.  Malformed input raises
-    FormatError naming the offending line (1-based)."""
+    FormatError naming the offending line (1-based).  The rows before the
+    first one of the wrong length are checked and converted in one pass;
+    a bad character among them lies on an earlier line, so it is named
+    first."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -179,12 +182,16 @@ def read_matrix(path) -> AdjacencyMatrix:
         raise FormatError(f"line 1: dimensions must be positive, got {lines[0]!r}")
     if len(lines) - 1 != n1:
         raise FormatError(f"line {len(lines)}: expected {n1} rows, found {len(lines) - 1}")
-    rows = np.empty((n1, n2), dtype=np.uint8)
-    for i, line in enumerate(lines[1:], start=2):
-        if len(line) != n2:
-            raise FormatError(f"line {i}: row has length {len(line)}, expected {n2}")
-        bad = set(line) - {"0", "1"}
-        if bad:
-            raise FormatError(f"line {i}: invalid characters {sorted(bad)}")
-        rows[i - 2] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
+    body = lines[1:]
+    wrong = np.flatnonzero(np.fromiter(map(len, body), np.intp, count=n1) != n2)
+    whole = int(wrong[0]) if len(wrong) else n1
+    text = "".join(body[:whole]).encode("ascii")
+    # A character below '0' wraps around, so every bad one is above 1.
+    rows = (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(whole, n2)
+    bad = np.flatnonzero((rows > 1).any(axis=1))
+    if len(bad):
+        i = int(bad[0])
+        raise FormatError(f"line {i + 2}: invalid characters {sorted(set(body[i]) - {'0', '1'})}")
+    if whole < n1:
+        raise FormatError(f"line {whole + 2}: row has length {len(body[whole])}, expected {n2}")
     return AdjacencyMatrix(rows)

@@ -4,9 +4,10 @@ Each is the direct form of a quantity the package computes another way:
 the Bennett function that the kernel w is built from, the appendix variant
 of psi used to bracket the rate, the second moment of the likelihood ratio
 by enumerating every pair of supports, the support sampler as a scalar
-partial Fisher-Yates shuffle, the matrix file writer one cell at a time,
-the conditional moments nu and gamma summed per call, the exact Type I and
-Type II errors of the total degree test by convolving binomial pmfs, and
+partial Fisher-Yates shuffle, the matrix file writer one cell at a time
+and its reader one row at a time, the conditional moments nu and gamma
+summed per call, the exact Type I and Type II errors of the total degree
+test by convolving binomial pmfs, and
 the exact null and planted moments of the truncated degree statistic from
 the binomial pmf, and the likelihood ratio of the uniform-support prior,
 whose test "L > 1" is Bayes-optimal.  The tests compare the package against
@@ -26,8 +27,8 @@ from planted_bipartite.binomial_kernel import (
     BennettKernel, log_gamma, logsumexp, w_stat, z_threshold_to_count,
 )
 from planted_bipartite.detectors import DEFAULT_SUBSET_BUDGET, _contribution_table, _scan_max
-from planted_bipartite.errors import BudgetError, ParameterError
-from planted_bipartite.graph_model import ProblemShape
+from planted_bipartite.errors import BudgetError, FormatError, ParameterError
+from planted_bipartite.graph_model import AdjacencyMatrix, ProblemShape
 from planted_bipartite.lower_bound import _check_signal
 from planted_bipartite.rates import log_binom
 from planted_bipartite.rng import TAG_NULL, below, derive_seed, edges, trial_blocks
@@ -77,6 +78,40 @@ def write_matrix_reference(A, path) -> None:
         fh.write(f"{A.n1} {A.n2}\n")
         for row in A.bits:
             fh.write("".join("1" if b else "0" for b in row) + "\n")
+
+
+def read_matrix_reference(path) -> AdjacencyMatrix:
+    """graph_model.read_matrix one row at a time: each line's length, then
+    the set of its characters, then its bits.  Malformed input raises
+    FormatError naming the offending line (1-based)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # The placeholder stands for the offending byte, so the count of
+        # lines up to it is its line number.
+        line = len((data[: exc.start].decode("ascii") + "?").splitlines())
+        raise FormatError(f"line {line}: non-ASCII byte {data[exc.start]:#04x}") from None
+    if not lines:
+        raise FormatError("line 1: empty file, expected dimension header")
+    header = lines[0].split()
+    if len(header) != 2 or not all(tok.isdigit() for tok in header):
+        raise FormatError(f"line 1: expected 'n1 n2' header, got {lines[0]!r}")
+    n1, n2 = int(header[0]), int(header[1])
+    if n1 < 1 or n2 < 1:
+        raise FormatError(f"line 1: dimensions must be positive, got {lines[0]!r}")
+    if len(lines) - 1 != n1:
+        raise FormatError(f"line {len(lines)}: expected {n1} rows, found {len(lines) - 1}")
+    rows = np.empty((n1, n2), dtype=np.uint8)
+    for i, line in enumerate(lines[1:], start=2):
+        if len(line) != n2:
+            raise FormatError(f"line {i}: row has length {len(line)}, expected {n2}")
+        bad = set(line) - {"0", "1"}
+        if bad:
+            raise FormatError(f"line {i}: invalid characters {sorted(bad)}")
+        rows[i - 2] = np.frombuffer(line.encode("ascii"), dtype=np.uint8) - ord("0")
+    return AdjacencyMatrix(rows)
 
 
 def second_moment_bruteforce(shape: ProblemShape, p0: float, delta: float) -> float:

@@ -238,10 +238,19 @@ def _full_scan(bits, f):
     _score_subsets with the C(n, k) table, k = len(f) - 1."""
     T, n, n2 = bits.shape
     flat = np.ascontiguousarray(bits, dtype=np.min_scalar_type(n)).reshape(T * n, n2)
+    packed = detectors._pack_rows(flat) if detectors._only_full_scores(f) else None
     best = np.full(T, -np.inf)
     subsets = detectors._subset_indices(n, len(f) - 1, 10**6)
-    detectors._score_subsets(flat, np.arange(T), np.arange(T * n).reshape(T, n), subsets, f, best)
+    rows = np.arange(T * n).reshape(T, n)
+    detectors._score_subsets(flat, np.arange(T), rows, subsets, f, best, packed)
     return best
+
+
+def _block_budget(cols, f, block):
+    """A BATCH_BYTES under which _score_subsets takes `block` (group,
+    subset) pairs a block on n2 = cols columns with table f."""
+    bounded = detectors._only_full_scores(f)
+    return detectors._pair_bytes(cols, len(f) - 1, bounded) * block
 
 
 def _record_scan(monkeypatch):
@@ -249,9 +258,9 @@ def _record_scan(monkeypatch):
     of best on entry)."""
     calls, score = [], detectors._score_subsets
 
-    def record(flat, owner, rows, subsets, f, best):
+    def record(flat, owner, rows, subsets, f, best, packed):
         calls.append((owner.copy(), len(subsets), best.copy()))
-        score(flat, owner, rows, subsets, f, best)
+        score(flat, owner, rows, subsets, f, best, packed)
 
     monkeypatch.setattr(detectors, "_score_subsets", record)
     return calls
@@ -293,7 +302,7 @@ class TestScanExactness:
     def test_multi_block_matches_reference(self):
         # 15,504 subsets of 64 columns span several byte-bounded blocks; the
         # last trial's best subset, rows 15-19, is the last one enumerated.
-        assert math.comb(20, 5) > rng.BATCH_BYTES // (8 * 64)
+        assert math.comb(20, 5) > rng.BATCH_BYTES // detectors._pair_bytes(64, 5, False)
         shape = ProblemShape(20, 64, 5, 4)
         bits = np.stack([sample_null(shape, 0.25, s).bits for s in range(4)])
         bits[3, 15:, ::2] = 1
@@ -450,12 +459,13 @@ class TestCandidatePass:
             oriented[:, -1] = oriented[:, 0]
         bits = oriented if axis == 1 else np.ascontiguousarray(oriented.transpose(0, 2, 1))
         kind = DetectorKind(MAX1 if axis == 1 else MAX2, tau=tau, k_scan=k_scan)
+        f = detectors._contribution_table(k_scan, p0, tau)
         expect = _reference_truncated(oriented, p0, tau, k_scan)
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:  # `block` candidates or subsets per block
-                mp.setattr(rng, "BATCH_BYTES", 8 * cols * block)
+                mp.setattr(rng, "BATCH_BYTES", _block_budget(cols, f, block))
             assert _bit_equal(expect, _batch_statistic(bits, p0, kind))
-            self._check(oriented, detectors._contribution_table(k_scan, p0, tau), expect)
+            self._check(oriented, f, expect)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -478,7 +488,7 @@ class TestCandidatePass:
         expect = _reference_scan(bits, f)
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
-                mp.setattr(rng, "BATCH_BYTES", 8 * cols * block)
+                mp.setattr(rng, "BATCH_BYTES", _block_budget(cols, f, block))
             self._check(bits, f, expect)
 
     @settings(max_examples=120, deadline=None)
@@ -514,7 +524,7 @@ class TestCandidatePass:
         f[k - 1] = below * top
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
-                mp.setattr(rng, "BATCH_BYTES", 8 * cols * block)
+                mp.setattr(rng, "BATCH_BYTES", _block_budget(cols, f, block))
             self._check(bits, f, _reference_scan(bits, f))
 
     def test_near_tie_above_the_rounded_bound(self):
@@ -561,8 +571,57 @@ class TestCandidatePass:
         bits[0, :, 0] = np.arange(o + extra) < o
         f = np.array(below[:k] + [top])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rng, "BATCH_BYTES", 8 * max(cols, k) * block)
+            mp.setattr(rng, "BATCH_BYTES", _block_budget(cols, f, block))
             self._check(bits, f, _reference_scan(bits, f))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(2, 7),
+        cols=st.sampled_from([7, 8, 63, 64, 65, 128, 129, 200]),
+        trials=st.integers(1, 3),
+        k_frac=st.floats(0.0, 1.0),
+        density=st.sampled_from([0.5, 0.8, 0.95]),
+        top=st.sampled_from([0.5, 3.0, 4.1]),
+        below=st.sampled_from([0.0, -2.0**-52, -1e-3, -0.5]),
+        tied=st.booleans(),
+        block=st.sampled_from([1, 3, 64, None]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_packed_rows_across_words(
+        self, rows, cols, trials, k_frac, density, top, below, tied, block, seed
+    ):
+        """Only f[k] > 0 on rows of one to four packed words, at widths on
+        either side of a byte and of a word, so the bound counts all-ones
+        columns across words and in zero-padded ones."""
+        k = 1 + round(k_frac * (rows - 1))
+        bits = (np.random.default_rng(seed).random((trials, rows, cols)) < density).astype(np.uint8)
+        if tied:
+            bits[:, -1] = bits[:, 0]
+        f = np.full(k + 1, below * top)
+        f[k] = top
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(rng, "BATCH_BYTES", _block_budget(cols, f, block))
+            self._check(bits, f, _reference_scan(bits, f))
+
+    def test_survivor_sums_memory_is_bounded(self):
+        # Every row is all ones at n2 = 256, so each of the C(20, 5) = 15,504
+        # subsets scores 256 f[5] and every pair survives the bound: their
+        # float sums at once would take 31.7 MB, and a block's alone 11 MB.
+        # The 256 C(20, 5) candidates outnumber the subsets, so the full
+        # enumeration runs.
+        bits = np.ones((1, 20, 256), dtype=np.uint8)
+        f = np.array([0.0, 0.0, 0.0, -1.0, -0.5, 2.0])
+        assert detectors._only_full_scores(f)
+        detectors._scan_max(bits, f, 10**6)  # fill the table caches
+        tracemalloc.start()
+        try:
+            got = detectors._scan_max(bits, f, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == [512.0]
+        assert peak < 3 * rng.BATCH_BYTES
 
     def test_positive_below_k_scans_in_full(self):
         # Rows {0, 2} hold no all-ones column yet score 4 x 3.0; the one
@@ -607,6 +666,37 @@ class TestCandidatePass:
         assert calls and all(subsets < math.comb(20, 5) for _, subsets, _ in calls)
         assert set(np.concatenate([owner for owner, _, _ in calls]).tolist()) == set(range(51))
         assert peak < 3 * rng.BATCH_BYTES
+
+
+class TestPackedWords:
+    """The bounded kernel's all-ones counts: rows packed into uint64 words,
+    ANDed, and counted by a SWAR popcount."""
+
+    def test_popcount_matches_bit_count(self):
+        gen = np.random.default_rng(7)
+        random = np.frombuffer(gen.bytes(8 * 300), dtype=np.uint64)
+        sparse = random[:100] & random[100:200] & random[200:]
+        words = np.concatenate([
+            np.array([0, 2**64 - 1], dtype=np.uint64),
+            np.uint64(1) << np.arange(64, dtype=np.uint64),
+            ~(np.uint64(1) << np.arange(64, dtype=np.uint64)),
+            random, sparse,
+        ])
+        got = detectors._popcount(words.copy(), np.empty_like(words))
+        assert got.tolist() == [bin(w).count("1") for w in words.tolist()]
+        assert got[:2].tolist() == [0, 64] and set(got[2:66].tolist()) == {1}
+
+    @pytest.mark.parametrize("cols", [1, 7, 8, 63, 64, 65, 128, 129, 200])
+    def test_packed_and_counts_all_ones_columns(self, cols):
+        gen = np.random.default_rng(cols)
+        flat = (gen.random((6, cols)) < 0.8).astype(np.uint8)
+        packed = detectors._pack_rows(flat)
+        assert packed.shape == (6, -(-cols // 64)) and packed.dtype == np.uint64
+        for k in range(1, 7):
+            for subset in combinations(range(6), k):
+                words = np.bitwise_and.reduce(packed[list(subset)], axis=0)
+                full = detectors._popcount(words, np.empty_like(words)).sum()
+                assert full == (flat[list(subset)].sum(axis=0) == k).sum()
 
 
 class TestAnalyticThresholds:

@@ -21,7 +21,7 @@ from planted_bipartite import (
 from planted_bipartite import rng
 from planted_bipartite.rng import batch_cell_uniforms, cell_uniforms
 
-from oracles import sample_subset_reference, write_matrix_reference
+from oracles import read_matrix_reference, sample_subset_reference, write_matrix_reference
 
 
 class TestTypes:
@@ -414,6 +414,53 @@ class TestIO:
         write_matrix(A, got)
         write_matrix_reference(A, want)
         assert got.read_bytes() == want.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n1=st.integers(1, 5),
+        n2=st.integers(1, 8),
+        header=st.sampled_from(["ok"] * 12 + ["n1+1", "n1-1", "n2+1", "n2-1", "2", "a b", " 2  3 "]),
+        edits=st.lists(
+            st.tuples(st.integers(0, 6), st.sampled_from(["short", "long", "char", "char", "char"]),
+                      st.integers(0, 8), st.sampled_from(["2", "x", " ", "\t", "/", "\x00", "\xe9"])),
+            max_size=3,
+        ),
+        extra=st.sampled_from([0] * 6 + [-1, 1, 2]),
+        ends=st.lists(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e"]),
+                      min_size=9, max_size=9),
+        final=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_reader_matches_row_reader(
+        self, tmp_path_factory, n1, n2, header, edits, extra, ends, final, seed
+    ):
+        """The one-pass reader accepts what the row-at-a-time reader does,
+        with the same bits, and refuses the rest with the same message:
+        near-valid files with bad characters, short, long, missing or extra
+        rows, bad headers, and every ASCII line ending splitlines honours."""
+        gen = np.random.default_rng(seed)
+        rows = ["".join(gen.choice(["0", "1"], n2)) for _ in range(max(0, n1 + extra))]
+        for i, edit, at, char in edits:
+            if i < len(rows):
+                row, at = rows[i], min(at, len(rows[i]))
+                rows[i] = {"short": row[:-1], "long": row + "1",
+                           "char": row[:at] + char + row[at + 1 :]}[edit]
+        head = {"ok": f"{n1} {n2}", "n1+1": f"{n1 + 1} {n2}", "n1-1": f"{n1 - 1} {n2}",
+                "n2+1": f"{n1} {n2 + 1}", "n2-1": f"{n1} {n2 - 1}"}.get(header, header)
+        lines = [head, *rows]
+        endings = ends[: len(lines)]
+        if not final:
+            endings[-1] = ""
+        path = tmp_path_factory.mktemp("reader") / "m.txt"
+        path.write_bytes("".join(map(str.__add__, lines, endings)).encode("latin-1"))
+
+        def outcome(read):
+            try:
+                return read(path).bits.tolist()
+            except FormatError as exc:
+                return str(exc)
+
+        assert outcome(read_matrix) == outcome(read_matrix_reference)
 
     def test_explicit_bits(self, tmp_path):
         p = tmp_path / "m.txt"

@@ -121,9 +121,10 @@ class TestPowerSweep:
         cfg2 = _cfg(trials=4000)
         e1 = estimate_risk(cfg1, 0.0)
         e2 = estimate_risk(cfg2, 0.0)
-        # se ~ 1/sqrt(trials): quadrupling trials halves the se within noise
-        if e1.se1 > 0 and e2.se1 > 0:
-            assert e2.se1 < e1.se1
+        # se ~ 1/sqrt(trials): quadrupling trials halves the se within noise.
+        # These configs give 0.00858 and 0.00434, a ratio of 0.506.
+        assert e1.se1 > 0 and e2.se1 > 0
+        assert 0.45 <= e2.se1 / e1.se1 <= 0.55
 
     @pytest.mark.parametrize("n", [100, 101, 1000, 4096])
     def test_se_is_the_binomial_formula(self, n):
