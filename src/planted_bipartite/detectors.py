@@ -19,8 +19,9 @@ Three statistics are implemented:
   best such subset scores <= 0, and the kernel forms counts and sums
   floats only for subsets whose bound, plus a margin for rounding, reaches
   the best score so far; the maximum is the same double either way.
-  Tables and subset enumerations are built once, when first needed,
-  cached read-only.
+  Contribution tables are built once and cached read-only; each k_scan has
+  one read-only table of subsets, in colex order, so that every subset
+  table the scan asks for is a prefix of it.
 
 A truncation level whose count threshold k_min reaches the kernel's n is
 refused with EmptyConditionError: only the count n would pass, nu_tau would
@@ -47,7 +48,6 @@ import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import chain, combinations
 
 import numpy as np
 
@@ -179,17 +179,28 @@ def _column_counts(bits: np.ndarray) -> np.ndarray:
     return bits.sum(axis=1, dtype=np.min_scalar_type(bits.shape[1]))
 
 
-@functools.lru_cache(maxsize=32)
+_SUBSETS: dict[int, np.ndarray] = {}
+
+
 def _subset_indices(n: int, k: int, budget: int) -> np.ndarray:
-    """(S, k) read-only row indices of all k-subsets of [n], lexicographic;
-    more than `budget` of them is a BudgetError."""
+    """(C(n, k), k) read-only row indices of the k-subsets of [n] in colex
+    order (by largest element, then the next), in which they head the
+    k-subsets of any larger n: the head of one table per k, grown to the
+    largest n asked for.  More than `budget` subsets is a BudgetError."""
     count = math.comb(n, k)
     if count > budget:
         raise BudgetError(f"{count} subsets of size {k} from {n} exceed budget {budget}")
-    idx = np.fromiter(chain.from_iterable(combinations(range(n), k)), np.intp, count=count * k)
-    idx = idx.reshape(count, k)
-    idx.setflags(write=False)
-    return idx
+    if k not in _SUBSETS or len(_SUBSETS[k]) < count:
+        table = np.empty((count, k), np.intp)
+        # Rows C(top, k) to C(top + 1, k) are the (k - 1)-subsets of [top],
+        # each followed by top; k = 0 has the one empty row.
+        for top in range(k - 1, n) if k else ():
+            rows = slice(math.comb(top, k), math.comb(top + 1, k))
+            table[rows, :-1] = _subset_indices(n - 1, k - 1, budget)[: math.comb(top, k - 1)]
+            table[rows, -1] = top
+        table.setflags(write=False)
+        _SUBSETS[k] = table
+    return _SUBSETS[k][:count]
 
 
 def _only_full_scores(f: np.ndarray) -> bool:
@@ -350,10 +361,10 @@ def _scan_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
     when these candidates, sum_j C(o_j, k) over the column sums o_j, are
     fewer than the T C(n, k) subsets.  A trial whose best candidate scores
     above 0 has found its maximum; every other trial then offers all its
-    rows, raising the same `best`, so the C(n, k) table is built only for a
-    full enumeration.  A candidate's score is a real subset score and the
-    kernel prunes only subsets that cannot raise `best`, so each maximum is
-    the same double as when every subset is scored.
+    rows, raising the same `best`, so the table grows to C(n, k) rows only
+    for a full enumeration.  A candidate's score is a real subset score and
+    the kernel prunes only subsets that cannot raise `best`, so each maximum
+    is the same double as when every subset is scored.
     """
     T, n, n2 = bits.shape
     k = len(f) - 1

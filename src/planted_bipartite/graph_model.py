@@ -52,11 +52,12 @@ class AdjacencyMatrix:
         bits = np.asarray(bits)
         if bits.ndim != 2:
             raise ParameterError(f"adjacency matrix must be 2-D, got ndim={bits.ndim}")
-        if bits.size and not np.isin(bits, (0, 1)).all():
+        # astype copies, so the matrix is independent of its input.
+        ones = bits.astype(bool).view(np.uint8)
+        if not np.array_equal(ones, bits):
             raise ParameterError("adjacency matrix entries must be 0 or 1")
-        b = bits.astype(np.uint8, copy=True)
-        b.setflags(write=False)
-        object.__setattr__(self, "bits", b)
+        ones.setflags(write=False)
+        object.__setattr__(self, "bits", ones)
 
     @property
     def n1(self) -> int:

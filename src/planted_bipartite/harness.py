@@ -138,21 +138,16 @@ def estimate_risk(cfg: ExperimentConfig, delta: float) -> RiskEstimate:
 @dataclass(frozen=True)
 class SweepResult:
     rows: tuple[RiskEstimate, ...]
-    type2_monotone: bool
     kind: DetectorKind
     threshold: float
 
 
 def power_sweep(cfg: ExperimentConfig) -> SweepResult:
-    """One risk estimate per grid delta, sharing random numbers across the
-    grid, plus a flag for whether Type II decreases in delta up to noise."""
+    """One risk estimate per grid delta, in increasing delta, sharing random
+    numbers across the grid."""
     resolved = _resolve(cfg)
     rows = tuple(_evaluate(cfg, resolved, sorted(cfg.delta_grid)))
-    monotone = True
-    for a, b in zip(rows, rows[1:]):
-        if b.type2 > a.type2 + 4.0 * (a.se2 + b.se2):
-            monotone = False
-    return SweepResult(rows, monotone, kind=resolved[0], threshold=resolved[1])
+    return SweepResult(rows, kind=resolved[0], threshold=resolved[1])
 
 
 def bisect_delta_star(cfg: ExperimentConfig, tolerance: float, eta: float = 0.5) -> float:

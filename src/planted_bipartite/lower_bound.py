@@ -135,19 +135,18 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
 
     The matrices are walked in blocks of rows of their bit matrix: the
     largest power of two rows (at least 128) whose float64 bits fit
-    rng.BATCH_BYTES.  One block of bits and its complement is built once,
-    each block rewrites in place only its high bit columns, which are
-    constant down the block, and every support is evaluated on it.  Each
-    block's null and mixture probabilities give its |P0 - P_mix| terms, and
-    no vector of all 2^(n1 n2) matrices is held: the bit block and its
-    complement bound the memory.  The result does not depend on the block
-    size: each matrix's log-probability is one matrix-vector product row,
-    the supports are added in one fixed order, and the terms are summed in
-    numpy's pairwise order over the whole enumeration, rebuilt from the
-    blocks' sums.  Each support is one pair of log-probability
-    vectors, p1 = 1 included, where a finite floor stands for
-    log(1 - p1) = log 0 and a matrix missing a planted edge has probability
-    0.0.
+    rng.BATCH_BYTES.  The block at lo unpacks its bits, row i those of
+    matrix lo + i, and their complement into two buffers that every block
+    reuses, and every support is evaluated on them.  Each block's null and
+    mixture probabilities give its |P0 - P_mix| terms, and no vector of all
+    2^(n1 n2) matrices is held: the two buffers bound the memory.  The
+    result does not depend on the block size: each matrix's log-probability
+    is one matrix-vector product row, the supports are added in one fixed
+    order, and the terms are summed in numpy's pairwise order over the whole
+    enumeration, rebuilt from the blocks' sums.  Each support is one pair of
+    log-probability vectors, p1 = 1 included, where a finite floor stands
+    for log(1 - p1) = log 0 and a matrix missing a planted edge has
+    probability 0.0.
     """
     _check_signal(p0, delta)
     cells = shape.n1 * shape.n2
@@ -185,14 +184,6 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     # one-row product with a dot kernel, so shorter blocks could change the
     # last bits.
     rows = min(total, 1 << max(7, (rng.BATCH_BYTES // (8 * cells)).bit_length() - 1))
-    # Row i of the block at lo is matrix lo + i, and lo is a multiple of
-    # rows: its low log2(rows) bits are those of i in every block, and the
-    # rest are lo's, the same on every row.  So the block is built once and
-    # only those constant columns are rewritten, in place.
-    low = rows.bit_length() - 1
-    shifts = np.arange(cells)
-    on = ((np.arange(rows)[:, None] >> shifts) & 1).astype(np.float64)
-    off = 1.0 - on
     # numpy sums a contiguous float64 vector pairwise: it halves it at
     # multiples of 8 down to leaves of at most 128 entries (PW_BLOCKSIZE in
     # its loops_utils.h.src).  A whole vector of 2^cells terms is therefore a
@@ -200,11 +191,13 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     # subtree.  So |prob0 - prob_mix| is summed one block at a time and the
     # block sums are merged left + right like a binary counter: the same
     # double as np.abs(prob0 - prob_mix).sum() over whole vectors.
-    sums = []
+    sums, on, off = [], np.empty((rows, cells)), np.empty((rows, cells))
     for lo in range(0, total, rows):
-        high = ((lo >> shifts[low:]) & 1).astype(np.float64)
-        on[:, low:] = high
-        off[:, low:] = 1.0 - high
+        # Row i holds bit j of matrix lo + i in column j: the index's four
+        # little-endian bytes, unpacked (cells <= TV_BUDGET_BITS < 32).
+        index = np.arange(lo, lo + rows, dtype="<u4").view(np.uint8).reshape(rows, 4)
+        on[...] = np.unpackbits(index, axis=1, count=cells, bitorder="little")
+        np.subtract(1.0, on, out=off)
         prob0 = np.exp(on @ a0 + off @ b0)
         prob_mix = np.zeros(rows)
         for a, b in supports:

@@ -377,6 +377,82 @@ class TestScanExactness:
         assert peak < 3 * rng.BATCH_BYTES
 
 
+class TestSubsetTable:
+    """One read-only table of subsets per size k, in colex order, so that the
+    k-subsets of [n] are the first C(n, k) rows of the table for any larger
+    n; it grows only when a larger n is asked for."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """A fresh table store, so each test starts with no table."""
+        monkeypatch.setattr(detectors, "_SUBSETS", {})
+        return detectors._SUBSETS
+
+    def test_rows_are_colex(self, tables):
+        for n in range(11):
+            for k in range(1, n + 1):
+                got = detectors._subset_indices(n, k, 10**6)
+                assert not got.flags.writeable
+                want = sorted(combinations(range(n), k), key=lambda c: c[::-1])
+                assert got.shape == (math.comb(n, k), k)
+                assert [tuple(row) for row in got.tolist()] == want, (n, k)
+
+    def test_last_subset(self):
+        # test_multi_block_matches_reference's best subset, rows 15-19, is the
+        # last one enumerated.
+        assert detectors._subset_indices(20, 5, 10**6)[-1].tolist() == [15, 16, 17, 18, 19]
+
+    def test_smaller_table_is_a_prefix(self, tables):
+        small = detectors._subset_indices(12, 4, 10**6)
+        large = detectors._subset_indices(30, 4, 10**6)
+        again = detectors._subset_indices(12, 4, 10**6)
+        assert np.array_equal(again, small) and np.array_equal(large[: len(small)], small)
+        assert np.shares_memory(again, large)
+        assert len(tables[4]) == len(large) == math.comb(30, 4)
+
+    def test_ascending_requests_keep_one_table(self, tables):
+        for o in range(3, 61):
+            detectors._subset_indices(o, 3, 10**6)
+        table = tables[3]
+        assert table.shape == (math.comb(60, 3), 3)
+        # The recursion keeps one smaller table per size below 3.
+        assert sorted(tables) == [0, 1, 2, 3]
+        assert [len(tables[k]) for k in range(3)] == [1, 58, math.comb(59, 2)]
+        for o in range(3, 61):
+            assert np.shares_memory(detectors._subset_indices(o, 3, 10**6), table)
+        assert tables[3] is table
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (7, 1), (7, 3), (12, 6), (20, 5), (30, 2)])
+    def test_budget_is_the_callers_table(self, tables, n, k):
+        count = math.comb(n, k)
+        with pytest.raises(BudgetError, match=f"^{count} subsets of size {k} from {n} "
+                                              f"exceed budget {count - 1}$"):
+            detectors._subset_indices(n, k, count - 1)
+        assert not tables
+        # At exactly the budget the smaller tables it is built from pass too.
+        assert len(detectors._subset_indices(n, k, count)) == count
+
+    def test_scan_over_many_column_counts_is_bounded(self):
+        # One trial whose 58 columns hold 3 to 60 ones, in rows from 0: the
+        # C(61, 4) = 521,855 candidates of 3 rows are fewer than the
+        # C(200, 3) subsets, so the scan asks for 58 tables of C(o, 3) rows.
+        # Each is a prefix of the one C(60, 3)-row table; 32 of them held at
+        # once would take 12 MB.
+        bits = np.zeros((1, 200, 58), dtype=np.uint8)
+        for col, o in enumerate(range(3, 61)):
+            bits[0, :o, col] = 1
+        f = np.array([0.0, 0.0, 0.0, 1.0])
+        detectors._scan_max(bits, f, 10**6)  # grow the table
+        tracemalloc.start()
+        try:
+            got = detectors._scan_max(bits, f, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.tolist() == [58.0]
+        assert peak < 3 * rng.BATCH_BYTES
+
+
 class TestContributionTable:
     @settings(max_examples=300, deadline=None)
     @given(n=st.integers(1, 40), p0=st.floats(0.01, 0.99), tau=st.floats(0.0, 6.0))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -54,6 +55,27 @@ class TestTypes:
     def test_matrix_entries_checked(self):
         with pytest.raises(ParameterError):
             AdjacencyMatrix(np.array([[0, 2]]))
+
+    @pytest.mark.parametrize("entry", [2, -1, 0.5, math.nan, math.inf, -math.inf, "0", "1"])
+    def test_matrix_entries_refused_without_warning(self, entry):
+        bits = np.array([[1, entry]] if isinstance(entry, str) else [[1, 0], [0, entry]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="must be 0 or 1"):
+                AdjacencyMatrix(bits)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64, bool])
+    def test_matrix_is_a_read_only_copy(self, dtype):
+        bits = np.array([[1, 0, 1], [0, 0, 1]], dtype=dtype)
+        A = AdjacencyMatrix(bits)
+        bits[0, 0] = 0
+        assert A.bits.dtype == np.uint8 and not A.bits.flags.writeable
+        assert A.bits.tolist() == [[1, 0, 1], [0, 0, 1]]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (4, 0)])
+    def test_empty_matrix_accepted(self, shape):
+        A = AdjacencyMatrix(np.zeros(shape))
+        assert A.bits.shape == shape and A.bits.dtype == np.uint8
 
 
 def _reference_uniforms(seed: int, n1: int, n2: int) -> np.ndarray:
