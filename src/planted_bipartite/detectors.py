@@ -13,12 +13,13 @@ Three statistics are implemented:
   subset's column counts add up its gathered rows, and a table lookup
   scores them.  When k_scan is the only count with a positive score, a
   subset scores at most f[k_scan] times its all-ones columns, which the
-  kernel counts from the rows packed once into uint64 words: the AND of
-  the subset's words, then a popcount.  So _scan_max first offers the
-  kernel only each column's ones, then every row of just the trials whose
-  best such subset scores <= 0, and the kernel forms counts and sums
-  floats only for subsets whose bound, plus a margin for rounding, reaches
-  the best score so far; the maximum is the same double either way.
+  kernel counts from the rows packed once into uint64 words: the set bits
+  of the AND of the subset's words, by np.bitwise_count.  So _scan_max
+  first offers the kernel only each column's ones, then every row of just
+  the trials whose best such subset scores <= 0, and the kernel forms
+  counts and sums floats only for subsets whose bound, plus a margin for
+  rounding, reaches the best score so far; the maximum is the same double
+  either way.
   Contribution tables are built once and cached read-only; each k_scan has
   one read-only table of subsets, in colex order, so that every subset
   table the scan asks for is a prefix of it.
@@ -143,12 +144,11 @@ def _batch_total(bits: np.ndarray, p0: float) -> np.ndarray:
     """(T,) standardized edge totals.  Each is summed in the narrowest
     unsigned type that holds n1 * n2, as _column_counts does (a 16-trial
     64x64 chunk took 13 us against 39-54 us in int64), and centred in
-    float64, which numpy 1.x would not pick for a narrow integer array."""
+    float64, to which the Python float promotes them."""
     _check_p0(p0)
     n1, n2 = bits.shape[1], bits.shape[2]
     sums = bits.reshape(len(bits), n1 * n2).sum(axis=1, dtype=np.min_scalar_type(n1 * n2))
-    centred = np.subtract(sums, n1 * n2 * p0, dtype=np.float64)
-    return centred / math.sqrt(n1 * n2 * p0 * (1.0 - p0))
+    return (sums - n1 * n2 * p0) / math.sqrt(n1 * n2 * p0 * (1.0 - p0))
 
 
 @functools.lru_cache(maxsize=32)
@@ -221,37 +221,13 @@ def _pack_rows(flat: np.ndarray) -> np.ndarray:
     return packed.view(np.uint64)
 
 
-_M1, _M2, _M4, _H01 = (
-    np.uint64(0x5555555555555555), np.uint64(0x3333333333333333),
-    np.uint64(0x0F0F0F0F0F0F0F0F), np.uint64(0x0101010101010101),
-)
-
-
-def _popcount(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """The set bits of each uint64 word of x, in place in x, with tmp (the
-    shape of x) as scratch: the SWAR sum of bits in pairs, nibbles and
-    bytes, then the bytes' sum in the top byte of one multiply."""
-    np.right_shift(x, np.uint64(1), out=tmp)
-    tmp &= _M1
-    x -= tmp
-    np.right_shift(x, np.uint64(2), out=tmp)
-    tmp &= _M2
-    x &= _M2
-    x += tmp
-    np.right_shift(x, np.uint64(4), out=tmp)
-    x += tmp
-    x &= _M4
-    x *= _H01
-    x >>= np.uint64(56)
-    return x
-
-
 def _pair_bytes(n2: int, k: int, bounded: bool) -> int:
     """Bytes _score_subsets holds per (group, subset) pair of a block.  A
     table that scores every subset holds its row indices (k each) or its
     float64 scores (n2 each).  A bounded table holds the ANDed words and
-    their scratch (16 bytes a word), the all-ones count and its bound (8
-    bytes each), the bound's bool and a survivor's two indices (17 bytes)."""
+    the take's scratch (16 bytes a word), the all-ones count and its bound
+    (8 bytes each), the bound's bool and a survivor's two indices (17
+    bytes); the scratch is freed before the words' bits are counted."""
     if not bounded:
         return 8 * max(n2, k)
     return 16 * -(-n2 // 64) + 33
@@ -284,9 +260,10 @@ def _score_subsets(
     bounded one scores every subset.
 
     When k is the only count with f > 0, a subset with b all-ones columns
-    sums exactly to at most f[k] b; b is the popcount of the AND of its k
-    rows' packed words.  In any summation order, its computed sum exceeds
-    the exact one by at most (n2 - 1) u / (1 - (n2 - 1) u) times
+    sums exactly to at most f[k] b; b is np.bitwise_count of the AND of
+    its k rows' packed words, summed over the words, counted once the
+    takes' scratch is freed.  In any summation order, its computed sum
+    exceeds the exact one by at most (n2 - 1) u / (1 - (n2 - 1) u) times
     sum_j |f[count_j]| <= n2 max|f|, u = eps / 2; rounding f[k] b and
     adding the margin costs at most 2 u n2 max|f| + u margin more.  The
     margin 4 n2^2 eps max|f| = 8 u n2^2 max|f| covers both while n2 u is
@@ -323,8 +300,8 @@ def _score_subsets(
                 # The indices are valid; take buffers `out` in its default
                 # "raise" mode.
                 full &= np.take(gathered, block[:, i], axis=1, out=tmp, mode="clip")
-            full = _popcount(full, tmp).sum(axis=-1)
-            del tmp  # the words' bytes are free before any float sum
+            del tmp  # the scratch serves only the takes
+            full = np.bitwise_count(full).sum(axis=-1)
             top = full.argmax(axis=1)
             _score_pairs(flat, group_rows, block, who, f, best, np.arange(len(who)), top)
             bound = f[k] * full
@@ -357,7 +334,8 @@ def _scan_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
     into words for the kernel's bound, and a subset with no all-ones column
     sums terms <= 0.  So a candidate pass first offers _score_subsets only
     the subsets inside the ones of some column: the columns with o ones
-    together, each its ones' rows, with the C(o, k) table.  It runs exactly
+    together, each its ones' rows, with the C(o, k) table, largest o first
+    so that every later table is a prefix of the first.  It runs exactly
     when these candidates, sum_j C(o_j, k) over the column sums o_j, are
     fewer than the T C(n, k) subsets.  A trial whose best candidate scores
     above 0 has found its maximum; every other trial then offers all its
@@ -379,7 +357,7 @@ def _scan_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
         columns = np.bincount(counts.ravel(), minlength=k + 1)
         candidates = sum(int(g) * math.comb(o, k) for o, g in enumerate(columns) if o >= k)
         if candidates < T * math.comb(n, k):
-            for o in (np.flatnonzero(columns[k:]) + k).tolist():
+            for o in (np.flatnonzero(columns[k:]) + k)[::-1].tolist():
                 trial, col = np.nonzero(counts == o)
                 ones = np.nonzero(bits[trial, :, col])[1].reshape(len(trial), o)
                 ones += (trial * n)[:, None]

@@ -432,6 +432,29 @@ class TestSubsetTable:
         # At exactly the budget the smaller tables it is built from pass too.
         assert len(detectors._subset_indices(n, k, count)) == count
 
+    def test_scan_builds_the_table_once(self, monkeypatch):
+        # One trial whose columns hold 3 to 8 ones, in rows from 0: its 126
+        # candidates are fewer than the C(12, 3) = 220 subsets, and each
+        # scores above 0, so no trial is rescanned.  The largest count is
+        # offered first, so the 3-subset table is built once, at C(8, 3)
+        # rows, and every later request is a prefix of it.
+        builds = {}
+
+        class CountedStore(dict):
+            def __setitem__(self, k, table):
+                builds[k] = builds.get(k, 0) + 1
+                super().__setitem__(k, table)
+
+        monkeypatch.setattr(detectors, "_SUBSETS", CountedStore())
+        bits = np.zeros((1, 12, 6), dtype=np.uint8)
+        for col, o in enumerate(range(3, 9)):
+            bits[0, :o, col] = 1
+        calls = _record_scan(monkeypatch)
+        got = detectors._scan_max(bits, np.array([0.0, 0.0, 0.0, 1.0]), 10**6)
+        assert got.tolist() == [6.0]
+        assert [subsets for _, subsets, _ in calls] == [56, 35, 20, 10, 4, 1]
+        assert builds == {0: 1, 1: 1, 2: 1, 3: 1}
+
     def test_scan_over_many_column_counts_is_bounded(self):
         # One trial whose 58 columns hold 3 to 60 ones, in rows from 0: the
         # C(61, 4) = 521,855 candidates of 3 rows are fewer than the
@@ -746,21 +769,7 @@ class TestCandidatePass:
 
 class TestPackedWords:
     """The bounded kernel's all-ones counts: rows packed into uint64 words,
-    ANDed, and counted by a SWAR popcount."""
-
-    def test_popcount_matches_bit_count(self):
-        gen = np.random.default_rng(7)
-        random = np.frombuffer(gen.bytes(8 * 300), dtype=np.uint64)
-        sparse = random[:100] & random[100:200] & random[200:]
-        words = np.concatenate([
-            np.array([0, 2**64 - 1], dtype=np.uint64),
-            np.uint64(1) << np.arange(64, dtype=np.uint64),
-            ~(np.uint64(1) << np.arange(64, dtype=np.uint64)),
-            random, sparse,
-        ])
-        got = detectors._popcount(words.copy(), np.empty_like(words))
-        assert got.tolist() == [bin(w).count("1") for w in words.tolist()]
-        assert got[:2].tolist() == [0, 64] and set(got[2:66].tolist()) == {1}
+    ANDed, and counted by np.bitwise_count."""
 
     @pytest.mark.parametrize("cols", [1, 7, 8, 63, 64, 65, 128, 129, 200])
     def test_packed_and_counts_all_ones_columns(self, cols):
@@ -771,7 +780,7 @@ class TestPackedWords:
         for k in range(1, 7):
             for subset in combinations(range(6), k):
                 words = np.bitwise_and.reduce(packed[list(subset)], axis=0)
-                full = detectors._popcount(words, np.empty_like(words)).sum()
+                full = np.bitwise_count(words).sum()
                 assert full == (flat[list(subset)].sum(axis=0) == k).sum()
 
 
