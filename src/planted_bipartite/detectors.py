@@ -16,13 +16,14 @@ Three statistics are implemented:
   kernel counts from the rows packed once into uint64 words: the set bits
   of the AND of the subset's words, by np.bitwise_count.  So _scan_max
   first offers the kernel only each column's ones, then every row of just
-  the trials whose best such subset scores <= 0, and the kernel forms
-  counts and sums floats only for subsets whose bound, plus a margin for
-  rounding, reaches the best score so far; the maximum is the same double
-  either way.
+  the trials whose best such subset scores <= 0.  The kernel bounds every
+  subset before it sums any float, and forms counts and sums floats, at
+  most once a subset, only for subsets whose bound, plus a margin for
+  rounding, reaches the best score so far, a group's highest-bound subset
+  before the others.  The maximum is the same double either way.
   Contribution tables are built once and cached read-only; each k_scan has
   one read-only table of subsets, in colex order, so that every subset
-  table the scan asks for is a prefix of it.
+  table the scan asks for is a prefix of it, and a larger n appends rows.
 
 A truncation level whose count threshold k_min reaches the kernel's n is
 refused with EmptyConditionError: only the count n would pass, nu_tau would
@@ -186,21 +187,26 @@ def _subset_indices(n: int, k: int, budget: int) -> np.ndarray:
     """(C(n, k), k) read-only row indices of the k-subsets of [n] in colex
     order (by largest element, then the next), in which they head the
     k-subsets of any larger n: the head of one table per k, grown to the
-    largest n asked for.  More than `budget` subsets is a BudgetError."""
+    largest n asked for by appending rows.  More than `budget` subsets is a
+    BudgetError."""
     count = math.comb(n, k)
     if count > budget:
         raise BudgetError(f"{count} subsets of size {k} from {n} exceed budget {budget}")
-    if k not in _SUBSETS or len(_SUBSETS[k]) < count:
-        table = np.empty((count, k), np.intp)
+    table = _SUBSETS.get(k, np.empty((0, k), np.intp))
+    if len(table) < count:
+        old, table = table, np.empty((count, k), np.intp)
+        table[: len(old)] = old
         # Rows C(top, k) to C(top + 1, k) are the (k - 1)-subsets of [top],
-        # each followed by top; k = 0 has the one empty row.
+        # each followed by top; k = 0 has the one empty row.  The old table
+        # already holds the rows of its tops.
         for top in range(k - 1, n) if k else ():
             rows = slice(math.comb(top, k), math.comb(top + 1, k))
-            table[rows, :-1] = _subset_indices(n - 1, k - 1, budget)[: math.comb(top, k - 1)]
-            table[rows, -1] = top
+            if rows.stop > len(old):
+                table[rows, :-1] = _subset_indices(n - 1, k - 1, budget)[: math.comb(top, k - 1)]
+                table[rows, -1] = top
         table.setflags(write=False)
         _SUBSETS[k] = table
-    return _SUBSETS[k][:count]
+    return table[:count]
 
 
 def _only_full_scores(f: np.ndarray) -> bool:
@@ -267,12 +273,16 @@ def _score_subsets(
     sum_j |f[count_j]| <= n2 max|f|, u = eps / 2; rounding f[k] b and
     adding the margin costs at most 2 u n2 max|f| + u margin more.  The
     margin 4 n2^2 eps max|f| = 8 u n2^2 max|f| covers both while n2 u is
-    small.  So in each block a group first scores its subset with the most
-    all-ones columns into best[owner], then scores only the subsets whose
-    f[k] b + margin reaches best[owner], in float sums of at most
+    small.  So in each block every (group, subset) pair is bounded by f[k] b
+    + margin before any float is summed.  A group's top subset, the first
+    with the most all-ones columns, is scored into best[owner] only when its
+    bound reaches best[owner]; then each other subset is scored only when
+    its bound reaches the raised best[owner].  So a pair is summed at most
+    once, and only when it could raise best, in float sums of at most
     rng.BATCH_BYTES // (8 max(n2, k)) pairs.  Every pruned subset's
-    computed score lies below best[owner] and could not have raised it, so
-    best ends as the same double as when every subset is scored.
+    computed score lies below best[owner] and could not have raised it, and
+    a scored top cannot raise best again, so best ends as the same double
+    as when every subset is scored.
     """
     k = subsets.shape[1]
     n2 = flat.shape[1]
@@ -302,11 +312,14 @@ def _score_subsets(
                 full &= np.take(gathered, block[:, i], axis=1, out=tmp, mode="clip")
             del tmp  # the scratch serves only the takes
             full = np.bitwise_count(full).sum(axis=-1)
-            top = full.argmax(axis=1)
-            _score_pairs(flat, group_rows, block, who, f, best, np.arange(len(who)), top)
             bound = f[k] * full
             bound += margin
-            group, sub = np.nonzero(bound >= best[who][:, None])
+            each, top = np.arange(len(who)), full.argmax(axis=1)
+            lead = np.flatnonzero(bound[each, top] >= best[who])
+            _score_pairs(flat, group_rows, block, who, f, best, lead, top[lead])
+            survive = bound >= best[who][:, None]
+            survive[each, top] = False
+            group, sub = np.nonzero(survive)
             _score_pairs(flat, group_rows, block, who, f, best, group, sub)
 
 

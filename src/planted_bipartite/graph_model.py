@@ -131,9 +131,11 @@ def sample_planted(
     sample_null, so delta = 0 reproduces the null matrix bit-for-bit and
     larger delta dominates entrywise."""
     support.validate_for(shape)
-    m = np.full((shape.n1, shape.n2), below(cfg.p0), dtype=np.uint64)
-    m[np.ix_(support.K1, support.K2)] = below(cfg.p0 + cfg.delta)
-    return AdjacencyMatrix(cell_uniforms(seed, shape.n1, shape.n2) < m)
+    words = cell_uniforms(seed, shape.n1, shape.n2)
+    bits = words < below(cfg.p0)
+    block = np.ix_(support.K1, support.K2)
+    bits[block] = words[block] < below(cfg.p0 + cfg.delta)
+    return AdjacencyMatrix(bits)
 
 
 def sample_planted_uniform_support(

@@ -410,6 +410,18 @@ class TestSubsetTable:
         assert np.shares_memory(again, large)
         assert len(tables[4]) == len(large) == math.comb(30, 4)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_ascending_build_equals_one_build(self, tables, k):
+        # Requests that grow the table by one top at a time, then in jumps;
+        # each appends the rows of its new tops to a copy of the old table.
+        for n in [*range(k, k + 6), k + 9, 25, 26, 40]:
+            grown = detectors._subset_indices(n, k, 10**6)
+        tables.clear()
+        direct = detectors._subset_indices(40, k, 10**6)
+        assert not grown.flags.writeable
+        assert grown.shape == (math.comb(40, k), k)
+        assert np.array_equal(grown, direct)
+
     def test_ascending_requests_keep_one_table(self, tables):
         for o in range(3, 61):
             detectors._subset_indices(o, 3, 10**6)
@@ -745,14 +757,18 @@ class TestCandidatePass:
             ([0, 1, 1], 1), ([0], 6)]
         assert calls[-1][2].tolist() == [-0.5, 1.0]
 
-    def test_chunk_memory_is_bounded(self, monkeypatch):
-        # One null chunk of the (20, 64, 5, 4) calibration: 51 trials and
-        # about 49,000 candidates, 25 MB as one (candidates, n2) score array.
+    @staticmethod
+    def _null_chunk():
+        """One null chunk of the (20, 64, 5, 4) calibration, 51 trials, and
+        the axis-1 scan kind of its composite."""
         shape = ProblemShape(20, 64, 5, 4)
         assert rng.BATCH_BYTES // (8 * 20 * 64) == 51
         bits = np.stack([sample_null(shape, 0.25, s).bits for s in range(51)])
-        tau = truncation_levels(shape)[1]
-        kind = DetectorKind(MAX1, tau=tau, k_scan=5)
+        return bits, DetectorKind(MAX1, tau=truncation_levels(shape)[1], k_scan=5)
+
+    def test_chunk_memory_is_bounded(self, monkeypatch):
+        # About 49,000 candidates, 25 MB as one (candidates, n2) score array.
+        bits, kind = self._null_chunk()
         _batch_statistic(bits, 0.25, kind)  # fill the table caches
         calls = _record_scan(monkeypatch)
         tracemalloc.start()
@@ -765,6 +781,34 @@ class TestCandidatePass:
         assert calls and all(subsets < math.comb(20, 5) for _, subsets, _ in calls)
         assert set(np.concatenate([owner for owner, _, _ in calls]).tolist()) == set(range(51))
         assert peak < 3 * rng.BATCH_BYTES
+
+    def test_pairs_are_summed_once_and_only_when_they_can_raise_best(self, monkeypatch):
+        # Each block's two float-sum calls, its groups' top subsets and then
+        # the other survivors, share the block's rows and subsets.  Every
+        # pair summed has a bound f[5] b + margin that reaches its owner's
+        # best on entry to the call, and no pair of a block is summed twice.
+        bits, kind = self._null_chunk()
+        f = detectors._contribution_table(5, 0.25, kind.tau)
+        assert detectors._only_full_scores(f)
+        margin = 4.0 * 64 * 64 * np.finfo(np.float64).eps * float(np.abs(f).max())
+        calls, score = [], detectors._score_pairs
+
+        def record(flat, rows, block, owner, f, best, group, sub):
+            calls.append((flat, rows, block, owner, best.copy(), group.copy(), sub.copy()))
+            score(flat, rows, block, owner, f, best, group, sub)
+
+        monkeypatch.setattr(detectors, "_score_pairs", record)
+        _batch_statistic(bits, 0.25, kind)
+        blocks = {}
+        for flat, rows, block, owner, best, group, sub in calls:
+            words = detectors._pack_rows(flat)[rows[group[:, None], block[sub]]]
+            bound = f[5] * np.bitwise_count(np.bitwise_and.reduce(words, axis=1)).sum(axis=-1)
+            bound += margin
+            assert (bound >= best[owner[group]]).all()
+            blocks.setdefault((id(rows), id(block)), []).extend(zip(group.tolist(), sub.tolist()))
+        assert len(calls) == 2 * len(blocks)
+        assert sum(map(len, blocks.values())) > len(blocks)
+        assert all(len(pairs) == len(set(pairs)) for pairs in blocks.values())
 
 
 class TestPackedWords:

@@ -311,6 +311,29 @@ class TestSampling:
         p[np.ix_(support.K1, support.K2)] = cfg.p0 + cfg.delta
         assert np.array_equal(A.bits, _reference_uniforms(seed, 6, 7) < p)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n1=st.integers(1, 12),
+        n2=st.integers(1, 12),
+        p0=st.one_of(st.sampled_from([0.0, 0.25, 0.3, 1.0]), st.floats(0.0, 1.0)),
+        share=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    def test_planted_equals_per_cell_cuts(self, n1, n2, p0, share, seed, data):
+        """Every cell decided at below(p0) and the block rewritten at
+        below(p0 + delta) gives the bits of comparing each cell's word with
+        a matrix of per-cell cuts."""
+        K1 = sorted(data.draw(st.sets(st.integers(0, n1 - 1), min_size=1)))
+        K2 = sorted(data.draw(st.sets(st.integers(0, n2 - 1), min_size=1)))
+        shape = ProblemShape(n1, n2, len(K1), len(K2))
+        cfg = SignalConfig(p0, share * (1.0 - p0))
+        support = PlantedSupport(tuple(K1), tuple(K2))
+        cuts = np.full((n1, n2), rng.below(cfg.p0), dtype=np.uint64)
+        cuts[np.ix_(K1, K2)] = rng.below(cfg.p0 + cfg.delta)
+        A = sample_planted(shape, cfg, support, seed)
+        assert np.array_equal(A.bits, cell_uniforms(seed, n1, n2) < cuts)
+
     def test_support_out_of_range(self):
         shape = ProblemShape(4, 4, 2, 2)
         with pytest.raises(ParameterError):
