@@ -11,16 +11,20 @@ Three statistics are implemented:
   subsets.  One function, _scan_max, runs the scan, and one kernel,
   _score_subsets, scores subsets in blocks within rng.BATCH_BYTES: a
   subset's column counts add up its gathered rows, and a table lookup
-  scores them.  When k_scan is the only count with a positive score, a
-  subset scores at most f[k_scan] times its all-ones columns, which the
-  kernel counts from the rows packed once into uint64 words: the set bits
-  of the AND of the subset's words, by np.bitwise_count.  So _scan_max
-  first offers the kernel only each column's ones, then every row of just
-  the trials whose best such subset scores <= 0.  The kernel bounds every
-  subset before it sums any float, and forms counts and sums floats, at
-  most once a subset, only for subsets whose bound, plus a margin for
-  rounding, reaches the best score so far, a group's highest-bound subset
-  before the others.  The maximum is the same double either way.
+  scores them.  For any table f, a subset scores at most the sum of
+  max(f, 0) over its column counts, which the kernel counts from the rows
+  packed once into uint64 words: for each count c from the least with
+  f > 0 up to k_scan, a level mask of the columns with at least c ones,
+  built from the subset's words by AND and OR, whose set bits
+  np.bitwise_count counts.  When k_scan is the only count with a positive
+  score, the one level is the AND of the subset's words, and the bound is
+  f[k_scan] times its all-ones columns; so _scan_max first offers the
+  kernel only each column's ones, then every row of just the trials whose
+  best such subset scores <= 0.  The kernel bounds every subset before it
+  sums any float, and forms counts and sums floats, at most once a
+  subset, only for subsets whose bound, plus a margin for rounding,
+  reaches the best score so far, a group's highest-bound subset before the
+  others.  The maximum is the same double as when every subset is scored.
   Contribution tables are built once and cached read-only; each k_scan has
   one read-only table of subsets, in colex order, so that every subset
   table the scan asks for is a prefix of it, and a larger n appends rows.
@@ -211,7 +215,8 @@ def _subset_indices(n: int, k: int, budget: int) -> np.ndarray:
 
 def _only_full_scores(f: np.ndarray) -> bool:
     """Whether k = len(f) - 1 is the only count with f > 0: then a subset
-    scores at most f[k] times its number of all-ones columns."""
+    with no all-ones column scores <= 0, which gates _scan_max's candidate
+    pass."""
     k = len(f) - 1
     return bool(f[k] > 0) and not (f[:k] > 0).any()
 
@@ -219,24 +224,25 @@ def _only_full_scores(f: np.ndarray) -> bool:
 def _pack_rows(flat: np.ndarray) -> np.ndarray:
     """(R, W) uint64 words of the 0/1 rows flat (R, n2), W = ceil(n2 / 64):
     np.packbits along the columns, padded with zero bits to whole words.  A
-    zero bit is never an all-ones column, so ANDing a subset's words and
-    counting the set bits gives its number of all-ones columns."""
+    padding bit is zero in every row, so it lies in no level mask of
+    _score_subsets: a column with at most j zeros among j + 1 or more
+    rows has a one in some row."""
     words = -(-flat.shape[1] // 64)
     packed = np.zeros((len(flat), 8 * words), dtype=np.uint8)
     packed[:, : -(-flat.shape[1] // 8)] = np.packbits(flat, axis=1)
     return packed.view(np.uint64)
 
 
-def _pair_bytes(n2: int, k: int, bounded: bool) -> int:
-    """Bytes _score_subsets holds per (group, subset) pair of a block.  A
-    table that scores every subset holds its row indices (k each) or its
-    float64 scores (n2 each).  A bounded table holds the ANDed words and
-    the take's scratch (16 bytes a word), the all-ones count and its bound
-    (8 bytes each), the bound's bool and a survivor's two indices (17
-    bytes); the scratch is freed before the words' bits are counted."""
-    if not bounded:
-        return 8 * max(n2, k)
-    return 16 * -(-n2 // 64) + 33
+def _pair_bytes(n2: int, levels: int) -> int:
+    """Bytes _score_subsets holds per (group, subset) pair of a block with
+    `levels` level masks of W = ceil(n2 / 64) words: the masks and the
+    takes' row scratch, 8 bytes a word each.  Once the scratch is freed, a
+    mask's np.bitwise_count (W bytes) and at most three arrays of at most
+    8 bytes at a time (its summed bits, their product with the weight, the
+    bound before and after adding it) fit in the scratch's 8 W and 33 bytes
+    more, and so do the bound, its bool and a survivor's two indices (25
+    bytes) once the masks are freed.  At one level this is 16 W + 33."""
+    return 8 * -(-n2 // 64) * (levels + 1) + 33
 
 
 def _add_rows(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -250,71 +256,86 @@ def _add_rows(flat: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def _score_subsets(
     flat: np.ndarray, owner: np.ndarray, rows: np.ndarray, subsets: np.ndarray,
-    f: np.ndarray, best: np.ndarray, packed: np.ndarray | None,
+    f: np.ndarray, best: np.ndarray, packed: np.ndarray,
 ) -> None:
     """The one kernel that scores subsets.  Group g of rows (G, m) offers m
     rows of flat (R, n2); each of the subsets (S, k) of them scores
     sum_j f[count_j], where count_j adds up column j of its k rows, and
     best[owner[g]] is raised to the group's best score.  packed is
-    _pack_rows(flat) when k is the only count with f > 0, and None for
-    any other table.
+    _pack_rows(flat).
 
     A block of (group, subset) pairs holds at most rng.BATCH_BYTES, at
-    _pair_bytes a pair and, with packed, 8 W m bytes a group for its m
-    rows' W words.  Each score is the same contiguous n2-term sum of
-    f[counts], looked up on the narrow count dtype.  Any table but a
-    bounded one scores every subset.
+    _pair_bytes a pair and 8 W m bytes a group for its m rows' W words.
+    Each score is the same contiguous n2-term sum of f[counts], looked up
+    on the narrow count dtype.
 
-    When k is the only count with f > 0, a subset with b all-ones columns
-    sums exactly to at most f[k] b; b is np.bitwise_count of the AND of
-    its k rows' packed words, summed over the words, counted once the
-    takes' scratch is freed.  In any summation order, its computed sum
-    exceeds the exact one by at most (n2 - 1) u / (1 - (n2 - 1) u) times
-    sum_j |f[count_j]| <= n2 max|f|, u = eps / 2; rounding f[k] b and
-    adding the margin costs at most 2 u n2 max|f| + u margin more.  The
-    margin 4 n2^2 eps max|f| = 8 u n2^2 max|f| covers both while n2 u is
-    small.  So in each block every (group, subset) pair is bounded by f[k] b
-    + margin before any float is summed.  A group's top subset, the first
-    with the most all-ones columns, is scored into best[owner] only when its
-    bound reaches best[owner]; then each other subset is scored only when
-    its bound reaches the raised best[owner].  So a pair is summed at most
-    once, and only when it could raise best, in float sums of at most
-    rng.BATCH_BYTES // (8 max(n2, k)) pairs.  Every pruned subset's
-    computed score lies below best[owner] and could not have raised it, and
-    a scored top cannot raise best again, so best ends as the same double
-    as when every subset is scored.
+    Every subset is bounded before any float is summed.  With h = max(f,
+    0) and c_lo = max(low, 1), where low is the least count below k with
+    f > 0, or k, the subset's level c, for each c from c_lo to k, masks its
+    columns with at least c ones: level j of the k - c_lo + 1 = L levels
+    holds the columns with at most j zeros among the rows so far, so adding
+    row r makes it (level j & r) | the old level j - 1, and level 0 is the
+    AND of the rows' words.  Then sum_j h[count_j] = h[0] n2 + sum_c (h[c]
+    - h[c - 1]) p_c, p_c the set bits of level c by np.bitwise_count: the
+    exact bound B, at least the exact score.  When k is the only count
+    with f > 0 this is f[k] times the all-ones columns.
+
+    In any summation order, a computed score exceeds the exact one by at
+    most gamma(n2 - 1) n2 M, M = max|f| over the whole table (so also when
+    f[k] < max f[:k]), gamma(m) = m u / (1 - m u), u = eps / 2.  Rounding
+    each weight h[c] - h[c - 1], each product with p_c, h[0] n2 + margin
+    and the L additions moves the computed bound by at most gamma(L + 2)
+    n2 (L + 1) M + gamma(L + 1) margin from B + margin, since each weight,
+    of either sign, has |h[c] - h[c - 1]| <= M, and p_c <= n2.  The margin
+    4 eps n2 max(n2, L^2) M = 8 u n2 max(n2, L^2) M covers both while n2 u
+    and L u are small, for every table and every n2 >= 1, n2 = 1 included:
+    n2 - 1 + (L + 2)(L + 1) <= 6 max(n2, L^2) when n2, L >= 1.  At L = 1 it
+    is 4 eps n2^2 M, the bound of the AND alone.
+
+    A group's top subset, its first with the highest bound, is scored into
+    best[owner] only when its bound reaches best[owner]; then each other
+    subset is scored only when its bound reaches the raised best[owner].
+    So a pair is summed at most once, and only when it could raise best,
+    in float sums of at most rng.BATCH_BYTES // (8 max(n2, k)) pairs.
+    Every pruned subset's computed score lies below best[owner] and could
+    not have raised it, and a scored top cannot raise best again, so best
+    ends as the same double as when every subset is scored.
     """
-    k = subsets.shape[1]
-    n2 = flat.shape[1]
-    if packed is None:
-        cells = max(1, rng.BATCH_BYTES // _pair_bytes(n2, k, False))
-        for s in range(0, len(subsets), cells):
-            block = subsets[s : s + cells]
-            per = max(1, cells // len(block))
-            for g in range(0, len(rows), per):
-                counts = _add_rows(flat, rows[g : g + per][:, block])
-                np.maximum.at(best, owner[g : g + per], f[counts].sum(axis=-1).max(axis=1))
-        return
-    pair, words = _pair_bytes(n2, k, True), packed.shape[1]
+    k, n2, words = subsets.shape[1], flat.shape[1], packed.shape[1]
+    values = f.tolist()
+    h = [v if v > 0 else 0.0 for v in values]
+    low = max(1, next((c for c in range(k) if h[c]), k))
+    # Level j masks the count k - j, so its weight is h[k - j] - h[k - j - 1].
+    weights = [h[c] - h[c - 1] for c in range(k, low - 1, -1)]
+    levels = len(weights)
+    pair = _pair_bytes(n2, levels)
     pairs = max(1, rng.BATCH_BYTES // pair)
-    margin = 4.0 * n2 * n2 * np.finfo(np.float64).eps * float(np.abs(f).max())
+    margin = 4.0 * n2 * max(n2, levels**2) * np.finfo(np.float64).eps * max(map(abs, values))
+    start = h[0] * n2 + margin
+    narrow = np.min_scalar_type(n2)  # holds a mask's bit count, at most n2
     for s in range(0, len(subsets), pairs):
         block = subsets[s : s + pairs]
         per = max(1, rng.BATCH_BYTES // (len(block) * pair + 8 * words * rows.shape[1]))
         for g in range(0, len(rows), per):
             group_rows, who = rows[g : g + per], owner[g : g + per]
             gathered = packed[group_rows]
-            full = np.take(gathered, block[:, 0], axis=1)
-            tmp = np.empty_like(full)
+            level = [np.take(gathered, block[:, 0], axis=1)]
+            level += [np.full_like(level[0], ~np.uint64(0)) for _ in range(1, levels)]
+            row = np.empty_like(level[0])
             for i in range(1, k):
                 # The indices are valid; take buffers `out` in its default
                 # "raise" mode.
-                full &= np.take(gathered, block[:, i], axis=1, out=tmp, mode="clip")
-            del tmp  # the scratch serves only the takes
-            full = np.bitwise_count(full).sum(axis=-1)
-            bound = f[k] * full
-            bound += margin
-            each, top = np.arange(len(who)), full.argmax(axis=1)
+                np.take(gathered, block[:, i], axis=1, out=row, mode="clip")
+                for j in range(min(i, levels - 1), 0, -1):
+                    level[j] &= row
+                    level[j] |= level[j - 1]
+                level[0] &= row
+            del row  # the scratch serves only the takes
+            bound = start
+            for mask, weight in zip(level, weights):
+                bound += weight * np.bitwise_count(mask).sum(axis=-1, dtype=narrow)
+            del level
+            each, top = np.arange(len(who)), bound.argmax(axis=1)
             lead = np.flatnonzero(bound[each, top] >= best[who])
             _score_pairs(flat, group_rows, block, who, f, best, lead, top[lead])
             survive = bound >= best[who][:, None]
@@ -329,8 +350,9 @@ def _score_pairs(
 ) -> None:
     """Raise best[owner[g]] to the score of subset block[s] of rows[g] for
     each pair (g, s) of group and sub, in float sums of at most
-    rng.BATCH_BYTES // (8 max(n2, k)) pairs."""
-    sums = max(1, rng.BATCH_BYTES // _pair_bytes(flat.shape[1], block.shape[1], False))
+    rng.BATCH_BYTES // (8 max(n2, k)) pairs: the (pairs, n2) float64
+    scores, or the (pairs, k) row indices, whichever is larger."""
+    sums = max(1, rng.BATCH_BYTES // (8 * max(flat.shape[1], block.shape[1])))
     for c in range(0, len(group), sums):
         g = group[c : c + sums]
         counts = _add_rows(flat, rows[g[:, None], block[sub[c : c + sums]]])
@@ -341,10 +363,10 @@ def _scan_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
     """bits (T, n, n2), column scores f (k + 1,); returns (T,): per trial,
     the maximum over the k-row subsets of sum_j f[count_j], where count_j is
     the number of ones in column j over the subset's rows.  Every table of
-    subsets comes from _subset_indices, at most `budget` subsets each.
+    subsets comes from _subset_indices, at most `budget` subsets each.  The
+    chunk's rows are packed once into words for the kernel's bound.
 
-    When k is the only count with f > 0, the chunk's rows are packed once
-    into words for the kernel's bound, and a subset with no all-ones column
+    When k is the only count with f > 0, a subset with no all-ones column
     sums terms <= 0.  So a candidate pass first offers _score_subsets only
     the subsets inside the ones of some column: the columns with o ones
     together, each its ones' rows, with the C(o, k) table, largest o first
@@ -353,17 +375,17 @@ def _scan_max(bits: np.ndarray, f: np.ndarray, budget: int) -> np.ndarray:
     fewer than the T C(n, k) subsets.  A trial whose best candidate scores
     above 0 has found its maximum; every other trial then offers all its
     rows, raising the same `best`, so the table grows to C(n, k) rows only
-    for a full enumeration.  A candidate's score is a real subset score and
-    the kernel prunes only subsets that cannot raise `best`, so each maximum
-    is the same double as when every subset is scored.
+    for a full enumeration.  Any other table offers every trial's rows at
+    once.  A candidate's score is a real subset score and the kernel prunes
+    only subsets that cannot raise `best`, so each maximum is the same
+    double as when every subset is scored.
     """
     T, n, n2 = bits.shape
     k = len(f) - 1
     flat = np.ascontiguousarray(bits, dtype=np.min_scalar_type(n)).reshape(T * n, n2)
     best = np.full(T, -np.inf)
-    packed = None
+    packed = _pack_rows(flat)
     if _only_full_scores(f):
-        packed = _pack_rows(flat)
         counts = _column_counts(bits)
         # The column sums' histogram from a bincount: np.unique would import
         # numpy.ma, 13 ms that no command otherwise pays.

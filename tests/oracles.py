@@ -13,9 +13,12 @@ the binomial pmf, and the likelihood ratio of the uniform-support prior,
 whose test "L > 1" is Bayes-optimal.  The tests compare the package against
 them.  The
 empty-subgraph diagnostic checks Monte Carlo frequencies of an
-all-zero block, found by the detectors' max scan `_scan_max` (its table
-scores only the count 0, so every subset is enumerated), against the union
-bound behind the lower bound.
+all-zero block, found by the detectors' max scan `_scan_max`, against the
+union bound behind the lower bound.  Its table scores only the count 0, so
+the scan runs no candidate pass: every row subset is offered, and the
+kernel's bound, from one level mask per count 1 to k1, is the subset's
+number of all-zero columns, its exact score, so only subsets that reach the
+best so far are summed.
 """
 
 import math

@@ -238,19 +238,26 @@ def _full_scan(bits, f):
     _score_subsets with the C(n, k) table, k = len(f) - 1."""
     T, n, n2 = bits.shape
     flat = np.ascontiguousarray(bits, dtype=np.min_scalar_type(n)).reshape(T * n, n2)
-    packed = detectors._pack_rows(flat) if detectors._only_full_scores(f) else None
     best = np.full(T, -np.inf)
     subsets = detectors._subset_indices(n, len(f) - 1, 10**6)
     rows = np.arange(T * n).reshape(T, n)
-    detectors._score_subsets(flat, np.arange(T), rows, subsets, f, best, packed)
+    detectors._score_subsets(flat, np.arange(T), rows, subsets, f, best, detectors._pack_rows(flat))
     return best
+
+
+def _levels(f):
+    """The number of _score_subsets' level masks for table f: one for each
+    count from max(low, 1) to k = len(f) - 1, where low is the least count
+    below k with f > 0, or k."""
+    k = len(f) - 1
+    low = next((c for c in range(k) if f[c] > 0), k)
+    return k + 1 - max(low, 1)
 
 
 def _block_budget(cols, f, block):
     """A BATCH_BYTES under which _score_subsets takes `block` (group,
     subset) pairs a block on n2 = cols columns with table f."""
-    bounded = detectors._only_full_scores(f)
-    return detectors._pair_bytes(cols, len(f) - 1, bounded) * block
+    return detectors._pair_bytes(cols, _levels(f)) * block
 
 
 def _record_scan(monkeypatch):
@@ -300,9 +307,11 @@ class TestScanExactness:
         assert _bit_equal(_reference_truncated(oriented, p0, tau), got)
 
     def test_multi_block_matches_reference(self):
-        # 15,504 subsets of 64 columns span several byte-bounded blocks; the
-        # last trial's best subset, rows 15-19, is the last one enumerated.
-        assert math.comb(20, 5) > rng.BATCH_BYTES // detectors._pair_bytes(64, 5, False)
+        # 15,504 subsets of 64 columns span several byte-bounded blocks of
+        # the table's two levels, the counts 4 and 5; the last trial's best
+        # subset, rows 15-19, is the last one enumerated.
+        assert _levels(detectors._contribution_table(5, 0.25, 1.3)) == 2
+        assert math.comb(20, 5) > rng.BATCH_BYTES // detectors._pair_bytes(64, 2)
         shape = ProblemShape(20, 64, 5, 4)
         bits = np.stack([sample_null(shape, 0.25, s).bits for s in range(4)])
         bits[3, 15:, ::2] = 1
@@ -508,9 +517,9 @@ class TestCandidatePass:
     """The candidate pass and the full enumeration give the unpruned
     reference's doubles bit for bit, for any block size, and every candidate
     score above 0 is its trial's maximum when k_scan is the only count with
-    f > 0.  Such tables also bound each subset's score by its all-ones
-    columns, so both passes sum floats only for subsets that can reach the
-    incumbent."""
+    f > 0.  Every table bounds each subset's score by its level masks (with
+    such a table, f[k] times its all-ones columns), so both passes sum
+    floats only for subsets that can reach the incumbent."""
 
     @staticmethod
     def _check(bits, f, expect):
@@ -785,12 +794,13 @@ class TestCandidatePass:
     def test_pairs_are_summed_once_and_only_when_they_can_raise_best(self, monkeypatch):
         # Each block's two float-sum calls, its groups' top subsets and then
         # the other survivors, share the block's rows and subsets.  Every
-        # pair summed has a bound f[5] b + margin that reaches its owner's
-        # best on entry to the call, and no pair of a block is summed twice.
+        # pair summed has a bound, its level masks' weighted bit counts plus
+        # the margin, that reaches its owner's best on entry to the call,
+        # and no pair of a block is summed twice.  The composite's table
+        # scores only the count 5 above 0, one level; at tau = 0 the counts
+        # 3 to 5 score above 0, three levels, and every subset of every
+        # trial is offered.
         bits, kind = self._null_chunk()
-        f = detectors._contribution_table(5, 0.25, kind.tau)
-        assert detectors._only_full_scores(f)
-        margin = 4.0 * 64 * 64 * np.finfo(np.float64).eps * float(np.abs(f).max())
         calls, score = [], detectors._score_pairs
 
         def record(flat, rows, block, owner, f, best, group, sub):
@@ -798,17 +808,46 @@ class TestCandidatePass:
             score(flat, rows, block, owner, f, best, group, sub)
 
         monkeypatch.setattr(detectors, "_score_pairs", record)
-        _batch_statistic(bits, 0.25, kind)
-        blocks = {}
-        for flat, rows, block, owner, best, group, sub in calls:
-            words = detectors._pack_rows(flat)[rows[group[:, None], block[sub]]]
-            bound = f[5] * np.bitwise_count(np.bitwise_and.reduce(words, axis=1)).sum(axis=-1)
-            bound += margin
-            assert (bound >= best[owner[group]]).all()
-            blocks.setdefault((id(rows), id(block)), []).extend(zip(group.tolist(), sub.tolist()))
-        assert len(calls) == 2 * len(blocks)
-        assert sum(map(len, blocks.values())) > len(blocks)
-        assert all(len(pairs) == len(set(pairs)) for pairs in blocks.values())
+        for tau, levels in [(kind.tau, 1), (0.0, 3)]:
+            f = detectors._contribution_table(5, 0.25, tau)
+            assert (_levels(f), detectors._only_full_scores(f)) == (levels, levels == 1)
+            h = np.maximum(f, 0.0)
+            eps = np.finfo(np.float64).eps
+            margin = 4.0 * 64 * max(64, levels**2) * eps * float(np.abs(f).max())
+            calls.clear()
+            _batch_statistic(bits, 0.25, dataclasses.replace(kind, tau=tau))
+            blocks = {}
+            for flat, rows, block, owner, best, group, sub in calls:
+                counts = flat[rows[group[:, None], block[sub]]].sum(axis=1)
+                bound = margin
+                for c in range(5, 5 - levels, -1):
+                    bound = bound + (h[c] - h[c - 1]) * (counts >= c).sum(axis=-1)
+                assert (bound >= best[owner[group]]).all()
+                pairs = blocks.setdefault((id(rows), id(block)), [])
+                pairs.extend(zip(group.tolist(), sub.tolist()))
+            assert len(calls) == 2 * len(blocks)
+            assert sum(map(len, blocks.values())) > len(blocks)
+            assert all(len(pairs) == len(set(pairs)) for pairs in blocks.values())
+
+    def test_many_level_scan_memory_is_bounded(self):
+        # k_scan = 8 at tau = 0 and p0 = 0.1 scores the counts 2 to 8 above
+        # 0: seven level masks and the row scratch of four words a row, 289
+        # bytes a pair with the rest, so the C(16, 8) = 12,870 subsets take
+        # blocks of 1,814 pairs, and the peak is about 1.5 BATCH_BYTES.
+        # Blocks sized for one mask, 97 bytes a pair, would hold 5,405
+        # pairs and peak at about 3.3 BATCH_BYTES.
+        f = detectors._contribution_table(8, 0.1, 0.0)
+        assert _levels(f) == 7
+        bits = (np.random.default_rng(5).random((1, 16, 256)) < 0.1).astype(np.uint8)
+        detectors._scan_max(bits, f, 10**6)  # fill the table caches
+        tracemalloc.start()
+        try:
+            got = detectors._scan_max(bits, f, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert _bit_equal(_full_scan(bits, f), got)
+        assert peak < 3 * rng.BATCH_BYTES
 
 
 class TestPackedWords:
@@ -826,6 +865,66 @@ class TestPackedWords:
                 words = np.bitwise_and.reduce(packed[list(subset)], axis=0)
                 full = np.bitwise_count(words).sum()
                 assert full == (flat[list(subset)].sum(axis=0) == k).sum()
+
+
+class TestLevelBound:
+    """_score_subsets' bound, sum_c (h[c] - h[c - 1]) times the bits of
+    level c, h = max(f, 0), plus its rounding margin, reaches every subset's
+    computed score, for any table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.integers(1, 8),
+        cols=st.sampled_from([1, 2, 7, 8, 63, 64, 65, 128, 129, 200, 256]),
+        k_frac=st.floats(0.0, 1.0),
+        table=st.sampled_from(["random", "nonnegative", "tied", "contribution", "empty"]),
+        values=st.lists(st.floats(-4.0, 12.0), min_size=9, max_size=9),
+        ties=st.lists(st.sampled_from([-0.3, 0.0, 0.1, 0.7, 3.3]), min_size=9, max_size=9),
+        p0=st.sampled_from([1e-12, 0.05, 0.1, 0.25, 0.5]),
+        tau=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        density=st.sampled_from([0.1, 0.5, 0.9]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bound_reaches_every_score(
+        self, rows, cols, k_frac, table, values, ties, p0, tau, density, seed
+    ):
+        """Rows of one to four packed words, with and without padding bits.
+        Each k-subset of the rows is its own group, one subset of its k
+        rows, whose owner's best is its own computed score: the kernel sums
+        the group's top, its only subset, exactly when the bound reaches
+        that score, so every group must be summed.  Random tables have any
+        signs and f[k] below max f[:k]; nonnegative ones make the exact
+        bound the exact score, so only the margin separates the two
+        roundings; tied ones repeat values, so levels have zero weights;
+        and the empty-subgraph table scores only the count 0."""
+        k = 1 + round(k_frac * (rows - 1))
+        if table == "contribution":
+            assume(z_threshold_to_count(tau, BennettKernel(k, p0)) < k)
+            f = detectors._contribution_table(k, p0, tau)
+        elif table == "empty":
+            f = np.where(np.arange(k + 1) == 0, 1.0, 0.0)
+        else:
+            f = np.array((ties if table == "tied" else values)[: k + 1])
+            if table == "nonnegative":
+                f = np.abs(f)
+        flat = (np.random.default_rng(seed).random((rows, cols)) < density).astype(np.uint8)
+        subsets = np.array(list(combinations(range(rows), k)), dtype=np.intp)
+        computed = f[flat[subsets].sum(axis=1)].sum(axis=-1)
+        summed, score = [], detectors._score_pairs
+
+        def record(flat, rows, block, owner, f, best, group, sub):
+            summed.extend(owner[group].tolist())
+            score(flat, rows, block, owner, f, best, group, sub)
+
+        best = computed.copy()
+        group = np.arange(len(subsets))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(detectors, "_score_pairs", record)
+            detectors._score_subsets(
+                flat, group, subsets, np.arange(k)[None], f, best, detectors._pack_rows(flat)
+            )
+        assert sorted(summed) == group.tolist()
+        assert _bit_equal(computed, best)
 
 
 class TestAnalyticThresholds:
