@@ -514,12 +514,18 @@ def null_statistics(
 ) -> np.ndarray:
     """Statistic values over `trials` independent null draws of the
     (seed, tag) stream, computed in byte-bounded batches with per-trial
-    derived seeds; order-deterministic."""
-    cut = rng.below(p0)
-    chunks = [
-        _batch_statistic(rng.edges(s, cut).view(np.uint8), p0, kind)
-        for _, block in rng.trial_blocks(seed, tag, shape.n1, shape.n2, trials) for _, s in block
-    ]
+    derived seeds; order-deterministic.  rng.split_pass cuts the trials into
+    contiguous ranges, one a worker, and their statistics are joined in
+    trial order, so the values do not depend on the number of workers."""
+    cut, n1, n2 = rng.below(p0), shape.n1, shape.n2
+
+    def chunk_statistics(lo: int, hi: int):
+        for _, block in rng.trial_blocks(seed, tag, n1, n2, range(lo, hi)):
+            for _, s in block:
+                yield _batch_statistic(rng.edges(s, cut).view(np.uint8), p0, kind)
+
+    parts = rng.split_pass(trials, trials * n1 * n2, chunk_statistics)
+    chunks = [c for part in parts for c in part]
     return np.concatenate(chunks) if chunks else np.empty(0)
 
 

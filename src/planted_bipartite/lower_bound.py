@@ -32,7 +32,8 @@ from .rates import log_binom
 
 # tv_exact's memory is bounded by rng.BATCH_BYTES at any cell count, so this
 # limit bounds its time, which doubles with each cell: (4, 5, 2, 2) takes
-# 0.7-0.8 s on a 2-vCPU x86-64 host.
+# 0.67-0.78 s in one process on a 2-vCPU x86-64 host, and 0.37-0.44 s split
+# across its two CPUs.
 TV_BUDGET_BITS = 20
 
 
@@ -137,13 +138,17 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     largest power of two rows (at least 128) whose float64 bits fit
     rng.BATCH_BYTES.  The block at lo unpacks its bits, row i those of
     matrix lo + i, and their complement into two buffers that every block
-    reuses, and every support is evaluated on them.  Each block's null and
-    mixture probabilities give its |P0 - P_mix| terms, and no vector of all
-    2^(n1 n2) matrices is held: the two buffers bound the memory.  The
+    of a worker's range reuses, and every support is evaluated on them.
+    Each block's null and mixture probabilities give its |P0 - P_mix|
+    terms, and no vector of all 2^(n1 n2) matrices is held: the two buffers
+    bound each worker's memory.  The
     result does not depend on the block size: each matrix's log-probability
     is one matrix-vector product row, the supports are added in one fixed
     order, and the terms are summed in numpy's pairwise order over the whole
-    enumeration, rebuilt from the blocks' sums.  Each support is one pair of
+    enumeration, rebuilt from the blocks' sums.  rng.split_pass cuts the
+    blocks into contiguous ranges for forked workers; each range returns
+    its blocks' sums, merged here in block order, so neither does the
+    result depend on the number of workers.  Each support is one pair of
     log-probability vectors, p1 = 1 included, where a finite floor stands
     for log(1 - p1) = log 0 and a matrix missing a planted edge has
     probability 0.0.
@@ -191,20 +196,28 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     # subtree.  So |prob0 - prob_mix| is summed one block at a time and the
     # block sums are merged left + right like a binary counter: the same
     # double as np.abs(prob0 - prob_mix).sum() over whole vectors.
-    sums, on, off = [], np.empty((rows, cells)), np.empty((rows, cells))
-    for lo in range(0, total, rows):
-        # Row i holds bit j of matrix lo + i in column j: the index's four
-        # little-endian bytes, unpacked (cells <= TV_BUDGET_BITS < 32).
-        index = np.arange(lo, lo + rows, dtype="<u4").view(np.uint8).reshape(rows, 4)
-        on[...] = np.unpackbits(index, axis=1, count=cells, bitorder="little")
-        np.subtract(1.0, on, out=off)
-        prob0 = np.exp(on @ a0 + off @ b0)
-        prob_mix = np.zeros(rows)
-        for a, b in supports:
-            prob_mix += np.exp(on @ a + off @ b)
-        prob_mix /= len(supports)
-        terms = np.abs(np.subtract(prob0, prob_mix, out=prob0), out=prob0)
-        block_sum, block = terms.sum(), lo // rows
+    def block_sums(lo: int, hi: int):
+        on, off = np.empty((rows, cells)), np.empty((rows, cells))
+        for block in range(lo, hi):
+            # Row i holds bit j of matrix block * rows + i in column j: the
+            # index's four little-endian bytes, unpacked (cells <=
+            # TV_BUDGET_BITS < 32).
+            start = block * rows
+            index = np.arange(start, start + rows, dtype="<u4").view(np.uint8).reshape(rows, 4)
+            on[...] = np.unpackbits(index, axis=1, count=cells, bitorder="little")
+            np.subtract(1.0, on, out=off)
+            prob0 = np.exp(on @ a0 + off @ b0)
+            prob_mix = np.zeros(rows)
+            for a, b in supports:
+                prob_mix += np.exp(on @ a + off @ b)
+            prob_mix /= len(supports)
+            yield np.abs(np.subtract(prob0, prob_mix, out=prob0), out=prob0).sum()
+
+    # rng.split_pass cuts the blocks into contiguous ranges, one a worker,
+    # and the blocks' sums are merged here in block order.
+    blocks, sums = total // rows, []
+    parts = rng.split_pass(blocks, total * (1 + len(supports)) * cells, block_sums)
+    for block, block_sum in enumerate(s for part in parts for s in part):
         while block & 1:
             block_sum = sums.pop() + block_sum
             block >>= 1

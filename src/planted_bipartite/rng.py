@@ -34,11 +34,24 @@ positions that its k steps touch, not a list of n, so a draw costs
 O(k log k) whatever n is; its range reduction is exact in 32-bit limbs for
 n < 2^32.  Every word and every support is a pure function of (seed, trial
 index), so no blocking changes a bit.
+
+For the same reason a pass splits across CPUs without changing a bit.
+`split_pass` cuts a pass's items (trials, or the row blocks of an exact
+enumeration) into W contiguous ranges, runs the first in this process and
+each other in a child made by os.fork, and returns the ranges' results in
+range order; W = 1 is the same call made in-process.  W is one per usable
+CPU, at most one per MIN_WORK of the pass's work, and 1 where fork is
+missing or another Python thread is alive, so no setting chooses it and
+no output depends on it.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
+import warnings
 
 import numpy as np
 
@@ -63,6 +76,14 @@ TAG_CAL = 0xD6E8FEB86659FD93
 # block's row hashes from an eighth of it, so memory does not grow with the
 # trial count.
 BATCH_BYTES = 512 * 1024
+
+# Work, in hashed cell states (for tv_exact, row x support x cell
+# evaluations), that each worker of a split pass must have.  A fork, its
+# pipe and its waitpid took 2.85-3.68 ms (median 2.96) for a 30 MB process
+# on a 2-vCPU x86-64 host, and a cell costs 2-4 ns, so a worker costs about
+# 1M cells; at 4M cells or more a worker's fork costs at most a quarter of
+# its share.
+MIN_WORK = 1 << 22
 
 
 def mix64(x: int) -> int:
@@ -190,10 +211,12 @@ def _mix_columns(
     return z
 
 
-def trial_blocks(seed: int, tag: int, n1: int, n2: int, trials: int):
-    """Yield (seeds, chunks) for trials 1..trials of the (seed, tag) stream,
-    one block of trials at a time.  Trial i has seed derive_seed(seed, tag)
-    + i (mod 2^64), so its states do not depend on the blocking.
+def trial_blocks(seed: int, tag: int, n1: int, n2: int, trials: range):
+    """Yield (seeds, chunks) for the trials i in the range `trials` of the
+    (seed, tag) stream, one block of trials at a time from trials.start.
+    Trial i has seed derive_seed(seed, tag) + i + 1 (mod 2^64), so its
+    states do not depend on the blocking, and a worker of split_pass that
+    is given trials lo..hi - 1 hashes only those.
 
     A chunk holds as many trials as BATCH_BYTES of 8-byte cell states hold
     (at least one); a block holds whole chunks, as many as keep its row
@@ -207,11 +230,11 @@ def trial_blocks(seed: int, tag: int, n1: int, n2: int, trials: int):
     chunk = max(1, BATCH_BYTES // (8 * n1 * n2))
     block = chunk * max(1, BATCH_BYTES // (64 * n1 * chunk))
     buffers = None
-    for lo in range(0, trials, block):
-        seeds = base + np.arange(lo + 1, min(lo + block, trials) + 1, dtype=np.uint64)
+    for lo in range(trials.start, trials.stop, block):
+        seeds = base + np.arange(lo + 1, min(lo + block, trials.stop) + 1, dtype=np.uint64)
         rows = _row_hashes(_derive(seeds, TAG_EDGE), n1, n2)
         if buffers is None:
-            buffers = np.empty((2, min(chunk, trials), n1, n2), dtype=np.uint64)
+            buffers = np.empty((2, min(chunk, len(trials)), n1, n2), dtype=np.uint64)
         yield seeds, _chunks(rows, chunk, n2, *buffers)
 
 
@@ -221,6 +244,115 @@ def _chunks(rows: np.ndarray, chunk: int, n2: int, out: np.ndarray, scratch: np.
         part = slice(lo, lo + chunk)
         t = len(rows[part])
         yield part, _mix_columns(rows[part], n2, out[:t], scratch[:t])
+
+
+def _workers(items: int, work: int) -> int:
+    """The number of ranges split_pass cuts a pass of `items` items and
+    `work` units of work into: one per usable CPU, at most one per item and
+    one per MIN_WORK of work.  It is 1 where os.fork or os.sched_getaffinity
+    is missing, and while another Python thread is alive, whose import or
+    I/O locks a child could inherit held.  The one function that chooses
+    the count; tests replace it to force one."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), items, work // MIN_WORK))
+
+
+def split_pass(items: int, work: int, task) -> list[list]:
+    """[list(task(lo, hi)) for each range [lo, hi)], in range order, for
+    the W = _workers(items, work) contiguous ranges that cut range(items)
+    into near-equal parts.  task(lo, hi) is a generator of a range's
+    results that depends only on lo and hi, so the lists do not depend on W.
+
+    The first range runs in this process and each other in a child made by
+    os.fork.  A child writes one pickle, its list or the exception its range
+    raised, to a pipe and leaves by os._exit, so it runs no atexit handler
+    and flushes no stdio buffer inherited from this process; between
+    results it leaves if this process is gone.  This process reads each
+    pipe to its end before it waits for the child.  If ranges fail, the
+    earliest failing range's exception is raised, as a serial pass would
+    raise it.  However the call ends, KeyboardInterrupt included, every
+    child still running is killed and reaped."""
+    workers = _workers(items, work)
+    cuts = [items * w // workers for w in range(workers + 1)]
+    parent, children = os.getpid(), []  # children: (pid, pipe, lo, hi) not yet reaped
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            read, write = os.pipe()
+            try:
+                pid = _fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(task, lo, hi, parent, read, write)
+            os.close(write)
+            children.append((pid, open(read, "rb"), lo, hi))
+        results = [_gather(task(cuts[0], cuts[1]), None)]
+        for pid, pipe, lo, hi in list(children):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if not data:
+                raise ChildProcessError(
+                    f"the worker of items [{lo}, {hi}) left no result (wait status {status})"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        if children:
+            from signal import SIGKILL  # not loaded with numpy; needed only here
+
+            for pid, pipe, _, _ in children:
+                pipe.close()
+                try:
+                    os.kill(pid, SIGKILL)
+                    os.waitpid(pid, 0)
+                except (ProcessLookupError, ChildProcessError):
+                    pass
+
+
+def _fork() -> int:
+    """os.fork, without the DeprecationWarning that Python 3.12+ gives at a
+    fork while the process has more than one OS thread: _workers forks only
+    while no other Python thread is alive, and the others are numpy's
+    OpenBLAS pool, which its own fork handler shuts and the next BLAS call
+    restarts."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded", DeprecationWarning)
+        return os.fork()
+
+
+def _child(task, lo: int, hi: int, parent: int, read: int, write: int):
+    """The body of a forked worker of split_pass; it never returns."""
+    try:
+        os.close(read)
+        try:
+            out = True, _gather(task(lo, hi), parent)
+        except BaseException as exc:
+            out = False, exc
+        with open(write, "wb") as pipe:
+            pipe.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
+    finally:
+        os._exit(0)
+
+
+def _gather(results, parent: int | None) -> list:
+    """The list of a range's results.  In a worker, `parent` is the pid of
+    the process that forked it, and the worker leaves once that is gone."""
+    out = []
+    for value in results:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)
+        out.append(value)
+    return out
 
 
 def sample_subsets(seeds: np.ndarray, tag: int, n: int, k: int) -> np.ndarray:

@@ -173,7 +173,7 @@ def empty_subgraph_diagnostic(
     need = n2 if row_variant else k2
     hits = 0
     cut = below(p0)
-    for _, block in trial_blocks(seed, TAG_NULL, n1, n2, trials):
+    for _, block in trial_blocks(seed, TAG_NULL, n1, n2, range(trials)):
         for _, states in block:
             bits = edges(states, cut)
             hits += int((_scan_max(bits, empty, DEFAULT_SUBSET_BUDGET) >= need).sum())

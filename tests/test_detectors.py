@@ -328,7 +328,8 @@ class TestScanExactness:
         cut = rng.below(0.25)
         bits = np.concatenate([
             rng.edges(states, cut).view(np.uint8)
-            for _, block in rng.trial_blocks(1, rng.TAG_CAL, 16, 256, 2) for _, states in block
+            for _, block in rng.trial_blocks(1, rng.TAG_CAL, 16, 256, range(2))
+            for _, states in block
         ])
         got = null_statistics(kind, shape, 0.25, 2, 1)
         assert _bit_equal(_reference_truncated(bits, 0.25, kind.tau, 4), got)
@@ -889,14 +890,11 @@ class TestLevelBound:
         self, rows, cols, k_frac, table, values, ties, p0, tau, density, seed
     ):
         """Rows of one to four packed words, with and without padding bits.
-        Each k-subset of the rows is its own group, one subset of its k
-        rows, whose owner's best is its own computed score: the kernel sums
-        the group's top, its only subset, exactly when the bound reaches
-        that score, so every group must be summed.  Random tables have any
-        signs and f[k] below max f[:k]; nonnegative ones make the exact
-        bound the exact score, so only the margin separates the two
-        roundings; tied ones repeat values, so levels have zero weights;
-        and the empty-subgraph table scores only the count 0."""
+        Random tables have any signs and f[k] below max f[:k]; nonnegative
+        ones make the exact bound the exact score, so only the margin
+        separates the two roundings; tied ones repeat values, so levels
+        have zero weights; and the empty-subgraph table scores only the
+        count 0."""
         k = 1 + round(k_frac * (rows - 1))
         if table == "contribution":
             assume(z_threshold_to_count(tau, BennettKernel(k, p0)) < k)
@@ -908,23 +906,47 @@ class TestLevelBound:
             if table == "nonnegative":
                 f = np.abs(f)
         flat = (np.random.default_rng(seed).random((rows, cols)) < density).astype(np.uint8)
-        subsets = np.array(list(combinations(range(rows), k)), dtype=np.intp)
-        computed = f[flat[subsets].sum(axis=1)].sum(axis=-1)
-        summed, score = [], detectors._score_pairs
+        _assert_bound_reaches_every_score(flat, f)
 
-        def record(flat, rows, block, owner, f, best, group, sub):
-            summed.extend(owner[group].tolist())
-            score(flat, rows, block, owner, f, best, group, sub)
+    def test_margin_covers_many_levels_on_one_column(self):
+        """On one column the score is one exact term, while the bound adds
+        eight rounded weights, h[c] - h[c - 1] for c = 8 down to 1, one at a
+        time.  For this table, found by hill-climbing over tables of eight
+        levels, the computed bound of the eight ones, with the AND's margin
+        4 eps n2^2 max|f| in place of the kernel's, lies 1.7 eps max|f|
+        below their score; the margin 4 eps n2 max(n2, L^2) max|f| covers
+        it.  Twelve rows, eight of them ones, give the counts 4 to 8."""
+        f = np.array([
+            0.24266808352065022, 0.00039047011223734823, 0.018931377667252874,
+            0.01887221216227761, 0.004524400342448194, 0.005676879484834387,
+            0.004345103334398106, 0.2363815860834035, 0.2967263472500101,
+        ])
+        _assert_bound_reaches_every_score(np.array([1] * 8 + [0] * 4, np.uint8)[:, None], f)
 
-        best = computed.copy()
-        group = np.arange(len(subsets))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(detectors, "_score_pairs", record)
-            detectors._score_subsets(
-                flat, group, subsets, np.arange(k)[None], f, best, detectors._pack_rows(flat)
-            )
-        assert sorted(summed) == group.tolist()
-        assert _bit_equal(computed, best)
+
+def _assert_bound_reaches_every_score(flat, f):
+    """Each k-subset of the rows of flat, k = len(f) - 1, is its own group,
+    one subset of its k rows, whose owner's best is its own computed
+    score: the kernel sums the group's top, its only subset, exactly when
+    the bound reaches that score, so every group must be summed."""
+    k = len(f) - 1
+    subsets = np.array(list(combinations(range(len(flat)), k)), dtype=np.intp)
+    computed = f[flat[subsets].sum(axis=1)].sum(axis=-1)
+    summed, score = [], detectors._score_pairs
+
+    def record(flat, rows, block, owner, f, best, group, sub):
+        summed.extend(owner[group].tolist())
+        score(flat, rows, block, owner, f, best, group, sub)
+
+    best = computed.copy()
+    group = np.arange(len(subsets))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(detectors, "_score_pairs", record)
+        detectors._score_subsets(
+            flat, group, subsets, np.arange(k)[None], f, best, detectors._pack_rows(flat)
+        )
+    assert sorted(summed) == group.tolist()
+    assert _bit_equal(computed, best)
 
 
 class TestAnalyticThresholds:
@@ -1008,7 +1030,7 @@ class TestCalibration:
         # 8x8 float64 uniforms take 512 bytes per trial, so 3,000 trials span
         # three chunks of 1,024; the first 1,500 match a two-chunk run.
         shape = ProblemShape(8, 8, 2, 2)
-        chunks = [len(s[part]) for s, block in rng.trial_blocks(13, rng.TAG_CAL, 8, 8, 3000)
+        chunks = [len(s[part]) for s, block in rng.trial_blocks(13, rng.TAG_CAL, 8, 8, range(3000))
                   for part, _ in block]
         assert chunks == [1024, 1024, 952]
         kind = DetectorKind(DetectorTag.TOTAL_DEGREE)

@@ -137,7 +137,7 @@ class TestCellUniforms:
         and their edge bits are those words' comparisons at every cut."""
         monkeypatch.setattr(rng, "BATCH_BYTES", 8 * 3 * 5 * 4)  # 4 trials per chunk
         sizes = []
-        for seeds, block in rng.trial_blocks(7, rng.TAG_CAL, 3, 5, 10):
+        for seeds, block in rng.trial_blocks(7, rng.TAG_CAL, 3, 5, range(10)):
             for part, states in block:
                 sizes.append(len(seeds[part]))
                 words = batch_cell_uniforms(seeds[part], 3, 5)

@@ -361,10 +361,10 @@ class TestTrialPipeline:
         monkeypatch.setattr(harness, "_batch_statistic", record)
 
         def run():
-            sizes = [(len(seeds), [len(seeds[part]) for part, _ in chunks])
-                     for seeds, chunks in rng.trial_blocks(seed, rng.TAG_ALT, 12, 20, trials)]
+            sizes = [(len(seeds), [len(seeds[part]) for part, _ in chunks]) for seeds, chunks
+                     in rng.trial_blocks(seed, rng.TAG_ALT, 12, 20, range(trials))]
             words = np.concatenate([x.copy() for _, block in
-                                    rng.trial_blocks(seed, rng.TAG_CAL, 12, 20, trials)
+                                    rng.trial_blocks(seed, rng.TAG_CAL, 12, 20, range(trials))
                                     for _, x in block])
             stats = detectors.null_statistics(kind, shape, p0, trials, seed)
             seen.clear()
