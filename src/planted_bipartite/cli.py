@@ -13,8 +13,9 @@ default, and its numbers are read as floats.  The tau, scan size
 axis 2) and subset budget given go to DetectorKind, which refuses one that
 no statistic reads.  gen, calibrate and risk require --seed, `gen --null`
 refuses --delta, and the streams reject a seed outside [0, 2^64).  Exit
-codes: 0 success, 1 usage error, 2 budget exceeded, 3 I/O error, each
-reported as one JSON line on stderr.
+codes: 0 success, 1 usage error, 2 budget exceeded or out of memory (a
+MemoryError, also one raised in a worker of a split pass), 3 I/O error,
+each reported as one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -532,6 +533,8 @@ def dispatch(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except BudgetError as exc:
         return _fail("budget", exc, EXIT_BUDGET)
+    except MemoryError as exc:
+        return _fail("memory", exc, EXIT_BUDGET)
     except (ConfigError, ParameterError) as exc:
         return _fail("usage", exc, EXIT_USAGE)
     except FormatError as exc:

@@ -22,7 +22,9 @@ from .rng import TAG_COLS, TAG_ROWS, below, cell_uniforms, sample_subset
 
 @dataclass(frozen=True)
 class ProblemShape:
-    """Instance geometry: ambient sizes (n1, n2) and planted sizes (k1, k2)."""
+    """Instance geometry: ambient sizes (n1, n2) and planted sizes (k1, k2),
+    each below 2^53, so that every size is an exact float: rates, lower
+    bounds and samplers do float arithmetic on sizes."""
 
     n1: int
     n2: int
@@ -34,6 +36,8 @@ class ProblemShape:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ParameterError(f"{name} must be a positive integer, got {v!r}")
+            if v >= 1 << 53:
+                raise ParameterError(f"{name}={v} must be below 2^53")
         if self.k1 > self.n1:
             raise ParameterError(f"k1={self.k1} exceeds n1={self.n1}")
         if self.k2 > self.n2:

@@ -7,15 +7,12 @@ function of (config, seed): per-trial seeds are derived from the experiment
 seed and trial index, so results are identical for any batch size, and the
 same uniforms drive every point of a delta grid (common random numbers).
 Trials arrive in chunks of at most rng.BATCH_BYTES of cell states, so
-memory does not grow with the trial count.  rng.split_pass cuts a large
-pass's trials into contiguous ranges for forked workers, one per usable
-CPU, each with its own chunk buffers; the counts are the same for any
-number of workers.  The threshold and the Type I error are computed once
-per sweep and once per bisection, and `SweepResult` carries the resolved
-detector and threshold.  A sweep's rows are its `RiskEstimate`s, each the
-delta it was made at, its two error rates and its trial count; the
-standard errors are derived from those.  Result rows are tuples in
-CSV_COLUMNS order, written as CSV only.
+memory does not grow with the trial count.  The threshold and the Type I
+error are computed once per sweep and once per bisection, and
+`SweepResult` carries the resolved detector and threshold.  A sweep's rows
+are its `RiskEstimate`s, each the delta it was made at, its two error
+rates and its trial count; the standard errors are derived from those.
+Result rows are tuples in CSV_COLUMNS order, written as CSV only.
 """
 
 from __future__ import annotations
@@ -98,13 +95,13 @@ def _planted_accept_count(
     """Planted trials accepted at each of `deltas`.  Each block's supports
     and each chunk's states and null bits are drawn once, and so is the flat
     index of the chunk's k1 x k2 planted cells: at each delta only those
-    cells' bits are decided again.  rng.split_pass cuts the trials into
-    contiguous ranges, one a worker, and every chunk's counts are added."""
+    cells' bits are decided again.  The chunks' counts, in trial order,
+    are added."""
     n1, n2 = shape.n1, shape.n2
     cuts = [below(p0 + delta) for delta in deltas]
 
-    def chunk_counts(lo: int, hi: int):
-        for seeds, chunks in trial_blocks(seed, TAG_ALT, n1, n2, range(lo, hi)):
+    def chunk_counts(trial_range: range):
+        for seeds, chunks in trial_blocks(seed, TAG_ALT, n1, n2, trial_range):
             rows = sample_subsets(seeds, TAG_ROWS, n1, shape.k1)
             cols = sample_subsets(seeds, TAG_COLS, n2, shape.k2)
             for part, s in chunks:
@@ -120,9 +117,8 @@ def _planted_accept_count(
                 yield counts
 
     counts = [0] * len(deltas)
-    for part in split_pass(trials, trials * n1 * n2, chunk_counts):
-        for chunk in part:
-            counts = [a + b for a, b in zip(counts, chunk)]
+    for chunk in split_pass(trials, trials * n1 * n2, chunk_counts):
+        counts = [a + b for a, b in zip(counts, chunk)]
     return counts
 
 

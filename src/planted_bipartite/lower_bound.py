@@ -137,21 +137,17 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     The matrices are walked in blocks of rows of their bit matrix: the
     largest power of two rows (at least 128) whose float64 bits fit
     rng.BATCH_BYTES.  The block at lo unpacks its bits, row i those of
-    matrix lo + i, and their complement into two buffers that every block
-    of a worker's range reuses, and every support is evaluated on them.
-    Each block's null and mixture probabilities give its |P0 - P_mix|
-    terms, and no vector of all 2^(n1 n2) matrices is held: the two buffers
-    bound each worker's memory.  The
+    matrix lo + i, and their complement into two reused buffers, and every
+    support is evaluated on them.  Each block's null and mixture
+    probabilities give its |P0 - P_mix| terms, and no vector of all
+    2^(n1 n2) matrices is held: the two buffers bound the memory.  The
     result does not depend on the block size: each matrix's log-probability
     is one matrix-vector product row, the supports are added in one fixed
     order, and the terms are summed in numpy's pairwise order over the whole
-    enumeration, rebuilt from the blocks' sums.  rng.split_pass cuts the
-    blocks into contiguous ranges for forked workers; each range returns
-    its blocks' sums, merged here in block order, so neither does the
-    result depend on the number of workers.  Each support is one pair of
-    log-probability vectors, p1 = 1 included, where a finite floor stands
-    for log(1 - p1) = log 0 and a matrix missing a planted edge has
-    probability 0.0.
+    enumeration, rebuilt from the blocks' sums in block order.  Each
+    support is one pair of log-probability vectors, p1 = 1 included, where
+    a finite floor stands for log(1 - p1) = log 0 and a matrix missing a
+    planted edge has probability 0.0.
     """
     _check_signal(p0, delta)
     cells = shape.n1 * shape.n2
@@ -193,12 +189,13 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
     # multiples of 8 down to leaves of at most 128 entries (PW_BLOCKSIZE in
     # its loops_utils.h.src).  A whole vector of 2^cells terms is therefore a
     # binary tree over aligned runs of `rows` terms, each block a whole
-    # subtree.  So |prob0 - prob_mix| is summed one block at a time and the
-    # block sums are merged left + right like a binary counter: the same
-    # double as np.abs(prob0 - prob_mix).sum() over whole vectors.
-    def block_sums(lo: int, hi: int):
+    # subtree.  So |prob0 - prob_mix| is summed one block at a time, and
+    # the block sums, a power of two of them, are added in pairs, left +
+    # right, one level at a time: the same double as
+    # np.abs(prob0 - prob_mix).sum() over whole vectors.
+    def block_sums(blocks: range):
         on, off = np.empty((rows, cells)), np.empty((rows, cells))
-        for block in range(lo, hi):
+        for block in blocks:
             # Row i holds bit j of matrix block * rows + i in column j: the
             # index's four little-endian bytes, unpacked (cells <=
             # TV_BUDGET_BITS < 32).
@@ -213,14 +210,7 @@ def tv_exact(shape: ProblemShape, p0: float, delta: float) -> float:
             prob_mix /= len(supports)
             yield np.abs(np.subtract(prob0, prob_mix, out=prob0), out=prob0).sum()
 
-    # rng.split_pass cuts the blocks into contiguous ranges, one a worker,
-    # and the blocks' sums are merged here in block order.
-    blocks, sums = total // rows, []
-    parts = rng.split_pass(blocks, total * (1 + len(supports)) * cells, block_sums)
-    for block, block_sum in enumerate(s for part in parts for s in part):
-        while block & 1:
-            block_sum = sums.pop() + block_sum
-            block >>= 1
-        sums.append(block_sum)
-    (tv_sum,) = sums
-    return 0.5 * float(tv_sum)
+    sums = rng.split_pass(total // rows, total * (1 + len(supports)) * cells, block_sums)
+    while len(sums) > 1:
+        sums = [left + right for left, right in zip(sums[::2], sums[1::2])]
+    return 0.5 * float(sums[0])

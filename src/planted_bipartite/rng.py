@@ -38,11 +38,12 @@ index), so no blocking changes a bit.
 For the same reason a pass splits across CPUs without changing a bit.
 `split_pass` cuts a pass's items (trials, or the row blocks of an exact
 enumeration) into W contiguous ranges, runs the first in this process and
-each other in a child made by os.fork, and returns the ranges' results in
-range order; W = 1 is the same call made in-process.  W is one per usable
-CPU, at most one per MIN_WORK of the pass's work, and 1 where fork is
-missing or another Python thread is alive, so no setting chooses it and
-no output depends on it.
+each other in a child made by os.fork, and returns one list of every
+item's results in item order, as W = 1, the same call made in-process,
+returns it.  W is one per usable CPU, at most one per MIN_WORK of the
+pass's work, and 1 where fork is missing or another Python thread is
+alive, so no setting chooses it, no output depends on it, and no caller
+sees it.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ def trial_blocks(seed: int, tag: int, n1: int, n2: int, trials: range):
     (seed, tag) stream, one block of trials at a time from trials.start.
     Trial i has seed derive_seed(seed, tag) + i + 1 (mod 2^64), so its
     states do not depend on the blocking, and a worker of split_pass that
-    is given trials lo..hi - 1 hashes only those.
+    is given a range of trials hashes only those.
 
     A chunk holds as many trials as BATCH_BYTES of 8-byte cell states hold
     (at least one); a block holds whole chunks, as many as keep its row
@@ -260,11 +261,13 @@ def _workers(items: int, work: int) -> int:
     return max(1, min(len(os.sched_getaffinity(0)), items, work // MIN_WORK))
 
 
-def split_pass(items: int, work: int, task) -> list[list]:
-    """[list(task(lo, hi)) for each range [lo, hi)], in range order, for
-    the W = _workers(items, work) contiguous ranges that cut range(items)
-    into near-equal parts.  task(lo, hi) is a generator of a range's
-    results that depends only on lo and hi, so the lists do not depend on W.
+def split_pass(items: int, work: int, task) -> list:
+    """The results of a pass over range(items), in item order: the results
+    of task(part) for the W = _workers(items, work) contiguous ranges
+    `part` that cut range(items) into near-equal parts, joined in range
+    order into one list.  task(part) is a generator of a range's results
+    that depends only on the range, so the list does not depend on W, and
+    no caller knows that the pass was cut.
 
     The first range runs in this process and each other in a child made by
     os.fork.  A child writes one pickle, its list or the exception its range
@@ -277,9 +280,10 @@ def split_pass(items: int, work: int, task) -> list[list]:
     child still running is killed and reaped."""
     workers = _workers(items, work)
     cuts = [items * w // workers for w in range(workers + 1)]
-    parent, children = os.getpid(), []  # children: (pid, pipe, lo, hi) not yet reaped
+    parts = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    parent, children = os.getpid(), []  # children: (pid, pipe, part) not yet reaped
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+        for part in parts[1:]:
             read, write = os.pipe()
             try:
                 pid = _fork()
@@ -288,29 +292,28 @@ def split_pass(items: int, work: int, task) -> list[list]:
                 os.close(write)
                 raise
             if pid == 0:
-                _child(task, lo, hi, parent, read, write)
+                _child(task, part, parent, read, write)
             os.close(write)
-            children.append((pid, open(read, "rb"), lo, hi))
-        results = [_gather(task(cuts[0], cuts[1]), None)]
-        for pid, pipe, lo, hi in list(children):
+            children.append((pid, open(read, "rb"), part))
+        results = list(task(parts[0]))
+        for pid, pipe, part in list(children):
             with pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             children.pop(0)
             if not data:
-                raise ChildProcessError(
-                    f"the worker of items [{lo}, {hi}) left no result (wait status {status})"
-                )
+                raise ChildProcessError(f"the worker of items [{part.start}, {part.stop}) "
+                                        f"left no result (wait status {status})")
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            results.append(value)
+            results.extend(value)
         return results
     finally:
         if children:
             from signal import SIGKILL  # not loaded with numpy; needed only here
 
-            for pid, pipe, _, _ in children:
+            for pid, pipe, _ in children:
                 pipe.close()
                 try:
                     os.kill(pid, SIGKILL)
@@ -330,29 +333,25 @@ def _fork() -> int:
         return os.fork()
 
 
-def _child(task, lo: int, hi: int, parent: int, read: int, write: int):
-    """The body of a forked worker of split_pass; it never returns."""
+def _child(task, part: range, parent: int, read: int, write: int):
+    """The body of a forked worker of split_pass, which runs task(part) and
+    leaves once `parent`, the pid of the process that forked it, is gone;
+    it never returns."""
     try:
         os.close(read)
+        results = []
         try:
-            out = True, _gather(task(lo, hi), parent)
+            for value in task(part):
+                if os.getppid() != parent:
+                    os._exit(1)
+                results.append(value)
+            out = True, results
         except BaseException as exc:
             out = False, exc
         with open(write, "wb") as pipe:
             pipe.write(pickle.dumps(out, pickle.HIGHEST_PROTOCOL))
     finally:
         os._exit(0)
-
-
-def _gather(results, parent: int | None) -> list:
-    """The list of a range's results.  In a worker, `parent` is the pid of
-    the process that forked it, and the worker leaves once that is gone."""
-    out = []
-    for value in results:
-        if parent is not None and os.getppid() != parent:
-            os._exit(1)
-        out.append(value)
-    return out
 
 
 def sample_subsets(seeds: np.ndarray, tag: int, n: int, k: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from planted_bipartite import cli, detectors
@@ -111,6 +112,31 @@ class TestRates:
         fields = dict(line.split() for line in out.strip().split("\n"))
         assert float(fields["R"]) == pytest.approx(math.log(2), rel=1e-12)
         assert fields["branch"] == "MAX_TRUNC_1"
+
+    def test_size_too_large_for_a_float(self, capsys):
+        code, out, err = run(capsys, "rates", "--n1", str(10**400), "--n2", "10",
+                             "--k1", "2", "--k2", "2")
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "usage"
+        assert error["message"] == f"n1={10**400} must be below 2^53"
+
+
+class TestOutOfMemory:
+    def test_memory_error_is_one_json_line(self, capsys, monkeypatch):
+        """numpy's MemoryError subclass, from an allocation of 1 EiB, which
+        no 64-bit address space holds: exit 2, and one JSON line."""
+        def allocate(args):
+            np.empty(1 << 60, dtype=np.uint8)
+
+        monkeypatch.setitem(cli._COMMANDS, "rates", allocate)
+        code, out, err = run(capsys, "rates", "--n1", "4", "--n2", "4", "--k1", "2", "--k2", "2")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "memory"
+        assert error["message"].startswith("Unable to allocate")
 
 
 class TestLb:
@@ -382,7 +408,8 @@ class TestConfigNumbers:
         ("detector.tau", {"detector": {"tag": "TRUNC_DEGREE_AXIS1", "tau": 10**400}}),
         ("delta_grid", {"delta_grid": [0.1, 10**400]}),
         ("consts.c1", {"consts": {"c1": 10**400}}),
-    ], ids=["threshold.value", "detector.tau", "delta_grid", "consts.c1"])
+        ("shape", {"shape": {**BASE_CONFIG["shape"], "n1": 10**400}}),
+    ], ids=["threshold.value", "detector.tau", "delta_grid", "consts.c1", "shape.n1"])
     def test_too_large_for_a_float(self, tmp_path, capsys, path, entry):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({**BASE_CONFIG, **entry}))

@@ -35,6 +35,15 @@ class TestTypes:
         with pytest.raises(ParameterError):
             ProblemShape(3, 4, 2, 5)
 
+    @pytest.mark.parametrize("field", ["n1", "n2", "k1", "k2"])
+    def test_sizes_below_two_to_the_53(self, field):
+        """Every size below 2^53 is an exact float, which rates, lower bounds
+        and samplers take it as; 2^53 is the first size refused."""
+        top = {"n1": 2**53 - 1, "n2": 2**53 - 1, "k1": 2**53 - 1, "k2": 2**53 - 1}
+        assert ProblemShape(**top).n1 == 2**53 - 1
+        with pytest.raises(ParameterError, match=f"^{field}=9007199254740992 must be below"):
+            ProblemShape(**{**top, field: 2**53})
+
     def test_support_validation(self):
         s = PlantedSupport((0, 2), (1,))
         s.validate_for(ProblemShape(3, 2, 2, 1))

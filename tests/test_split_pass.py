@@ -1,8 +1,8 @@
 """rng.split_pass: a pass cut into contiguous ranges, the first run in this
-process and each other in a forked child, gives the doubles of the serial
-pass for any worker count, raises the serial pass's error, and leaves no
-child behind.  The worker count is forced by replacing rng._workers, the
-one function that chooses it."""
+process and each other in a forked child, returns one list in item order
+that holds the doubles of the serial pass for any worker count, raises the
+serial pass's error, and leaves no child behind.  The worker count is
+forced by replacing rng._workers, the one function that chooses it."""
 
 import os
 import threading
@@ -17,6 +17,8 @@ from planted_bipartite import (
     DetectorKind,
     DetectorTag,
     ProblemShape,
+    ThresholdMode,
+    ThresholdSpec,
     tv_exact,
 )
 from planted_bipartite import harness, rng
@@ -38,8 +40,8 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _ranges(lo, hi):
-    yield from range(lo, hi)
+def _ranges(part):
+    yield from part
 
 
 class TestSameDoubles:
@@ -85,18 +87,42 @@ class TestSameDoubles:
             assert _hex(tv_exact(shape, 0.25, 0.3)) == want, workers
         _no_child_left()
 
+    def test_power_sweep(self, monkeypatch):
+        """The one public path that composes a calibration, a Type I pass and
+        a planted pass: 101 trials of each in chunks of 3."""
+        shape = ProblemShape(12, 20, 3, 5)
+        monkeypatch.setattr(rng, "BATCH_BYTES", 8 * shape.n1 * shape.n2 * 3)
+        cfg = harness.ExperimentConfig(
+            shape=shape, p0=0.25, delta_grid=(0.0, 0.2, 0.5),
+            detector=DetectorKind(DetectorTag.TRUNC_DEGREE_AXIS1, tau=1.0),
+            threshold=ThresholdSpec(ThresholdMode.CALIBRATED, alpha=0.1, trials=101, seed=5),
+            trials=101, seed=9,
+        )
+
+        def sweep():
+            result = harness.power_sweep(cfg)
+            rows = [(_hex(r.delta), _hex(r.type1), _hex(r.type2), r.trials) for r in result.rows]
+            return _hex(result.threshold), rows
+
+        want = sweep()
+        assert len({row[2][0] for row in want[1]}) == 3
+        for workers in WORKERS:
+            _force(monkeypatch, workers)
+            assert sweep() == want, workers
+        _no_child_left()
+
     def test_ranges_run_in_children(self, monkeypatch):
-        def pids(lo, hi):
+        def pids(part):
             yield os.getpid()
 
         _force(monkeypatch, 3)
-        (first,), (second,), (third,) = rng.split_pass(3, 0, pids)
+        first, second, third = rng.split_pass(3, 0, pids)
         assert first == os.getpid() and len({first, second, third}) == 3
         _no_child_left()
 
     def test_more_workers_than_items(self, monkeypatch):
         _force(monkeypatch, 3)
-        assert rng.split_pass(2, 0, _ranges) == [[], [0], [1]]
+        assert rng.split_pass(2, 0, _ranges) == [0, 1]
         _no_child_left()
 
 
@@ -115,12 +141,26 @@ class TestFailures:
         assert str(split.value) == str(serial.value)
         _no_child_left()
 
+    def test_memory_error_of_the_second_range(self, monkeypatch):
+        """numpy's MemoryError subclass, from an allocation of 1 EiB in the
+        child's range, reaches this process with its type."""
+        def task(part):
+            yield part.start
+            if part.start:
+                np.empty(1 << 60, dtype=np.uint8)
+
+        _force(monkeypatch, 2)
+        with pytest.raises(MemoryError) as raised:
+            rng.split_pass(2, 0, task)
+        assert type(raised.value).__module__.startswith("numpy")
+        _no_child_left()
+
     @pytest.mark.parametrize("failing, raised", [({1, 2}, 1), ({0, 2}, 0), ({2}, 2)])
     def test_earliest_failing_range_wins(self, monkeypatch, failing, raised):
-        def task(lo, hi):
-            yield lo
-            if lo in failing:
-                raise (KeyError if lo == 1 else ValueError)(f"range {lo}")
+        def task(part):
+            yield part.start
+            if part.start in failing:
+                raise (KeyError if part.start == 1 else ValueError)(f"range {part.start}")
 
         _force(monkeypatch, 3)
         with pytest.raises(KeyError if raised == 1 else ValueError, match=f"range {raised}"):
@@ -130,8 +170,8 @@ class TestFailures:
     def test_interrupted_pass_kills_its_children(self, monkeypatch):
         """The children would sleep for a minute; the interrupt in this
         process's range must kill and reap them at once."""
-        def task(lo, hi):
-            if lo:
+        def task(part):
+            if part.start:
                 threading.Event().wait(60)
             raise KeyboardInterrupt
             yield
@@ -144,10 +184,10 @@ class TestFailures:
         _no_child_left()
 
     def test_child_without_result(self, monkeypatch):
-        def task(lo, hi):
-            if lo:
+        def task(part):
+            if part.start:
                 os._exit(3)
-            yield lo
+            yield part.start
 
         _force(monkeypatch, 2)
         with pytest.raises(ChildProcessError, match="items \\[1, 2\\)"):
@@ -162,7 +202,7 @@ class TestProcessHygiene:
         _force(monkeypatch, 3)
         with open(tmp_path / "out.txt", "w", encoding="ascii") as fh:
             fh.write("once")
-            assert rng.split_pass(3, 0, _ranges) == [[0], [1], [2]]
+            assert rng.split_pass(3, 0, _ranges) == [0, 1, 2]
         assert (tmp_path / "out.txt").read_text(encoding="ascii") == "once"
         _no_child_left()
 
@@ -186,7 +226,7 @@ class TestProcessHygiene:
         waiter = threading.Thread(target=event.wait)
         waiter.start()
         try:
-            assert rng.split_pass(4, work, _ranges) == [[0, 1, 2, 3]]
+            assert rng.split_pass(4, work, _ranges) == [0, 1, 2, 3]
         finally:
             event.set()
             waiter.join(timeout=10)
@@ -208,7 +248,7 @@ class TestProcessHygiene:
         _force(monkeypatch, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert rng.split_pass(2, 0, _ranges) == [[0], [1]]
+            assert rng.split_pass(2, 0, _ranges) == [0, 1]
         _no_child_left()
 
     def test_worker_count(self, monkeypatch):
